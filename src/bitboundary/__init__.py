@@ -24,18 +24,9 @@ from .errors import (
     FactorizationError,
     NumericalFaultError,
     QuadratureError,
-    StaleCacheError,
 )
 from .gp import GpEnsemble, build_ensemble, sample, sample_block
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_closest,
-    run_experiment,
-    run_flips,
-    run_gp_check,
-    run_greedy_vs_exact,
-)
+from .harness import ExperimentConfig, ExperimentResult, run_experiment
 from .kernel import KernelProfile, build_profile, covariance, psi
 from .nets import (
     DeepNet,
@@ -83,7 +74,6 @@ __all__ = [
     "NumericalFaultError",
     "QuadratureError",
     "SearchResult",
-    "StaleCacheError",
     "TheoryQuery",
     "build_ensemble",
     "build_profile",
@@ -106,11 +96,7 @@ __all__ = [
     "psi",
     "random_flip_walk",
     "register_activation",
-    "run_closest",
     "run_experiment",
-    "run_flips",
-    "run_gp_check",
-    "run_greedy_vs_exact",
     "sample",
     "sample_block",
     "sample_network",

@@ -10,9 +10,9 @@ Subcommands:
 * greedy-vs-exact   paired greedy/exact distances at small n
 * fit               recompute aggregates and the scaling fit from a rows CSV
 
-Experiments read an optional key=value config file (one experiment per file,
-`#` comments); every file key is mirrored by a flag and flags override file
-values. Size lists accept `64,128,256`, linear ranges `100-400:100`, and
+Every subcommand but fit reads an optional key=value config file (one run
+per file, `#` comments). Its keys are exactly the subcommand's flags, with `_`
+for `-`, and flags override file values; one table, PARAMS, defines both. Size lists accept `64,128,256`, linear ranges `100-400:100`, and
 geometric ranges `64-512:x2`.
 
 Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
@@ -24,13 +24,15 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ._version import VERSION
 from .errors import BitBoundaryError, ConfigError
 from .harness import (
     DESK_DEFAULTS,
+    EXPERIMENTS,
     KIND_CLOSEST,
     KIND_FLIPS,
     KIND_GP_CHECK,
@@ -45,34 +47,6 @@ from .harness import (
 from .kernel import KernelProfile, build_profile
 from .search import DEFAULT_BUDGET
 from .theory import theory_report
-
-_INT_KEYS = {"n", "trials", "seed", "layers", "budget", "parallel", "max_h"}
-_FLOAT_KEYS = {"sigma_w2", "sigma_b2", "a", "z"}
-_BOOL_KEYS = {"timings"}
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-
-_EXPERIMENT_FILE_KEYS = {
-    "n",
-    "trials",
-    "seed",
-    "sigma_w2",
-    "sigma_b2",
-    "layers",
-    "widths",
-    "activation",
-    "method",
-    "max_h",
-    "budget",
-    "out_csv",
-    "out_json",
-    "emit_plot_data",
-    "parallel",
-    "timings",
-}
-_KERNEL_FILE_KEYS = {"sigma_w2", "sigma_b2", "layers", "activation", "out_csv", "out_json"}
-_THEORY_FILE_KEYS = {"n", "a", "z", "sigma_w2", "sigma_b2", "layers", "activation", "out_json"}
-
 
 # ---------------------------------------------------------------------------
 # value parsing
@@ -159,141 +133,105 @@ def read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key == "widths":
-            return parse_widths(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key} has non-numeric value {raw!r}") from None
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in _TRUE_WORDS:
-            return True
-        if low in _FALSE_WORDS:
-            return False
-        raise ConfigError(f"config key {key} must be boolean, got {raw!r}")
-    return raw
+# ---------------------------------------------------------------------------
+# the parameter table: flags, config-file keys and their parsing
+# ---------------------------------------------------------------------------
+
+RUNS = tuple(EXPERIMENTS)
+NETWORK = ("kernel", "theory") + RUNS
 
 
-def _load_file_values(path: Optional[str], kind: str, allowed) -> dict:
-    if path is None:
-        return {}
+@dataclass(frozen=True)
+class Param:
+    """One parameter of the subcommands in `commands`: the flag --key (with
+    `-` for `_`) and the config-file key `key`, both parsed by `parse` into
+    the setting `field` (default: the key itself)."""
+
+    key: str
+    parse: Callable[[str], object]
+    metavar: Optional[str]
+    help: str
+    commands: Tuple[str, ...]
+    field: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+
+    def value(self, raw: str):
+        try:
+            return self.parse(raw)
+        except ValueError:
+            raise ConfigError(f"{self.key} has non-numeric value {raw!r}") from None
+
+
+PARAMS = (
+    Param("n", int, "N", "input size", ("theory",)),
+    Param("n", parse_n_values, "SIZES",
+          "input sizes: comma list, a-b:STEP, or a-b:xFACTOR", RUNS, field="n_values"),
+    Param("a", float, "A",
+          "distance scale in h = floor(a sqrt(n/ln n)) (default 0.4)", ("theory",)),
+    Param("z", float, "Z", "conditioning phi(x) = sqrt(Q) z (default 1.0)", ("theory",)),
+    Param("trials", int, "T", "trials per size", RUNS),
+    Param("seed", int, "SEED", "root seed (default 42)", RUNS),
+    Param("sigma_w2", float, "VAR", "weight variance (default 2.0)", NETWORK),
+    Param("sigma_b2", float, "VAR", "bias variance (default 0.0)", NETWORK),
+    Param("layers", int, "L", "hidden layer count (default 2)", NETWORK),
+    Param("activation", str, "NAME", "activation name (default relu)", NETWORK),
+    Param("widths", parse_widths, "W1,W2,..",
+          "explicit hidden widths (default: each n wide)", RUNS),
+    Param("out_csv", str, "PATH", "write the (t, F_1..F_{L+1}, F) table", ("kernel",)),
+    Param("out_csv", str, "PATH", "write per-trial (or summary) rows as CSV", RUNS),
+    Param("out_json", str, "PATH", "write the summary instead of printing it", ("kernel",)),
+    Param("out_json", str, "PATH", "write the report instead of printing it", ("theory",)),
+    Param("out_json", str, "PATH", "write the aggregate summary as JSON", RUNS),
+    Param("out_json", str, "PATH", "write the fit instead of printing it", ("fit",)),
+    Param("parallel", int, "P", "worker processes (default 1; output is identical)", RUNS),
+    Param("method", str, None, "search method (default greedy)", (KIND_CLOSEST,),
+          choices=("greedy", "exact")),
+    Param("max_h", int, "H", "largest Hamming shell for exact search (default n)",
+          (KIND_CLOSEST, KIND_GREEDY_VS_EXACT)),
+    Param("budget", int, "EVALS", f"exact enumeration budget (default {DEFAULT_BUDGET})",
+          (KIND_CLOSEST, KIND_GREEDY_VS_EXACT)),
+    Param("emit_plot_data", str, "PATH", "write (x, y, yerr) plot data CSV next to the fit",
+          (KIND_CLOSEST, KIND_FLIPS), field="plot_csv"),
+)
+
+
+def _settings(command: str, args) -> dict:
+    """The subcommand's config-file values overridden by its explicit flags,
+    parsed and keyed by field. The file may hold exactly the keys that the
+    subcommand has flags for, plus a `kind` that must name the subcommand."""
+    params = {p.key: p for p in PARAMS if command in p.commands}
     values = {}
-    for key, raw in read_config_file(path).items():
-        if key == "kind":
-            if raw != kind:
-                raise ConfigError(
-                    f"config file is for kind {raw!r}, not subcommand {kind!r}"
-                )
-            continue
-        if key not in allowed:
-            raise ConfigError(f"config key {key!r} not valid for {kind}")
-        values[key] = parse_n_values(raw) if key == "n" and kind in DESK_DEFAULTS else _coerce(key, raw)
-    return values
+    if args.config is not None:
+        for key, raw in read_config_file(args.config).items():
+            if key == "kind":
+                if raw != command:
+                    raise ConfigError(
+                        f"config file is for kind {raw!r}, not subcommand {command!r}"
+                    )
+            elif key in params:
+                values[key] = params[key].value(raw)
+            else:
+                raise ConfigError(f"config key {key!r} not valid for {command}")
+    for key, param in params.items():
+        raw = getattr(args, key)
+        if raw is not None:
+            values[key] = param.value(raw)
+    return {params[key].field or key: value for key, value in values.items()}
 
 
 # ---------------------------------------------------------------------------
-# flag groups
+# subcommands
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flag(p):
-    p.add_argument(
-        "--config",
-        metavar="FILE",
-        default=None,
-        help="key=value config file; explicit flags override file values",
-    )
-
-
-def _add_network_flags(p, widths: bool = True):
-    p.add_argument("--sigma-w2", type=float, default=None, metavar="VAR",
-                   help="weight variance (default 2.0)")
-    p.add_argument("--sigma-b2", type=float, default=None, metavar="VAR",
-                   help="bias variance (default 0.0)")
-    p.add_argument("--layers", type=int, default=None, metavar="L",
-                   help="hidden layer count (default 2)")
-    p.add_argument("--activation", default=None, metavar="NAME",
-                   help="activation name (default relu)")
-    if widths:
-        p.add_argument("--widths", default=None, metavar="W1,W2,..",
-                       help="explicit hidden widths (default: each n wide)")
-
-
-def _add_experiment_flags(p):
-    p.add_argument("--n", default=None, metavar="SIZES",
-                   help="input sizes: comma list, a-b:STEP, or a-b:xFACTOR")
-    p.add_argument("--trials", type=int, default=None, metavar="T",
-                   help="trials per size")
-    p.add_argument("--seed", type=int, default=None, metavar="SEED",
-                   help="root seed (default 42)")
-    _add_network_flags(p)
-    p.add_argument("--out-csv", default=None, metavar="PATH",
-                   help="write per-trial (or summary) rows as CSV")
-    p.add_argument("--out-json", default=None, metavar="PATH",
-                   help="write the aggregate summary as JSON")
-    p.add_argument("--parallel", type=int, default=None, metavar="P",
-                   help="worker processes (default 1; output is identical)")
-    p.add_argument("--timings", action="store_const", const=True, default=None,
-                   help="record wall time per trial (breaks byte reproducibility)")
-    _add_config_flag(p)
-
-
-def _add_budget_flags(p):
-    p.add_argument("--max-h", type=int, default=None, metavar="H",
-                   help="largest Hamming shell for exact search (default n)")
-    p.add_argument("--budget", type=int, default=None, metavar="EVALS",
-                   help=f"exact enumeration budget (default {DEFAULT_BUDGET})")
-
-
-def _add_plot_flag(p):
-    p.add_argument("--emit-plot-data", default=None, metavar="PATH",
-                   help="write (x, y, yerr) plot data CSV next to the fit")
-
-
-# ---------------------------------------------------------------------------
-# experiment subcommands
-# ---------------------------------------------------------------------------
-
-
-def _build_experiment_config(kind: str, args) -> ExperimentConfig:
-    values = _load_file_values(args.config, kind, _EXPERIMENT_FILE_KEYS)
-    if "n" in values:
-        values["n_values"] = values.pop("n")
-    if "emit_plot_data" in values:
-        values["plot_csv"] = values.pop("emit_plot_data")
-    for key in (
-        "trials",
-        "seed",
-        "sigma_w2",
-        "sigma_b2",
-        "layers",
-        "activation",
-        "method",
-        "max_h",
-        "budget",
-        "out_csv",
-        "out_json",
-        "parallel",
-        "timings",
-    ):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "n", None) is not None:
-        values["n_values"] = parse_n_values(args.n)
-    if getattr(args, "widths", None) is not None:
-        values["widths"] = parse_widths(args.widths)
-    if getattr(args, "emit_plot_data", None) is not None:
-        values["plot_csv"] = args.emit_plot_data
-    defaults = DESK_DEFAULTS[kind]
-    values.setdefault("n_values", defaults["n_values"])
-    values.setdefault("trials", defaults["trials"])
-    return ExperimentConfig(kind=kind, **values)
+def _emit_json(obj: dict, path: Optional[str], label: str) -> None:
+    """Write obj to path (reporting it) or, without a path, print it."""
+    text = json.dumps(obj, indent=2)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {label} to {path}")
+    else:
+        print(text)
 
 
 def _print_run_summary(result: ExperimentResult) -> None:
@@ -333,16 +271,23 @@ def _print_run_summary(result: ExperimentResult) -> None:
         print("  TRUNCATED: interrupted before all trials finished")
 
 
-def _cmd_experiment(kind: str, args) -> int:
-    config = _build_experiment_config(kind, args)
-    result = run_experiment(config)
+def _cmd_experiment(args) -> int:
+    values = dict(DESK_DEFAULTS[args.command])
+    values.update(_settings(args.command, args))
+    result = run_experiment(ExperimentConfig(kind=args.command, **values))
     _print_run_summary(result)
     return 130 if result.truncated else 0
 
 
-# ---------------------------------------------------------------------------
-# kernel subcommand
-# ---------------------------------------------------------------------------
+def _profile_params(values: dict) -> dict:
+    """build_profile arguments from kernel or theory settings, with the
+    defaults the flag help states."""
+    return {
+        "sigma_w2": values.get("sigma_w2", 2.0),
+        "sigma_b2": values.get("sigma_b2", 0.0),
+        "layers": values.get("layers", 2),
+        "activation": values.get("activation", "relu"),
+    }
 
 
 def _params_hash(label: str, params: dict) -> str:
@@ -367,28 +312,9 @@ def _kernel_csv(profile: KernelProfile, sha: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _merge_params(args, file_values: dict, keys) -> dict:
-    params = dict(file_values)
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = flag
-    return params
-
-
 def _cmd_kernel(args) -> int:
-    file_values = _load_file_values(args.config, "kernel", _KERNEL_FILE_KEYS)
-    params = _merge_params(
-        args, file_values, ("sigma_w2", "sigma_b2", "layers", "activation", "out_json")
-    )
-    if getattr(args, "out_csv", None) is not None:
-        params["out_csv"] = args.out_csv
-    build = {
-        "sigma_w2": params.get("sigma_w2", 2.0),
-        "sigma_b2": params.get("sigma_b2", 0.0),
-        "layers": params.get("layers", 2),
-        "activation": params.get("activation", "relu"),
-    }
+    values = _settings("kernel", args)
+    build = _profile_params(values)
     profile = build_profile(**build)
     sha = _params_hash("kernel", build)
     summary = {
@@ -399,61 +325,29 @@ def _cmd_kernel(args) -> int:
         "params": build,
         "provenance": {"config_sha256": sha, "version": VERSION},
     }
-    out_csv = params.get("out_csv")
+    out_csv = values.get("out_csv")
     if out_csv:
         Path(out_csv).write_text(
             _kernel_csv(profile, sha), encoding="utf-8", newline="\n"
         )
         print(f"wrote kernel table to {out_csv}")
-    text = json.dumps(summary, indent=2)
-    out_json = params.get("out_json")
-    if out_json:
-        Path(out_json).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote kernel summary to {out_json}")
-    else:
-        print(text)
+    _emit_json(summary, values.get("out_json"), "kernel summary")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# theory subcommand
-# ---------------------------------------------------------------------------
 
 
 def _cmd_theory(args) -> int:
-    file_values = _load_file_values(args.config, "theory", _THEORY_FILE_KEYS)
-    params = _merge_params(
-        args,
-        file_values,
-        ("n", "a", "z", "sigma_w2", "sigma_b2", "layers", "activation", "out_json"),
-    )
-    if "n" not in params:
+    values = _settings("theory", args)
+    if "n" not in values:
         raise ConfigError("theory requires --n")
-    profile = build_profile(
-        sigma_w2=params.get("sigma_w2", 2.0),
-        sigma_b2=params.get("sigma_b2", 0.0),
-        layers=params.get("layers", 2),
-        activation=params.get("activation", "relu"),
-    )
+    profile = build_profile(**_profile_params(values))
     report = theory_report(
         profile,
-        n=int(params["n"]),
-        a=float(params.get("a", 0.4)),
-        z=float(params.get("z", 1.0)),
+        n=values["n"],
+        a=values.get("a", 0.4),
+        z=values.get("z", 1.0),
     )
-    text = json.dumps(report, indent=2)
-    out_json = params.get("out_json")
-    if out_json:
-        Path(out_json).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote theory report to {out_json}")
-    else:
-        print(text)
+    _emit_json(report, values.get("out_json"), "theory report")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# fit subcommand
-# ---------------------------------------------------------------------------
 
 
 def _cmd_fit(args) -> int:
@@ -477,18 +371,23 @@ def _cmd_fit(args) -> int:
         "fit": fit.as_dict() if fit is not None else None,
         "censored": {str(k): v for k, v in censored.items()},
     }
-    text = json.dumps(out, indent=2)
-    if args.out_json:
-        Path(args.out_json).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote fit to {args.out_json}")
-    else:
-        print(text)
+    _emit_json(out, args.out_json, "fit")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
+
+COMMANDS = (
+    ("kernel", "tabulate Q, F_l(t), F'(1)", _cmd_kernel),
+    ("theory", "closed-form predictors at one (n, a, z)", _cmd_theory),
+    (KIND_CLOSEST, "nearest-boundary distance experiment", _cmd_experiment),
+    (KIND_FLIPS, "random-flip-walk experiment", _cmd_experiment),
+    (KIND_GP_CHECK, "network vs kernel vs GP covariance", _cmd_experiment),
+    (KIND_GREEDY_VS_EXACT, "paired search comparison", _cmd_experiment),
+    ("fit", "recompute aggregates and fit from a rows CSV", _cmd_fit),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,56 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {VERSION}"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("kernel", help="tabulate Q, F_l(t), F'(1)")
-    _add_network_flags(p, widths=False)
-    p.add_argument("--out-csv", default=None, metavar="PATH",
-                   help="write the (t, F_1..F_{L+1}, F) table")
-    p.add_argument("--out-json", default=None, metavar="PATH",
-                   help="write the summary instead of printing it")
-    _add_config_flag(p)
-    p.set_defaults(handler=_cmd_kernel)
-
-    p = sub.add_parser("theory", help="closed-form predictors at one (n, a, z)")
-    p.add_argument("--n", type=int, default=None, metavar="N", help="input size")
-    p.add_argument("--a", type=float, default=None, metavar="A",
-                   help="distance scale in h = floor(a sqrt(n/ln n)) (default 0.4)")
-    p.add_argument("--z", type=float, default=None, metavar="Z",
-                   help="conditioning phi(x) = sqrt(Q) z (default 1.0)")
-    _add_network_flags(p, widths=False)
-    p.add_argument("--out-json", default=None, metavar="PATH",
-                   help="write the report instead of printing it")
-    _add_config_flag(p)
-    p.set_defaults(handler=_cmd_theory)
-
-    p = sub.add_parser("closest", help="nearest-boundary distance experiment")
-    _add_experiment_flags(p)
-    p.add_argument("--method", choices=("greedy", "exact"), default=None,
-                   help="search method (default greedy)")
-    _add_budget_flags(p)
-    _add_plot_flag(p)
-    p.set_defaults(handler=lambda a: _cmd_experiment(KIND_CLOSEST, a))
-
-    p = sub.add_parser("flips", help="random-flip-walk experiment")
-    _add_experiment_flags(p)
-    _add_plot_flag(p)
-    p.set_defaults(handler=lambda a: _cmd_experiment(KIND_FLIPS, a))
-
-    p = sub.add_parser("gp-check", help="network vs kernel vs GP covariance")
-    _add_experiment_flags(p)
-    p.set_defaults(handler=lambda a: _cmd_experiment(KIND_GP_CHECK, a))
-
-    p = sub.add_parser("greedy-vs-exact", help="paired search comparison")
-    _add_experiment_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(handler=lambda a: _cmd_experiment(KIND_GREEDY_VS_EXACT, a))
-
-    p = sub.add_parser("fit", help="recompute aggregates and fit from a rows CSV")
-    p.add_argument("csv", help="rows CSV written by closest or flips")
-    p.add_argument("--out-json", default=None, metavar="PATH",
-                   help="write the fit instead of printing it")
-    p.set_defaults(handler=_cmd_fit)
-
+    for name, help_text, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == "fit":
+            p.add_argument("csv", help="rows CSV written by closest or flips")
+        for param in PARAMS:
+            if name in param.commands:
+                flag = "--" + param.key.replace("_", "-")
+                p.add_argument(flag, default=None, metavar=param.metavar,
+                               choices=param.choices, help=param.help)
+        if name != "fit":
+            p.add_argument("--config", metavar="FILE", default=None,
+                           help="key=value config file; explicit flags override file values")
+        p.set_defaults(handler=handler)
     return parser
 
 

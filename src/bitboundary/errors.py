@@ -46,6 +46,3 @@ class QuadratureError(NumericalFaultError):
 class FactorizationError(NumericalFaultError):
     """Covariance factorization failed after the full jitter ladder."""
 
-
-class StaleCacheError(BitBoundaryError):
-    """A flip cache was used with a different network or base point."""

@@ -13,8 +13,11 @@ Every trial derives its own RNG stream from (seed, stream, n, trial), so
 results are independent of scheduling: the row for (n, trial) is identical
 whether computed inline or in any process pool, and rows are written back in
 (n, trial) order. CSV output is therefore byte-identical across parallelism
-degrees. Wall-clock measurement (the micros column) is opt-in via timings
-because it is inherently nondeterministic; the default writes micros=0.
+degrees. Rows hold no wall-clock measurement for the same reason.
+
+Each kind is one entry of EXPERIMENTS: its CSV columns, the row worker that
+computes one (n, trial) row, and the summarizer that turns all rows into the
+per-n aggregates, fit and details. run_experiment is the only driver.
 
 Output files carry a provenance header: a hash over the scientific config
 fields (execution details like parallelism and output paths are excluded),
@@ -27,7 +30,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +43,11 @@ from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, profile_for_config
-from .nets import NetworkConfig, forward_batch, sample_network
+from .nets import DeepNet, NetworkConfig, forward_batch, sample_network
 from .rng import STREAM_INPUT, derive_seed, spawn_rng
 from .search import (
     DEFAULT_BUDGET,
+    SearchResult,
     exact_search,
     greedy_search,
     random_flip_walk,
@@ -56,15 +59,14 @@ from .stats import (
     fit_through_origin,
     mean_stderr,
 )
-from .theory import heuristic_flip_bound
+from .theory import heuristic_flip_bound, validate_n
 
 KIND_CLOSEST = "closest"
 KIND_FLIPS = "flips"
 KIND_GP_CHECK = "gp-check"
 KIND_GREEDY_VS_EXACT = "greedy-vs-exact"
-KINDS = (KIND_CLOSEST, KIND_FLIPS, KIND_GP_CHECK, KIND_GREEDY_VS_EXACT)
 
-SCALING_COLUMNS = ("n", "trial", "start_phi", "distance", "evaluations", "micros")
+SCALING_COLUMNS = ("n", "trial", "start_phi", "distance", "evaluations")
 PAIRED_COLUMNS = (
     "n",
     "trial",
@@ -73,7 +75,6 @@ PAIRED_COLUMNS = (
     "exact_distance",
     "greedy_evaluations",
     "exact_evaluations",
-    "micros",
 )
 GP_COLUMNS = (
     "n",
@@ -147,14 +148,15 @@ class ExperimentConfig:
     out_json: Optional[str] = None
     plot_csv: Optional[str] = None
     parallel: int = 1
-    timings: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
         if self.widths is not None:
             object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r} (known: {KINDS})")
+        if self.kind not in EXPERIMENTS:
+            raise ConfigError(
+                f"unknown experiment kind {self.kind!r} (known: {tuple(EXPERIMENTS)})"
+            )
         if not self.n_values:
             raise ConfigError("n_values must be nonempty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -173,6 +175,8 @@ class ExperimentConfig:
             raise ConfigError("plot data is only defined for closest and flips runs")
         if self.kind == KIND_GP_CHECK and min(self.n_values) < 4:
             raise ConfigError("gp-check needs n >= 4 for its overlap menu")
+        if self.kind in (KIND_CLOSEST, KIND_FLIPS):
+            validate_n(min(self.n_values))
         # Validate the network parameters once up front.
         network_config_for(self, self.n_values[0])
 
@@ -233,43 +237,43 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# trial workers (module level so process pools can pickle them)
+# row workers (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
 
-def _maybe_micros(t0: Optional[int]) -> int:
-    return 0 if t0 is None else (time.perf_counter_ns() - t0) // 1000
+def _net_and_input(config: ExperimentConfig, n: int, trial: int) -> Tuple[DeepNet, BitString]:
+    """The (network, start string) instance of one search trial."""
+    net = sample_network(network_config_for(config, n), trial)
+    x = BitString.random(n, spawn_rng(config.seed, STREAM_INPUT, n, trial))
+    return net, x
+
+
+def _distance_cell(res: SearchResult) -> int:
+    """The CSV distance: -1 marks a search that found no boundary."""
+    return res.distance if res.distance is not None else -1
 
 
 def _closest_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    t0 = time.perf_counter_ns() if config.timings else None
-    net = sample_network(network_config_for(config, n), trial)
-    x = BitString.random(n, spawn_rng(config.seed, STREAM_INPUT, n, trial))
+    net, x = _net_and_input(config, n, trial)
     if config.method == "exact":
         res = exact_search(net, x, max_h=config.max_h, budget=config.budget)
     else:
         res = greedy_search(net, x)
-    dist = res.distance if res.distance is not None else -1
-    return (n, trial, res.start_phi, dist, res.evaluations, _maybe_micros(t0))
+    return (n, trial, res.start_phi, _distance_cell(res), res.evaluations)
 
 
 def _flips_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    t0 = time.perf_counter_ns() if config.timings else None
-    net = sample_network(network_config_for(config, n), trial)
-    x = BitString.random(n, spawn_rng(config.seed, STREAM_INPUT, n, trial))
+    net, x = _net_and_input(config, n, trial)
     res = random_flip_walk(net, x, trial)
-    return (n, trial, res.start_phi, res.distance, res.evaluations, _maybe_micros(t0))
+    return (n, trial, res.start_phi, res.distance, res.evaluations)
 
 
 def _paired_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    t0 = time.perf_counter_ns() if config.timings else None
-    net = sample_network(network_config_for(config, n), trial)
-    x = BitString.random(n, spawn_rng(config.seed, STREAM_INPUT, n, trial))
+    net, x = _net_and_input(config, n, trial)
     g = greedy_search(net, x)
     e = exact_search(net, x, max_h=config.max_h, budget=config.budget)
-    gd = g.distance if g.distance is not None else -1
-    ed = e.distance if e.distance is not None else -1
-    return (n, trial, g.start_phi, gd, ed, g.evaluations, e.evaluations, _maybe_micros(t0))
+    gd, ed = _distance_cell(g), _distance_cell(e)
+    return (n, trial, g.start_phi, gd, ed, g.evaluations, e.evaluations)
 
 
 def _gp_points(config: ExperimentConfig, n: int):
@@ -297,55 +301,18 @@ def _gp_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
     return (n, trial, *map(float, forward_batch(net, signs)))
 
 
-_WORKERS: Dict[str, Callable[[ExperimentConfig, int, int], tuple]] = {
-    KIND_CLOSEST: _closest_row,
-    KIND_FLIPS: _flips_row,
-    KIND_GP_CHECK: _gp_row,
-    KIND_GREEDY_VS_EXACT: _paired_row,
-}
-
-
-def _pool_task(payload: Tuple[ExperimentConfig, int, int]) -> tuple:
-    config, n, trial = payload
-    return _WORKERS[config.kind](config, n, trial)
-
-
-def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
-    """Run all (n, trial) tasks and return rows in (n, trial) order.
-
-    Results are collected into a preallocated slot list indexed by task rank,
-    so output order is schedule independent. On interrupt the rows computed
-    so far are kept and the result is marked truncated.
-    """
-    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    slots: List[Optional[tuple]] = [None] * len(tasks)
-    truncated = False
-    worker = _WORKERS[config.kind]
-    try:
-        if config.parallel == 1:
-            for rank, (n, t) in enumerate(tasks):
-                slots[rank] = worker(config, n, t)
-        else:
-            payloads = [(config, n, t) for n, t in tasks]
-            chunk = max(1, len(tasks) // (config.parallel * 8))
-            with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-                for rank, row in enumerate(
-                    pool.map(_pool_task, payloads, chunksize=chunk)
-                ):
-                    slots[rank] = row
-    except KeyboardInterrupt:
-        truncated = True
-    rows = [r for r in slots if r is not None]
-    return rows, truncated
-
-
 # ---------------------------------------------------------------------------
-# aggregation
+# summarizers: all rows of a run -> (rows to write, per_n, fit, details)
 # ---------------------------------------------------------------------------
 
 
 def sqrt_n_over_ln_n(n: Union[int, np.ndarray]):
     return np.sqrt(np.asarray(n, dtype=float) / np.log(np.asarray(n, dtype=float)))
+
+
+def _scaling_x(kind: str, n: int) -> float:
+    """Abscissa of the scaling law: sqrt(n / ln n) for closest, n for flips."""
+    return float(sqrt_n_over_ln_n(n)) if kind == KIND_CLOSEST else float(n)
 
 
 def _aggregate_distances(
@@ -364,8 +331,6 @@ def _aggregate_distances(
                 {"n": n, "mean": mean, "stderr": stderr, "count": len(found)}
             )
     return per_n, censored
-
-
 def _phi_binned(
     profile: KernelProfile, rows: Sequence[tuple], n: int
 ) -> Optional[dict]:
@@ -416,14 +381,26 @@ def _scaling_fit(kind: str, per_n: Sequence[dict]) -> Optional[FitResult]:
     """The through-origin scaling-law fit of a closest or flips aggregate."""
     if not per_n:
         return None
+    xs = [_scaling_x(kind, e["n"]) for e in per_n]
     ys = [e["mean"] for e in per_n]
     if kind == KIND_CLOSEST:
-        xs = [float(sqrt_n_over_ln_n(e["n"])) for e in per_n]
         model = "mean_distance=a*sqrt(n/ln(n))"
     else:
-        xs = [float(e["n"]) for e in per_n]
         model = "mean_steps=s*n"
     return fit_through_origin(xs, ys, model=model)
+
+
+def _check_scaling_row(row: tuple) -> None:
+    if len(row) != len(SCALING_COLUMNS):
+        raise ConfigError(
+            f"row {row!r} has {len(row)} cells, expected {len(SCALING_COLUMNS)}"
+        )
+    n, distance = row[0], row[3]
+    if not isinstance(n, int) or not isinstance(distance, int):
+        raise ConfigError(f"row {row!r}: n and distance must be integers")
+    validate_n(n)
+    if distance != -1 and not 1 <= distance <= n:
+        raise ConfigError(f"row {row!r}: distance must be -1 or in [1, {n}]")
 
 
 def refit_rows(
@@ -433,9 +410,12 @@ def refit_rows(
 
     This is the `fit` subcommand's engine and the invariant behind it: the
     aggregates in a run's JSON equal this recomputation from its CSV rows.
+    Rows come from files, so each is checked before it is used.
     """
     if kind not in (KIND_CLOSEST, KIND_FLIPS):
         raise ConfigError(f"refit is defined for closest and flips rows, not {kind!r}")
+    for row in rows:
+        _check_scaling_row(row)
     n_values = sorted({int(r[0]) for r in rows})
     if not n_values:
         raise ConfigError("no data rows to refit")
@@ -443,73 +423,39 @@ def refit_rows(
     return per_n, _scaling_fit(kind, per_n), censored
 
 
-# ---------------------------------------------------------------------------
-# experiment drivers
-# ---------------------------------------------------------------------------
-
-
-def _require_kind(config: ExperimentConfig, kind: str) -> None:
-    if config.kind != kind:
-        raise ConfigError(f"config kind {config.kind!r} does not match {kind!r}")
-
-
-def run_closest(config: ExperimentConfig) -> ExperimentResult:
-    """Nearest-boundary distances and the sqrt(n / ln n) prefactor fit."""
-    _require_kind(config, KIND_CLOSEST)
-    rows, truncated = _execute(config)
+def _scaling_summary(config: ExperimentConfig, rows: List[tuple]):
+    """per_n, fit and the details closest and flips share, plus the kernel
+    profile their own details need."""
     per_n, censored = _aggregate_distances(config.n_values, rows)
-    fit = _scaling_fit(config.kind, per_n)
-    details: dict = {"censored": censored, "method": config.method}
+    details: dict = {"censored": censored}
     if len(per_n) >= 2:
-        xs = [float(sqrt_n_over_ln_n(e["n"])) for e in per_n]
-        ys = [e["mean"] for e in per_n]
-        details["free_intercept_fit"] = fit_line(xs, ys)
-        details["power_law_fit"] = fit_power_law([e["n"] for e in per_n], ys)
+        xs = [_scaling_x(config.kind, e["n"]) for e in per_n]
+        details["free_intercept_fit"] = fit_line(xs, [e["mean"] for e in per_n])
     profile = profile_for_config(network_config_for(config, config.n_values[0]))
     details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
+    return per_n, _scaling_fit(config.kind, per_n), details, profile
+
+
+def _summarize_closest(config: ExperimentConfig, rows: List[tuple]):
+    """Nearest-boundary distances and the sqrt(n / ln n) prefactor fit."""
+    per_n, fit, details, profile = _scaling_summary(config, rows)
+    details["method"] = config.method
+    if len(per_n) >= 2:
+        ns, ys = [e["n"] for e in per_n], [e["mean"] for e in per_n]
+        details["power_law_fit"] = fit_power_law(ns, ys)
     binned = _phi_binned(profile, rows, config.n_values[-1])
     if binned is not None:
         details["phi_binned"] = binned
-    result = ExperimentResult(
-        config=config,
-        columns=SCALING_COLUMNS,
-        rows=rows,
-        per_n=per_n,
-        fit=fit,
-        details=details,
-        truncated=truncated,
-    )
-    _persist(result)
-    return result
+    return rows, per_n, fit, details
 
 
-def run_flips(config: ExperimentConfig) -> ExperimentResult:
+def _summarize_flips(config: ExperimentConfig, rows: List[tuple]):
     """Random-walk flip counts and the linear slope fit."""
-    _require_kind(config, KIND_FLIPS)
-    rows, truncated = _execute(config)
-    per_n, censored = _aggregate_distances(config.n_values, rows)
-    fit = _scaling_fit(config.kind, per_n)
-    details: dict = {"censored": censored}
-    if len(per_n) >= 2:
-        xs = [float(e["n"]) for e in per_n]
-        ys = [e["mean"] for e in per_n]
-        details["free_intercept_fit"] = fit_line(xs, ys)
-    profile = profile_for_config(network_config_for(config, config.n_values[0]))
-    details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
+    per_n, fit, details, profile = _scaling_summary(config, rows)
     details["heuristic_slope_lower_bound"] = heuristic_flip_bound(
         1, profile.f_prime_1
     )
-    result = ExperimentResult(
-        config=config,
-        columns=SCALING_COLUMNS,
-        rows=rows,
-        per_n=per_n,
-        fit=fit,
-        details=details,
-        truncated=truncated,
-    )
-    _persist(result)
-    return result
+    return rows, per_n, fit, details
 
 
 def _product_stats(a: np.ndarray, b: np.ndarray, target: float) -> Tuple[float, float, float]:
@@ -519,10 +465,9 @@ def _product_stats(a: np.ndarray, b: np.ndarray, target: float) -> Tuple[float, 
     return mean, stderr, z
 
 
-def run_gp_check(config: ExperimentConfig) -> ExperimentResult:
-    """Network covariance vs Q*F(t) vs GP sampling at the overlap menu."""
-    _require_kind(config, KIND_GP_CHECK)
-    rows, truncated = _execute(config)
+def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
+    """Network covariance vs Q*F(t) vs GP sampling at the overlap menu; the
+    rows written are one summary row per (n, overlap target)."""
     profile = profile_for_config(network_config_for(config, config.n_values[0]))
     q = profile.q
     summary_rows: List[tuple] = []
@@ -590,23 +535,11 @@ def run_gp_check(config: ExperimentConfig) -> ExperimentResult:
     details["max_abs_net_z"] = max_net_z
     details["max_abs_gp_z"] = max_gp_z
     details["kernel"] = {"q": q, "f_prime_1": profile.f_prime_1}
-    result = ExperimentResult(
-        config=config,
-        columns=GP_COLUMNS,
-        rows=summary_rows,
-        per_n=[],
-        fit=None,
-        details=details,
-        truncated=truncated,
-    )
-    _persist(result)
-    return result
+    return summary_rows, [], None, details
 
 
-def run_greedy_vs_exact(config: ExperimentConfig) -> ExperimentResult:
+def _summarize_paired(config: ExperimentConfig, rows: List[tuple]):
     """Paired greedy and exact distances on identical instances."""
-    _require_kind(config, KIND_GREEDY_VS_EXACT)
-    rows, truncated = _execute(config)
     per_n: List[dict] = []
     violations: Dict[int, int] = {}
     censored: Dict[int, int] = {}
@@ -628,29 +561,76 @@ def run_greedy_vs_exact(config: ExperimentConfig) -> ExperimentResult:
         "censored": censored,
         "max_gap": max_gap,
     }
-    result = ExperimentResult(
-        config=config,
-        columns=PAIRED_COLUMNS,
-        rows=rows,
-        per_n=per_n,
-        fit=None,
-        details=details,
-        truncated=truncated,
-    )
-    _persist(result)
-    return result
+    return rows, per_n, None, details
 
 
-RUNNERS: Dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    KIND_CLOSEST: run_closest,
-    KIND_FLIPS: run_flips,
-    KIND_GP_CHECK: run_gp_check,
-    KIND_GREEDY_VS_EXACT: run_greedy_vs_exact,
+# ---------------------------------------------------------------------------
+# experiment kinds and the driver
+# ---------------------------------------------------------------------------
+
+Summary = Tuple[List[tuple], List[dict], Optional[FitResult], dict]
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Everything kind-specific about an experiment."""
+
+    columns: Tuple[str, ...]
+    row: Callable[[ExperimentConfig, int, int], tuple]
+    summarize: Callable[[ExperimentConfig, List[tuple]], Summary]
+
+
+EXPERIMENTS: Dict[str, ExperimentKind] = {
+    KIND_CLOSEST: ExperimentKind(SCALING_COLUMNS, _closest_row, _summarize_closest),
+    KIND_FLIPS: ExperimentKind(SCALING_COLUMNS, _flips_row, _summarize_flips),
+    KIND_GP_CHECK: ExperimentKind(GP_COLUMNS, _gp_row, _summarize_gp),
+    KIND_GREEDY_VS_EXACT: ExperimentKind(PAIRED_COLUMNS, _paired_row, _summarize_paired),
 }
 
 
+def _pool_task(payload: Tuple[ExperimentConfig, int, int]) -> tuple:
+    config, n, trial = payload
+    return EXPERIMENTS[config.kind].row(config, n, trial)
+
+
+def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
+    """Run all (n, trial) tasks and return rows in (n, trial) order.
+
+    Results are collected into a preallocated slot list indexed by task rank,
+    so output order is schedule independent. On interrupt the rows computed
+    so far are kept and the result is marked truncated.
+    """
+    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
+    slots: List[Optional[tuple]] = [None] * len(tasks)
+    truncated = False
+    worker = EXPERIMENTS[config.kind].row
+    try:
+        if config.parallel == 1:
+            for rank, (n, t) in enumerate(tasks):
+                slots[rank] = worker(config, n, t)
+        else:
+            payloads = [(config, n, t) for n, t in tasks]
+            chunk = max(1, len(tasks) // (config.parallel * 8))
+            with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+                for rank, row in enumerate(
+                    pool.map(_pool_task, payloads, chunksize=chunk)
+                ):
+                    slots[rank] = row
+    except KeyboardInterrupt:
+        truncated = True
+    rows = [r for r in slots if r is not None]
+    return rows, truncated
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return RUNNERS[config.kind](config)
+    """Run every (n, trial) row, summarize them, and write the outputs the
+    config names. The config validated itself on construction."""
+    kind = EXPERIMENTS[config.kind]
+    rows, truncated = _execute(config)
+    rows, per_n, fit, details = kind.summarize(config, rows)
+    result = ExperimentResult(config, kind.columns, rows, per_n, fit, details, truncated)
+    _persist(result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +639,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -699,10 +677,7 @@ def write_plot_csv(path: Union[str, Path], result: ExperimentResult) -> None:
     lines = _provenance_lines(result)
     lines.append("x,y,yerr")
     for entry in result.per_n:
-        if result.config.kind == KIND_CLOSEST:
-            x = float(sqrt_n_over_ln_n(entry["n"]))
-        else:
-            x = float(entry["n"])
+        x = _scaling_x(result.config.kind, entry["n"])
         lines.append(
             f"{_fmt_cell(x)},{_fmt_cell(entry['mean'])},{_fmt_cell(entry['stderr'])}"
         )

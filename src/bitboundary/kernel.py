@@ -385,20 +385,6 @@ class KernelProfile:
         )
         return f
 
-    def layer_correlations(self, t: ArrayLike) -> np.ndarray:
-        """Stack F_1(t) .. F_{L+1}(t)."""
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        _, stack = f_recursion(
-            self.sigma_w2, self.sigma_b2, list(self.q_per_layer), arr, self.activation
-        )
-        return stack
-
-    def interpolate(self, t: ArrayLike) -> ArrayLike:
-        """Linear interpolation of F on the stored grid."""
-        scalar = np.isscalar(t)
-        out = np.interp(np.asarray(t, dtype=float), self.grid_t, self.f_grid)
-        return float(out) if scalar else out
-
 
 def build_profile(
     sigma_w2: float = 2.0,

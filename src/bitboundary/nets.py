@@ -33,7 +33,7 @@ import numpy as np
 
 from .activations import Activation, get_activation
 from .bitstrings import BitString
-from .errors import ConfigError, StaleCacheError
+from .errors import ConfigError
 from .rng import STREAM_NETWORK, spawn_rng
 
 SBNW_MAGIC = b"SBNW"
@@ -192,56 +192,18 @@ def forward_from_first_layer(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     return z[:, 0]
 
 
-@dataclass
-class FlipCache:
-    """First-layer state of one (net, x) pair for cheap single-bit flips."""
+def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, np.ndarray]:
+    """phi(x) and the first-layer preactivations z1 = W^(1) x + b^(1).
 
-    net_digest: str
-    x_digest: str
-    z1: np.ndarray
-    signs: np.ndarray
-
-
-def forward_with_first_layer_cache(net: DeepNet, x: BitString):
-    """phi(x) plus a cache from which any single-bit flip costs only the
-    layers above the first."""
+    Flipping bit i turns z1 into z1 - 2 x_i W^(1)[:, i] (a row of
+    net.w1_columns), so any single-bit flip costs only the layers above the
+    first through forward_from_first_layer.
+    """
     if x.n != net.config.n:
         raise ConfigError(f"input length {x.n} != network input_dim {net.config.n}")
-    signs = x.signs
-    z1 = net.weights[0] @ signs + net.biases[0]
+    z1 = net.weights[0] @ x.signs + net.biases[0]
     phi = float(forward_from_first_layer(net, z1[None, :])[0])
-    cache = FlipCache(
-        net_digest=net.digest,
-        x_digest=x.digest(),
-        z1=z1,
-        signs=signs.copy(),
-    )
-    return phi, cache
-
-
-def _check_cache(net: DeepNet, cache: FlipCache, x: BitString = None) -> None:
-    if cache.net_digest != net.digest:
-        raise StaleCacheError("flip cache was built for a different network")
-    if x is not None and cache.x_digest != x.digest():
-        raise StaleCacheError("flip cache was built for a different base point")
-
-
-def forward_flip(net: DeepNet, cache: FlipCache, x: BitString, i: int) -> float:
-    """phi of x with bit i flipped, via z1 - 2 x_i W^(1)[:, i]."""
-    _check_cache(net, cache, x)
-    if not 0 <= i < net.config.n:
-        raise ConfigError(f"bit index {i} out of range for n={net.config.n}")
-    z1 = cache.z1 - 2.0 * cache.signs[i] * net.w1_columns[i]
-    return float(forward_from_first_layer(net, z1[None, :])[0])
-
-
-def forward_flips(net: DeepNet, cache: FlipCache, indices: np.ndarray) -> np.ndarray:
-    """Batched forward_flip over an index array (relative to the cache's base
-    point), shape (k,) -> (k,)."""
-    _check_cache(net, cache)
-    idx = np.asarray(indices, dtype=np.intp)
-    z1 = cache.z1[None, :] - 2.0 * cache.signs[idx, None] * net.w1_columns[idx]
-    return forward_from_first_layer(net, z1)
+    return phi, z1
 
 
 def sign_with_tie(phi: float) -> int:

@@ -5,8 +5,8 @@ Three procedures, all pure functions of (net, x, seed):
 * greedy_search: repeatedly flip the not-yet-flipped bit whose flip moves
   s0 * phi furthest down (s0 = sign of the starting output), until the sign
   changes. Step count equals Hamming distance from the start because bits
-  are never re-flipped. Candidate evaluations reuse the first-layer cache,
-  so each step costs at most n tail-layer passes.
+  are never re-flipped. Candidate evaluations reuse the first-layer
+  preactivations, so each step costs at most n tail-layer passes.
 * exact_search: enumerate Hamming shells h = 1, 2, .. exhaustively
   (lexicographic combinations, early exit on the first hit), so the returned
   distance is guaranteed minimal. A budget caps the total enumeration.
@@ -58,15 +58,10 @@ class SearchResult:
     """
 
     method: str
-    start_digest: str
     start_phi: float
     distance: Optional[int]
     path: Optional[Tuple[int, ...]]
     evaluations: int
-
-    @property
-    def found(self) -> bool:
-        return self.distance is not None
 
 
 def greedy_search(
@@ -84,15 +79,15 @@ def greedy_search(
         max_steps = n
     if not 1 <= max_steps <= n:
         raise ConfigError(f"max_steps must be in [1, {n}], got {max_steps}")
-    phi0, cache = forward_with_first_layer_cache(net, x)
+    phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
     w1c = net.w1_columns
-    z1 = cache.z1
-    signs = cache.signs.copy()
+    signs = x.signs.copy()
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
+    distance = None
     for step in range(1, max_steps + 1):
         cand = np.flatnonzero(remaining)
         z1_cand = z1[None, :] - 2.0 * (signs[cand, None] * w1c[cand])
@@ -106,19 +101,12 @@ def greedy_search(
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phis[j] >= 0.0) != started_positive:
-            return SearchResult(
-                method=METHOD_GREEDY,
-                start_digest=x.digest(),
-                start_phi=phi0,
-                distance=step,
-                path=tuple(path),
-                evaluations=evaluations,
-            )
+            distance = step
+            break
     return SearchResult(
         method=METHOD_GREEDY,
-        start_digest=x.digest(),
         start_phi=phi0,
-        distance=None,
+        distance=distance,
         path=tuple(path),
         evaluations=evaluations,
     )
@@ -172,7 +160,6 @@ def exact_search(
                 k = int(hits[0])
                 return SearchResult(
                     method=METHOD_EXACT,
-                    start_digest=x.digest(),
                     start_phi=phi0,
                     distance=h,
                     path=tuple(chunk[k]),
@@ -180,7 +167,6 @@ def exact_search(
                 )
     return SearchResult(
         method=METHOD_EXACT,
-        start_digest=x.digest(),
         start_phi=phi0,
         distance=None,
         path=None,
@@ -203,6 +189,7 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     started_positive = sign_with_tie(phi0) == 1
     signs = x.signs.copy()
     evaluations = 0
+    steps = n  # the cap, when no flip crosses the boundary
     pos = 0
     while pos < n:
         b = min(_WALK_BLOCK, n - pos)
@@ -214,21 +201,13 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
         hits = np.flatnonzero((phis >= 0.0) != started_positive)
         if hits.size:
             steps = pos + int(hits[0]) + 1
-            return SearchResult(
-                method=METHOD_WALK,
-                start_digest=x.digest(),
-                start_phi=phi0,
-                distance=steps,
-                path=tuple(int(v) for v in perm[:steps]),
-                evaluations=evaluations,
-            )
+            break
         signs = block[-1]
         pos += b
     return SearchResult(
         method=METHOD_WALK,
-        start_digest=x.digest(),
         start_phi=phi0,
-        distance=n,
-        path=tuple(int(v) for v in perm),
+        distance=steps,
+        path=tuple(int(v) for v in perm[:steps]),
         evaluations=evaluations,
     )

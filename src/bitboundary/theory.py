@@ -44,21 +44,22 @@ class TheoryQuery:
     f_prime_1: float
 
     def __post_init__(self):
-        _validate_n(self.n)
+        validate_n(self.n)
         if self.a <= 0:
             raise ConfigError(f"distance scale a must be > 0, got {self.a}")
         if self.f_prime_1 <= 0:
             raise ConfigError(f"F'(1) must be > 0, got {self.f_prime_1}")
 
 
-def _validate_n(n: int) -> None:
+def validate_n(n: int) -> None:
+    """The sqrt(n / ln n) scale needs ln n > 1, so every size must be >= 3."""
     if n < 3:
         raise ConfigError(f"n must be >= 3 (ln n > 1 region), got {n}")
 
 
 def h_n(n: int, a: float) -> int:
     """Shell index floor(a sqrt(n / ln n))."""
-    _validate_n(n)
+    validate_n(n)
     if a <= 0:
         raise ConfigError(f"distance scale a must be > 0, got {a}")
     return math.floor(a * math.sqrt(n / math.log(n)))
@@ -84,7 +85,7 @@ def conditional_flip_probability(
     profile: KernelProfile, n: int, h: int, z: float
 ) -> float:
     """P_n at Hamming distance h, using the exact F (not its expansion)."""
-    _validate_n(n)
+    validate_n(n)
     if not 1 <= h <= n:
         raise ConfigError(f"need 1 <= h <= n, got h={h}, n={n}")
     f = float(profile.evaluate(1.0 - 2.0 * h / n))
@@ -118,7 +119,7 @@ def ln_count_asymptotic(query: TheoryQuery) -> float:
 
 def h_star(phi_x: float, q: float, f_prime_1: float, n: int) -> float:
     """Predicted nearest-boundary distance for a specific output value."""
-    _validate_n(n)
+    validate_n(n)
     if q <= 0 or f_prime_1 <= 0:
         raise ConfigError(f"need q > 0 and F'(1) > 0, got q={q}, F'(1)={f_prime_1}")
     return abs(phi_x) / (2.0 * math.sqrt(q * f_prime_1)) * math.sqrt(n / math.log(n))
@@ -126,7 +127,7 @@ def h_star(phi_x: float, q: float, f_prime_1: float, n: int) -> float:
 
 def expected_h_star(n: int, f_prime_1: float) -> float:
     """E[h*_n] = sqrt(n / (2 pi F'(1) ln n)) over the half-normal |phi|."""
-    _validate_n(n)
+    validate_n(n)
     if f_prime_1 <= 0:
         raise ConfigError(f"F'(1) must be > 0, got {f_prime_1}")
     return math.sqrt(n / (2.0 * math.pi * f_prime_1 * math.log(n)))
@@ -141,7 +142,7 @@ def heuristic_flip_bound(n: int, f_prime_1: float) -> float:
 
 def heuristic_closest_bound(n: int, f_prime_1: float) -> float:
     """Heuristic nearest-boundary distance from the extreme-value argument."""
-    _validate_n(n)
+    validate_n(n)
     if f_prime_1 <= 0:
         raise ConfigError(f"F'(1) must be > 0, got {f_prime_1}")
     return math.sqrt(n / (8.0 * f_prime_1 * math.log(n)))

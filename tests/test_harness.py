@@ -1,5 +1,6 @@
 """Experiment harness: configs, runs, persistence, and the CLI on top."""
 
+import dataclasses
 import json
 import math
 
@@ -22,11 +23,7 @@ from bitboundary.harness import (
     network_config_for,
     read_rows_csv,
     refit_rows,
-    run_closest,
     run_experiment,
-    run_flips,
-    run_gp_check,
-    run_greedy_vs_exact,
     sqrt_n_over_ln_n,
     write_rows_csv,
 )
@@ -76,7 +73,7 @@ class TestExperimentConfig:
     def test_hash_covers_science_not_execution(self):
         base = tiny_config()
         assert config_hash(base) == config_hash(
-            tiny_config(out_csv="x.csv", out_json="y.json", parallel=4, timings=True)
+            tiny_config(out_csv="x.csv", out_json="y.json", parallel=4)
         )
         assert config_hash(base) != config_hash(tiny_config(seed=10))
         assert config_hash(base) != config_hash(tiny_config(trials=7))
@@ -92,7 +89,7 @@ def tiny_run(tmp_path_factory):
         out_json=str(out / "run.json"),
         plot_csv=str(out / "plot.csv"),
     )
-    return config, run_closest(config)
+    return config, run_experiment(config)
 
 
 class TestClosestRun:
@@ -104,8 +101,8 @@ class TestClosestRun:
             (n, t) for n in (16, 24) for t in range(6)
         ]
         for row in result.rows:
+            assert len(row) == len(SCALING_COLUMNS)
             assert row[3] == -1 or 1 <= row[3] <= row[0]
-            assert row[5] == 0  # timings off by default
 
     def test_aggregates_match_rows(self, tiny_run):
         _, result = tiny_run
@@ -177,20 +174,20 @@ class TestDeterminism:
             config = tiny_config(
                 n_values=(12, 16), trials=4, out_csv=str(out), parallel=parallel
             )
-            run_closest(config)
+            run_experiment(config)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_rerun_is_identical(self, tmp_path):
-        a = run_closest(tiny_config(n_values=(12,), trials=4))
-        b = run_closest(tiny_config(n_values=(12,), trials=4))
+        a = run_experiment(tiny_config(n_values=(12,), trials=4))
+        b = run_experiment(tiny_config(n_values=(12,), trials=4))
         assert a.rows == b.rows
 
 
 class TestFlipsRun:
     def test_walk_rows_and_heuristic(self):
         config = tiny_config(kind=KIND_FLIPS, trials=8)
-        result = run_flips(config)
+        result = run_experiment(config)
         assert result.columns == SCALING_COLUMNS
         for row in result.rows:
             assert 1 <= row[3] <= row[0]  # the walk always terminates
@@ -210,7 +207,7 @@ class TestFlipsRun:
         config = ExperimentConfig(
             kind=KIND_FLIPS, n_values=(n,), trials=trials, seed=3
         )
-        result = run_flips(config)
+        result = run_experiment(config)
         net_seed = network_config_for(config, n).seed
         for row in result.rows:
             perm = spawn_rng(net_seed, STREAM_WALK, row[1]).permutation(n)
@@ -220,29 +217,33 @@ class TestFlipsRun:
         assert abs(mean - (n + 1) / 2.0) < 5.0 * sd / math.sqrt(trials)
 
 
+def patch_row_worker(monkeypatch, kind, row):
+    """Swap the row worker of one experiment kind for the test's own."""
+    spec = dataclasses.replace(harness.EXPERIMENTS[kind], row=row)
+    monkeypatch.setitem(harness.EXPERIMENTS, kind, spec)
+
+
 class TestCensoring:
     def test_boundary_free_nets_are_censored(self, monkeypatch):
-        monkeypatch.setitem(
-            harness._WORKERS,
-            KIND_CLOSEST,
-            lambda config, n, trial: (n, trial, 4.0, -1, n, 0),
+        patch_row_worker(
+            monkeypatch, KIND_CLOSEST, lambda config, n, trial: (n, trial, 4.0, -1, n)
         )
-        result = run_closest(tiny_config(trials=3))
+        result = run_experiment(tiny_config(trials=3))
         assert result.per_n == []
         assert result.fit is None
         assert result.details["censored"] == {16: 3, 24: 3}
 
     def test_truncation_keeps_partial_rows(self, monkeypatch, tmp_path):
-        real = harness._closest_row
+        real = harness.EXPERIMENTS[KIND_CLOSEST].row
 
         def exploding(config, n, trial):
             if (n, trial) == (24, 1):
                 raise KeyboardInterrupt
             return real(config, n, trial)
 
-        monkeypatch.setitem(harness._WORKERS, KIND_CLOSEST, exploding)
+        patch_row_worker(monkeypatch, KIND_CLOSEST, exploding)
         out = tmp_path / "rows.csv"
-        result = run_closest(tiny_config(trials=3, out_csv=str(out)))
+        result = run_experiment(tiny_config(trials=3, out_csv=str(out)))
         assert result.truncated
         assert len(result.rows) == 3 + 1  # all of n=16, one row of n=24
         meta, _, _ = read_rows_csv(out)
@@ -254,7 +255,7 @@ class TestGpRun:
         config = ExperimentConfig(
             kind=KIND_GP_CHECK, n_values=(16,), trials=50, seed=5
         )
-        result = run_gp_check(config)
+        result = run_experiment(config)
         assert len(result.rows) == len(GP_TARGETS)
         labels = [r[1] for r in result.rows]
         assert labels == [label for label, _ in GP_TARGETS]
@@ -273,7 +274,7 @@ class TestGpRun:
 
     def test_antipodal_target_reaches_h_equals_n(self):
         config = ExperimentConfig(kind=KIND_GP_CHECK, n_values=(8,), trials=4, seed=1)
-        result = run_gp_check(config)
+        result = run_experiment(config)
         by_label = {r[1]: r for r in result.rows}
         assert by_label["-1.0"][2] == 8
         assert by_label["1-2/n"][2] == 1
@@ -284,7 +285,7 @@ class TestGveRun:
         config = ExperimentConfig(
             kind=KIND_GREEDY_VS_EXACT, n_values=(6, 8), trials=6, seed=21
         )
-        result = run_greedy_vs_exact(config)
+        result = run_experiment(config)
         assert result.columns == PAIRED_COLUMNS
         assert result.details["total_violations"] == 0
         for row in result.rows:
@@ -298,24 +299,60 @@ class TestGveRun:
 class TestRefitErrors:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ConfigError):
-            refit_rows(KIND_GP_CHECK, [(16, 0, 1.0, 2, 5, 0)])
+            refit_rows(KIND_GP_CHECK, [(16, 0, 1.0, 2, 5)])
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ConfigError):
             refit_rows(KIND_CLOSEST, [])
 
 
+class TestMalformedInput:
+    """Inputs that used to run silently, fit NaN, or crash with a traceback
+    end as a config error (exit code 2)."""
+
+    HEADER = "# kind=closest\n" + ",".join(SCALING_COLUMNS) + "\n"
+
+    def fit_exit_code(self, tmp_path, body):
+        path = tmp_path / "rows.csv"
+        path.write_text(self.HEADER + body)
+        return cli.main(["fit", str(path)])
+
+    def test_scaling_runs_need_n_of_at_least_3(self):
+        assert cli.main(["closest", "--n", "1", "--trials", "3"]) == 2
+        for kind in (KIND_CLOSEST, KIND_FLIPS):
+            with pytest.raises(ConfigError):
+                tiny_config(kind=kind, n_values=(2, 16))
+
+    def test_fit_rejects_rows_below_n_3(self, tmp_path):
+        assert self.fit_exit_code(tmp_path, "1,0,0.5,1,1\n") == 2
+
+    def test_fit_rejects_short_rows(self, tmp_path):
+        assert self.fit_exit_code(tmp_path, "16,0\n") == 2
+
+    def test_refit_checks_every_row(self):
+        good = (16, 0, 1.0, 2, 31)
+        for bad in (
+            (16, 0, 1.0, 0, 31),  # distance 0
+            (16, 0, 1.0, 17, 31),  # distance beyond n
+            (16, 0, 1.0, 2.5, 31),  # fractional distance
+            ("n", 0, 1.0, 2, 31),  # text size
+            (16, 0, 1.0, 2, 31, 0),  # a pre-change row with micros
+        ):
+            with pytest.raises(ConfigError):
+                refit_rows(KIND_CLOSEST, [good, bad])
+
+
 class TestReadRowsCsv:
     def test_type_inference_and_meta(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(
-            "# kind=closest\n# seed=3\nn,trial,start_phi,distance,evaluations,micros\n"
-            "16,0,1.25,2,31,0\n16,1,-0.5,-1,16,0\n"
+            "# kind=closest\n# seed=3\nn,trial,start_phi,distance,evaluations\n"
+            "16,0,1.25,2,31\n16,1,-0.5,-1,16\n"
         )
         meta, columns, rows = read_rows_csv(path)
         assert meta == {"kind": "closest", "seed": "3"}
         assert columns == SCALING_COLUMNS
-        assert rows == [(16, 0, 1.25, 2, 31, 0), (16, 1, -0.5, -1, 16, 0)]
+        assert rows == [(16, 0, 1.25, 2, 31), (16, 1, -0.5, -1, 16)]
         assert isinstance(rows[0][0], int) and isinstance(rows[0][2], float)
 
     def test_missing_header_is_an_error(self, tmp_path):
@@ -391,7 +428,7 @@ class TestCliExperiments:
             )
             == 0
         )
-        direct = run_flips(
+        direct = run_experiment(
             ExperimentConfig(kind=KIND_FLIPS, n_values=(12,), trials=4, seed=2)
         )
         _, _, rows = read_rows_csv(out)

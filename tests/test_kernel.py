@@ -226,13 +226,6 @@ class TestProfile:
         assert not default_profile.grid_f_layers.flags.writeable
         assert default_profile.grid_f_layers.shape == (3, default_profile.grid_t.size)
 
-    def test_interpolate_tracks_evaluate(self, default_profile):
-        rng = np.random.default_rng(29)
-        t = rng.uniform(-1.0, 1.0, size=200)
-        exact = np.asarray(default_profile.evaluate(t))
-        approx = np.asarray(default_profile.interpolate(t))
-        assert np.max(np.abs(exact - approx)) < 1e-5
-
     def test_profile_for_config_matches_build(self):
         config = NetworkConfig(n=64, hidden_widths=(64, 64), sigma_w2=1.0, sigma_b2=1.0)
         via_config = profile_for_config(config)

@@ -1,4 +1,4 @@
-"""Network sampling, forward paths, the flip cache, and SBNW weight files."""
+"""Network sampling, forward paths, first-layer reuse, and SBNW weight files."""
 
 import struct
 import zlib
@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from bitboundary.bitstrings import BitString
-from bitboundary.errors import ConfigError, StaleCacheError
+from bitboundary.errors import ConfigError
 from bitboundary.nets import (
     DeepNet,
     NetworkConfig,
     classify,
     forward,
     forward_batch,
-    forward_flip,
-    forward_flips,
+    forward_from_first_layer,
     forward_with_first_layer_cache,
     load_weights,
     sample_network,
@@ -156,50 +155,30 @@ class TestForward:
 
 
 class TestFlipCache:
+    """The first-layer reuse greedy search relies on: flipping bit i moves
+    the cached z1 by -2 x_i W^(1)[:, i], and only the layers above the first
+    are recomputed."""
+
     def test_cache_base_value_matches_forward(self):
         net = sample_network(NetworkConfig(n=10, hidden_widths=(10, 10)), 4)
         x = BitString.random(10, np.random.default_rng(1))
-        phi, cache = forward_with_first_layer_cache(net, x)
+        phi, z1 = forward_with_first_layer_cache(net, x)
         np.testing.assert_allclose(phi, forward(net, x), rtol=1e-13)
+        np.testing.assert_array_equal(z1, net.weights[0] @ x.signs + net.biases[0])
+        with pytest.raises(ConfigError):
+            forward_with_first_layer_cache(net, BitString.all_plus(11))
 
     def test_single_flip_matches_full_forward(self):
         net = sample_network(NetworkConfig(n=14, hidden_widths=(14, 14)), 7)
         rng = np.random.default_rng(2)
         x = BitString.random(14, rng)
-        _, cache = forward_with_first_layer_cache(net, x)
+        _, z1 = forward_with_first_layer_cache(net, x)
+        # every single flip at once, as one greedy step evaluates them
+        z1_flips = z1[None, :] - 2.0 * (x.signs[:, None] * net.w1_columns)
+        via_cache = forward_from_first_layer(net, z1_flips)
         for i in range(14):
-            via_cache = forward_flip(net, cache, x, i)
             direct = forward(net, x.flip(i))
-            np.testing.assert_allclose(via_cache, direct, rtol=1e-10, atol=1e-12)
-
-    def test_batched_flips_match_singles(self):
-        net = sample_network(NetworkConfig(n=9, hidden_widths=(9, 9)), 3)
-        x = BitString.random(9, np.random.default_rng(3))
-        _, cache = forward_with_first_layer_cache(net, x)
-        idx = np.array([0, 4, 8, 2])
-        batch = forward_flips(net, cache, idx)
-        singles = [forward_flip(net, cache, x, int(i)) for i in idx]
-        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
-
-    def test_stale_cache_detected(self):
-        config = NetworkConfig(n=8, hidden_widths=(8,))
-        net_a = sample_network(config, 0)
-        net_b = sample_network(config, 1)
-        x = BitString.all_plus(8)
-        _, cache = forward_with_first_layer_cache(net_a, x)
-        with pytest.raises(StaleCacheError):
-            forward_flip(net_b, cache, x, 0)
-        with pytest.raises(StaleCacheError):
-            forward_flip(net_a, cache, x.flip(3), 0)
-        with pytest.raises(StaleCacheError):
-            forward_flips(net_b, cache, np.array([0]))
-
-    def test_flip_index_range_checked(self):
-        net = sample_network(NetworkConfig(n=8, hidden_widths=(8,)), 0)
-        x = BitString.all_plus(8)
-        _, cache = forward_with_first_layer_cache(net, x)
-        with pytest.raises(ConfigError):
-            forward_flip(net, cache, x, 8)
+            np.testing.assert_allclose(via_cache[i], direct, rtol=1e-10, atol=1e-12)
 
 
 class TestWeightFiles:

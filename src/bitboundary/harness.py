@@ -7,6 +7,8 @@ Four experiments, each a pure function of its config:
 * flips: random geodesic walks; fits s in mean steps = s * n.
 * gp-check: network output covariance at controlled overlaps versus the
   kernel prediction Q * F(t) and versus exact GP sampling, as z-scores.
+  Finite networks are sampled exactly in law through each layer's
+  preactivations at the probe points (nets.sample_outputs).
 * greedy-vs-exact: paired searches on identical (net, string) instances.
 
 Every trial derives its own RNG stream from (seed, stream, n, trial), so
@@ -32,6 +34,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +46,8 @@ from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, profile_for_config
-from .nets import DeepNet, NetworkConfig, forward_batch, sample_network
+from .nets import DeepNet, NetworkConfig, sample_network, sample_outputs
+from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces harness.forward_batch
 from .rng import STREAM_INPUT, derive_seed, spawn_rng
 from .search import (
     DEFAULT_BUDGET,
@@ -276,10 +280,12 @@ def _paired_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
     return (n, trial, g.start_phi, gd, ed, g.evaluations, e.evaluations)
 
 
-def _gp_points(config: ExperimentConfig, n: int):
-    """Fixed point set per n: base string, its duplicate, and one partner per
-    overlap target (a random h-subset flip), all from a derived stream."""
-    rng = spawn_rng(config.seed, STREAM_INPUT, n)
+@lru_cache(maxsize=64)
+def _gp_points(seed: int, n: int):
+    """Fixed point set per (seed, n): base string, its duplicate, and one
+    partner per overlap target (a random h-subset flip), all from a derived
+    stream; plus their read-only stacked sign rows. Drawn once, not per row."""
+    rng = spawn_rng(seed, STREAM_INPUT, n)
     x = BitString.random(n, rng)
     labels, hs, points = ["base", "duplicate"], [0, 0], [x, x]
     for label, target in GP_TARGETS:
@@ -291,14 +297,15 @@ def _gp_points(config: ExperimentConfig, n: int):
         labels.append(label)
         hs.append(h)
         points.append(x.flip_many(idx))
-    return labels, hs, points
+    signs = np.stack([p.signs for p in points])
+    signs.flags.writeable = False
+    return tuple(labels), tuple(hs), tuple(points), signs
 
 
 def _gp_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    _, _, points = _gp_points(config, n)
-    net = sample_network(network_config_for(config, n), trial)
-    signs = np.stack([p.signs for p in points])
-    return (n, trial, *map(float, forward_batch(net, signs)))
+    signs = _gp_points(config.seed, n)[3]
+    phi = sample_outputs(network_config_for(config, n), trial, signs)
+    return (n, trial, *map(float, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +482,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
     max_net_z = 0.0
     max_gp_z = 0.0
     for n in config.n_values:
-        labels, hs, points = _gp_points(config, n)
+        labels, hs, points, _ = _gp_points(config.seed, n)
         net_phi = np.array([r[2:] for r in rows if r[0] == n])
         if net_phi.size == 0:
             continue

@@ -13,6 +13,12 @@ so a given (config, trial_index) reproduces phi bit for bit. Single-bit flips
 reuse the first-layer preactivations: flipping bit i changes W^(1) x by
 -2 x_i W^(1)[:, i], so only the layers above the first are recomputed.
 
+sample_outputs draws phi at a few fixed inputs without drawing any weight
+matrix: given the layer below, the preactivations of layer l at m inputs
+(the columns of H) are Gaussian with covariance sigma_w^2 / n_{l-1} H^T H +
+sigma_b^2, independently per unit. This is the finite network's exact law,
+at n_l * m normals per layer instead of n_l * n_{l-1}.
+
 Weight files use a little-endian binary format: magic "SBNW", version u32,
 layer count u32 (= L+1), the L+2 dims as u32, all weight matrices (row-major
 f64) in layer order, then all bias vectors, then a CRC32 of everything that
@@ -34,7 +40,7 @@ import numpy as np
 from .activations import Activation, get_activation
 from .bitstrings import BitString
 from .errors import ConfigError
-from .rng import STREAM_NETWORK, spawn_rng
+from .rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
 
 SBNW_MAGIC = b"SBNW"
 SBNW_VERSION = 1
@@ -153,6 +159,39 @@ def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
     return DeepNet(config, weights, biases)
 
 
+def _sign_batch(signs: np.ndarray, n: int) -> np.ndarray:
+    """signs as a float64 (m, n) batch, or ConfigError."""
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.ndim != 2 or signs.shape[1] != n:
+        raise ConfigError(f"batch shape {signs.shape} incompatible with input_dim {n}")
+    return signs
+
+
+def sample_outputs(config: NetworkConfig, trial_index: int, signs: np.ndarray) -> np.ndarray:
+    """phi at the sign rows (m, n) -> (m,) of one network drawn from the
+    stream derived from (config.seed, trial_index), layer by layer.
+
+    With H the (n_{l-1}, m) inputs or post-activations of layer l and
+    R^T R = H^T H (R from a QR of H, k = min(n_{l-1}, m) rows), the
+    preactivations are G R sqrt(sigma_w^2 / n_{l-1}) + sqrt(sigma_b^2) g 1^T
+    with G (n_l, k) and g (n_l, 1) standard normal, drawn in that order.
+    Duplicate or dependent inputs need no jitter: R may be singular.
+    """
+    signs = _sign_batch(signs, config.n)
+    rng = spawn_rng(config.seed, STREAM_OUTPUTS, trial_index)
+    act = get_activation(config.activation)
+    dims = config.dims
+    h = signs.T
+    last = len(dims) - 2
+    for l in range(last + 1):
+        r = np.linalg.qr(h, mode="r")
+        g = rng.standard_normal((dims[l + 1], r.shape[0]))
+        z = g @ r * np.sqrt(config.sigma_w2 / dims[l])
+        z += np.sqrt(config.sigma_b2) * rng.standard_normal((dims[l + 1], 1))
+        h = z if l == last else act(z)
+    return z[0]
+
+
 # ---------------------------------------------------------------------------
 # forward paths
 # ---------------------------------------------------------------------------
@@ -160,11 +199,7 @@ def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
 
 def forward_batch(net: DeepNet, signs: np.ndarray) -> np.ndarray:
     """phi for a batch of sign rows, shape (m, n) -> (m,)."""
-    signs = np.asarray(signs, dtype=np.float64)
-    if signs.ndim != 2 or signs.shape[1] != net.config.n:
-        raise ConfigError(
-            f"batch shape {signs.shape} incompatible with input_dim {net.config.n}"
-        )
+    signs = _sign_batch(signs, net.config.n)
     act = net.activation
     h = signs
     last = len(net.weights) - 1

@@ -1,8 +1,9 @@
 """Counter-based random stream derivation.
 
-Every stochastic object in the package (network weights, input strings, walk
-permutations, GP draws) gets its own generator derived from a root seed, a
-stream tag, and the integers that identify the task (input size, trial index).
+Every stochastic object in the package (network weights, network outputs
+sampled at fixed inputs, input strings, walk permutations, GP draws) gets its
+own generator derived from a root seed, a stream tag, and the integers that
+identify the task (input size, trial index).
 Derivation uses the SplitMix64 finisher, so child seeds are decorrelated and
 trials can run in any order or process without shared state:
 
@@ -20,6 +21,7 @@ _MASK64 = (1 << 64) - 1
 
 # Stream tags, one per consumer. Values are arbitrary distinct constants.
 STREAM_NETWORK = 0x6E6574
+STREAM_OUTPUTS = 0x6F7574
 STREAM_INPUT = 0x696E70
 STREAM_WALK = 0x776C6B
 STREAM_GP = 0x6770

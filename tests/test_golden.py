@@ -4,6 +4,10 @@ The menu is the one of the parallel-determinism gate (test_11), run
 serially. The pinned SHA-256 values are the bytes these configs produced
 before the per-trial `micros` column left the CSV, with that column removed,
 so a refactor that passes here kept every other byte of every row.
+
+The gp-check rows pin is the one exception: it was recomputed when gp-check
+moved from drawing whole networks to sampling each layer's preactivations
+at the probe points (nets.sample_outputs), which draws from its own stream.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ GOLDEN = {
     ),
     KIND_GP_CHECK: (
         dict(n_values=(16,), trials=8),
-        "d5f4525334a6913977520a62c4f8bf590db648d9555d1a1c2f53de898030c1c5",
+        "347580d6b5582b996be376717e610ebb4cf7508d24a3219ae26bf2a37f2b82a4",
         "4219ec2916e6bfa18b5003047980c39b6a1814cf003304c1bf2a16885e774a4e",
     ),
     KIND_GREEDY_VS_EXACT: (

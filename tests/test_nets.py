@@ -18,6 +18,7 @@ from bitboundary.nets import (
     forward_with_first_layer_cache,
     load_weights,
     sample_network,
+    sample_outputs,
     save_weights,
     sign_with_tie,
 )
@@ -106,6 +107,77 @@ class TestSampling:
                 [np.zeros((2, 4)), np.zeros((1, 2))],
                 [np.zeros(2), np.zeros(1)],
             )
+
+
+def _probe_signs(n, m, seed, duplicate=True):
+    """m random sign rows of length n; row 1 repeats row 0 if duplicate."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(m, n))
+    if duplicate:
+        signs[1] = signs[0]
+    return signs
+
+
+def _second_moments(draws):
+    """Entrywise E[phi_i phi_j] over draws (trials, m) and its standard error."""
+    products = draws[:, :, None] * draws[:, None, :]
+    return products.mean(axis=0), products.std(axis=0, ddof=1) / np.sqrt(len(draws))
+
+
+class TestSampleOutputs:
+    """sample_outputs draws phi at fixed inputs from per-layer preactivation
+    laws; the weight-drawing path (sample_network + forward_batch) is its
+    oracle."""
+
+    @pytest.mark.parametrize(
+        "n, m, activation, sigma_b2",
+        [(12, 4, "relu", 0.0), (12, 4, "tanh", 0.5), (4, 8, "relu", 0.3)],
+    )
+    def test_covariance_matches_weight_drawing_oracle(self, n, m, activation, sigma_b2):
+        """Every entry of E[phi phi^T] agrees within a two-sample |z| <= 5,
+        with a duplicate probe, sigma_b^2 > 0, and n = 4 < m = 8 (the first
+        layer's factor R then has k = 4 < m rows)."""
+        config = NetworkConfig(
+            n=n, hidden_widths=(n, n), sigma_b2=sigma_b2, activation=activation, seed=9
+        )
+        signs = _probe_signs(n, m, seed=n)
+        trials = 3000
+        direct = np.array([sample_outputs(config, t, signs) for t in range(trials)])
+        oracle = np.array(
+            [forward_batch(sample_network(config, t), signs) for t in range(trials)]
+        )
+        direct_mean, direct_se = _second_moments(direct)
+        oracle_mean, oracle_se = _second_moments(oracle)
+        z = (direct_mean - oracle_mean) / np.sqrt(direct_se**2 + oracle_se**2)
+        assert np.max(np.abs(z)) <= 5.0
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_duplicate_probes_give_equal_outputs(self, activation):
+        config = NetworkConfig(n=64, hidden_widths=(64, 64), sigma_b2=0.2, activation=activation)
+        signs = _probe_signs(64, 8, seed=1)
+        for trial in range(20):
+            phi = sample_outputs(config, trial, signs)
+            np.testing.assert_allclose(phi[1], phi[0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, m", [(12, 4), (64, 8), (4, 8)])
+    def test_qr_factor_reproduces_gram_matrix(self, n, m):
+        h = _probe_signs(n, m, seed=3).T
+        r = np.linalg.qr(h, mode="r")
+        assert r.shape == (min(n, m), m)
+        np.testing.assert_allclose(r.T @ r, h.T @ h, rtol=0.0, atol=1e-12 * n)
+
+    def test_deterministic_per_trial(self):
+        config = NetworkConfig(n=16, hidden_widths=(16, 16), sigma_b2=0.1, seed=11)
+        signs = _probe_signs(16, 8, seed=2)
+        a = sample_outputs(config, 3, signs)
+        np.testing.assert_array_equal(a, sample_outputs(config, 3, signs))
+        assert not np.array_equal(a, sample_outputs(config, 4, signs))
+
+    def test_wrong_width_rejected(self):
+        config = NetworkConfig(n=8, hidden_widths=(8, 8))
+        with pytest.raises(ConfigError):
+            sample_outputs(config, 0, np.ones((4, 9)))
+        with pytest.raises(ConfigError):
+            sample_outputs(config, 0, np.ones(8))
 
 
 class TestForward:

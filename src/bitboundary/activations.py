@@ -1,10 +1,10 @@
 """Scalar activation functions with the metadata the kernel quadrature needs.
 
 An activation is a vectorized scalar map plus a declared name (used for
-provenance in output files), its derivative, and a flag saying whether it
-has a kink at the origin. The flag lets the generic-activation quadrature
-split its angular integral exactly at the kink rays, which is what restores
-spectral accuracy for ReLU-family nonlinearities.
+provenance in output files) and its derivative. The kernel quadrature needs
+no further metadata: its polar rule always splits the angular integral at
+the rays where either argument vanishes, so a kink at the origin (ReLU and
+its relatives) keeps spectral accuracy.
 
 The derivative gives the kernel slope F'(1) by its exact layer recursion,
 which needs E[tau'(sqrt(Q) z)^2]. Where the function has a kink or a jump,
@@ -28,7 +28,6 @@ class Activation:
     name: str
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     derivative: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    kink_at_zero: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -48,7 +47,7 @@ def _sech2(x: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-RELU = Activation("relu", _relu, _unit_step, kink_at_zero=True)
+RELU = Activation("relu", _relu, _unit_step)
 TANH = Activation("tanh", np.tanh, _sech2)
 
 _REGISTRY: Dict[str, Activation] = {RELU.name: RELU, TANH.name: TANH}

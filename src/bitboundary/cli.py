@@ -44,7 +44,7 @@ from .harness import (
     refit_rows,
     run_experiment,
 )
-from .kernel import KernelProfile, build_profile
+from .kernel import KernelProfile, build_profile, default_grid, f_recursion
 from .search import DEFAULT_BUDGET
 from .theory import theory_report
 
@@ -296,7 +296,12 @@ def _params_hash(label: str, params: dict) -> str:
 
 
 def _kernel_csv(profile: KernelProfile, sha: str) -> str:
-    depth = profile.grid_f_layers.shape[0]
+    """F_1 .. F_{L+1} and F on default_grid(), one row per overlap t."""
+    t = default_grid()
+    _, stack = f_recursion(
+        profile.sigma_w2, profile.sigma_b2, list(profile.q_per_layer), t, profile.activation
+    )
+    depth = stack.shape[0]
     header = ["t"] + [f"F_{l}" for l in range(1, depth + 1)] + ["F"]
     lines = [
         "# kind=kernel",
@@ -304,11 +309,8 @@ def _kernel_csv(profile: KernelProfile, sha: str) -> str:
         f"# version={VERSION}",
         ",".join(header),
     ]
-    for j in range(profile.grid_t.size):
-        cells = [repr(float(profile.grid_t[j]))]
-        cells.extend(repr(float(profile.grid_f_layers[l, j])) for l in range(depth))
-        cells.append(repr(float(profile.grid_f_layers[-1, j])))
-        lines.append(",".join(cells))
+    for tj, column in zip(t, stack.T):
+        lines.append(",".join(repr(float(v)) for v in (tj, *column, column[-1])))
     return "\n".join(lines) + "\n"
 
 

@@ -25,10 +25,16 @@ at c = 1 (the chi_1 of Poole et al. 2016 and Schoenholz et al. 2017):
 which for ReLU (E[tau'^2] = 1/2) makes each layer factor
 Q_{l-1} sw2 / (Q_{l-1} sw2 + 2 sb2).
 
+A KernelProfile holds Q_l and F'(1), which are all the checks of the paper
+need besides F at a few overlaps; it evaluates F exactly, by the recursion,
+at whatever overlaps it is asked for. Only `bitboundary kernel --out-csv`
+tabulates F_1 .. F_{L+1} on default_grid().
+
 Generic activations are handled by quadrature. The one-dimensional moments
-use Gauss-Hermite. The two-dimensional cross moment is computed in polar
-coordinates: with (z, w) standard normal and u = sqrt(Q) z,
-v = sqrt(Q)(c z + s w),
+(E[tau^2], E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use Gauss-Hermite at
+orders 256 and 320; for tanh they agree while every Q_l stays below about
+3.67. The two-dimensional cross moment is computed in polar coordinates:
+with (z, w) standard normal and u = sqrt(Q) z, v = sqrt(Q)(c z + s w),
 
     E[tau(u) tau(v)] = (1/2pi) Int_0^2pi dtheta Int_0^inf dr r e^{-r^2/2}
                        tau(A(theta) r) tau(B(theta) r),
@@ -40,7 +46,9 @@ rays, so the integrand is smooth on every panel and the rule converges
 spectrally; a plain tensor Gauss-Hermite rule only converges algebraically
 there and cannot reach the 1e-6 agreement this module promises. Every
 quadrature is evaluated at two orders and must agree to 1e-8 relative
-(scaled by max(|value|, Q)) or a QuadratureError is raised.
+(scaled by max(|value|, Q)) or a QuadratureError is raised. For tanh the
+polar rule agrees at every overlap while Q_l stays below about 3.39; above
+that it fails first at overlaps near +-1.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -59,16 +67,14 @@ from .activations import Activation, get_activation
 from .bitstrings import BitString
 from .errors import ConfigError, NumericalFaultError, QuadratureError
 
-# Scalar Gauss-Hermite orders need headroom for analytic activations whose
-# complex poles sit near the real axis (tanh at q ~ 2 converges slowly).
-GH_ORDER = 128
-GH_ORDER_CHECK = 192
-# sech^4 converges more slowly still: at q = 2 orders 128 and 192 differ by
-# 1.3e-7 relative, and 192 -> 256 fails the check from q ~ 2.69, below the
-# q ~ 2.73 where the tanh second moment itself stops converging. 256 -> 320
-# passes up to q ~ 3.67; hermegauss returns NaN weights from order ~376.
-GH_SLOPE_ORDER = 256
-GH_SLOPE_ORDER_CHECK = 320
+# Gauss-Hermite orders of every one-dimensional moment. Analytic activations
+# whose complex poles sit near the real axis converge slowly: tanh has poles
+# at +-i pi / (2 sqrt(q)), and sech^4 converges more slowly than tanh^2.
+# Orders 128/192 stop agreeing for tanh^2 at q ~ 2.73; 256/320 reach
+# q ~ 3.67, where sech^4 fails first. hermegauss returns NaN weights from
+# order ~376.
+GH_ORDER = 256
+GH_ORDER_CHECK = 320
 POLAR_RADIAL_ORDER = 64
 POLAR_RADIAL_ORDER_CHECK = 96
 POLAR_ANGULAR_ORDER = 48
@@ -136,16 +142,9 @@ def _legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return leggauss(order)
 
 
-def _pair_moment_gh(act: Activation, q: float, sign: float, order: int) -> float:
-    """E[tau(sqrt(q) z) tau(sign * sqrt(q) z)] for the perfectly correlated
-    (degenerate) cases, by one-dimensional Gauss-Hermite."""
-    z, w = _herme_nodes(order)
-    u = math.sqrt(q) * z
-    return float(w @ (act(u) * act(sign * u)))
-
-
-def _gh_moment(what: str, g, q: float, orders: Tuple[int, int]) -> float:
+def _gh_moment(what: str, g, q: float) -> float:
     """E[g(sqrt(q) z)] by Gauss-Hermite at two orders that must agree."""
+    orders = (GH_ORDER, GH_ORDER_CHECK)
     lo, hi = (float(w @ g(math.sqrt(q) * z)) for z, w in map(_herme_nodes, orders))
     if abs(lo - hi) > QUAD_RTOL * max(abs(hi), q):
         raise QuadratureError(
@@ -157,12 +156,7 @@ def _gh_moment(what: str, g, q: float, orders: Tuple[int, int]) -> float:
 
 def _second_moment(act: Activation, q: float) -> float:
     """Cross-checked E[tau(sqrt(q) z)^2]."""
-    return _gh_moment(
-        f"second moment of {act.name}",
-        lambda u: act(u) ** 2,
-        q,
-        (GH_ORDER, GH_ORDER_CHECK),
-    )
+    return _gh_moment(f"second moment of {act.name}", lambda u: act(u) ** 2, q)
 
 
 def _slope_moment(act: Activation, q: float) -> float:
@@ -172,7 +166,6 @@ def _slope_moment(act: Activation, q: float) -> float:
         f"derivative moment of {act.name}",
         lambda u: q * np.asarray(act.derivative(u), dtype=float) ** 2,
         q,
-        (GH_SLOPE_ORDER, GH_SLOPE_ORDER_CHECK),
     )
 
 
@@ -182,7 +175,8 @@ def _cross_moment_polar(
     """Polar quadrature of E[tau(u) tau(v)] at correlations c (vectorized).
 
     Degenerate entries (1 - c^2 < 1e-300, i.e. c rounded to +-1) use the
-    exact perfectly-correlated one-dimensional rule instead.
+    cross-checked one-dimensional moment E[tau(u) tau(+-u)] instead; at c = 1
+    it is the same sum as the second moment, so F(1) = 1 exactly.
     """
     c = np.asarray(c, dtype=float)
     out = np.empty_like(c)
@@ -192,7 +186,9 @@ def _cross_moment_polar(
         for sign in (1.0, -1.0):
             mask = deg & ((c >= 0.0) if sign > 0 else (c < 0.0))
             if np.any(mask):
-                out[mask] = _pair_moment_gh(act, q, sign, GH_ORDER_CHECK)
+                out[mask] = _gh_moment(
+                    f"pair moment of {act.name}", lambda u: act(u) * act(sign * u), q
+                )
     live = ~deg
     if not np.any(live):
         return out
@@ -259,13 +255,12 @@ def _resolve(activation: Union[str, Activation]) -> Activation:
     return get_activation(activation) if isinstance(activation, str) else activation
 
 
-def _validate_variances(sigma_w2: float, sigma_b2: float, layers: int) -> None:
+def validate_variances(sigma_w2: float, sigma_b2: float) -> None:
+    """The variance rule shared by the kernel and the finite networks."""
     if sigma_w2 < 0 or sigma_b2 < 0 or sigma_w2 + sigma_b2 <= 0:
         raise ConfigError(
             f"need sigma_w2, sigma_b2 >= 0 with positive sum, got ({sigma_w2}, {sigma_b2})"
         )
-    if layers < 1:
-        raise ConfigError(f"need at least one hidden layer, got {layers}")
 
 
 def q_recursion(
@@ -280,7 +275,9 @@ def q_recursion(
     use cross-checked Gauss-Hermite.
     """
     act = _resolve(activation)
-    _validate_variances(sigma_w2, sigma_b2, layers)
+    validate_variances(sigma_w2, sigma_b2)
+    if layers < 1:
+        raise ConfigError(f"need at least one hidden layer, got {layers}")
     qs = [sigma_w2 + sigma_b2]
     for _ in range(layers):
         if act.name == "relu":
@@ -296,14 +293,17 @@ def q_recursion(
     return qs
 
 
-def _f_layers(
+def f_recursion(
     sigma_w2: float,
     sigma_b2: float,
     qs: list,
-    t: np.ndarray,
-    act: Activation,
-) -> np.ndarray:
-    """Stack of F_1(t) .. F_{L+1}(t) for an array of overlaps t."""
+    t: ArrayLike,
+    activation: Union[str, Activation] = "relu",
+) -> Tuple[ArrayLike, np.ndarray]:
+    """F(t) together with the per-layer stack F_1(t) .. F_{L+1}(t)."""
+    act = _resolve(activation)
+    scalar = np.isscalar(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + _T_TOL):
         raise NumericalFaultError(
             f"overlap outside [-1, 1] beyond tolerance: max |t| = {np.max(np.abs(t))}"
@@ -326,21 +326,7 @@ def _f_layers(
                 f"max |F| = {np.max(np.abs(f_next))}"
             )
         levels.append(np.clip(f_next, -1.0, 1.0))
-    return np.stack(levels)
-
-
-def f_recursion(
-    sigma_w2: float,
-    sigma_b2: float,
-    qs: list,
-    t: ArrayLike,
-    activation: Union[str, Activation] = "relu",
-) -> Tuple[ArrayLike, np.ndarray]:
-    """F(t) together with the per-layer stack F_1(t) .. F_{L+1}(t)."""
-    act = _resolve(activation)
-    scalar = np.isscalar(t)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    stack = _f_layers(sigma_w2, sigma_b2, qs, arr, act)
+    stack = np.stack(levels)
     f = stack[-1]
     return (float(f[0]) if scalar else f), stack
 
@@ -382,7 +368,7 @@ def f_prime_1(
 
 @dataclass(frozen=True, eq=False)
 class KernelProfile:
-    """Immutable kernel summary: Q_l, F on a grid, exact evaluation, F'(1)."""
+    """Immutable kernel summary: Q_l, F'(1) and exact evaluation of F."""
 
     sigma_w2: float
     sigma_b2: float
@@ -390,18 +376,11 @@ class KernelProfile:
     activation: str
     q_per_layer: Tuple[float, ...]
     f_prime_1: float
-    grid_t: np.ndarray
-    grid_f_layers: np.ndarray
 
     @property
     def q(self) -> float:
         """Output variance Q = Q_{L+1}."""
         return self.q_per_layer[-1]
-
-    @property
-    def f_grid(self) -> np.ndarray:
-        """F sampled on grid_t."""
-        return self.grid_f_layers[-1]
 
     def evaluate(self, t: ArrayLike) -> ArrayLike:
         """Exact recursive evaluation of F at arbitrary overlaps."""
@@ -416,26 +395,17 @@ def build_profile(
     sigma_b2: float = 0.0,
     layers: int = 2,
     activation: Union[str, Activation] = "relu",
-    grid_t: Optional[np.ndarray] = None,
 ) -> KernelProfile:
-    """Run the recursions and tabulate F on the grid."""
+    """Run the Q and F'(1) recursions; F is evaluated on demand."""
     act = _resolve(activation)
     qs = q_recursion(sigma_w2, sigma_b2, layers, act)
-    fp1 = f_prime_1(sigma_w2, sigma_b2, qs, act)
-    grid = default_grid() if grid_t is None else np.asarray(grid_t, dtype=float)
-    stack = _f_layers(sigma_w2, sigma_b2, qs, grid, act)
-    grid = grid.copy()
-    grid.flags.writeable = False
-    stack.flags.writeable = False
     return KernelProfile(
         sigma_w2=float(sigma_w2),
         sigma_b2=float(sigma_b2),
         layers=int(layers),
         activation=act.name,
         q_per_layer=tuple(qs),
-        f_prime_1=fp1,
-        grid_t=grid,
-        grid_f_layers=stack,
+        f_prime_1=f_prime_1(sigma_w2, sigma_b2, qs, act),
     )
 
 

@@ -40,6 +40,7 @@ import numpy as np
 from .activations import Activation, get_activation
 from .bitstrings import BitString
 from .errors import ConfigError
+from .kernel import validate_variances
 from .rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
 
 SBNW_MAGIC = b"SBNW"
@@ -63,11 +64,7 @@ class NetworkConfig:
             raise ConfigError(f"input_dim must be >= 1, got {self.n}")
         if len(self.hidden_widths) < 1 or any(w < 1 for w in self.hidden_widths):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden_widths}")
-        if self.sigma_w2 < 0 or self.sigma_b2 < 0 or self.sigma_w2 + self.sigma_b2 <= 0:
-            raise ConfigError(
-                f"need sigma_w2, sigma_b2 >= 0 with positive sum, "
-                f"got ({self.sigma_w2}, {self.sigma_b2})"
-            )
+        validate_variances(self.sigma_w2, self.sigma_b2)
         get_activation(self.activation)
 
     @classmethod

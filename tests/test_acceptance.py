@@ -18,7 +18,13 @@ from bitboundary.harness import (
     ExperimentConfig,
     run_experiment,
 )
-from bitboundary.kernel import build_profile, uniform_grid
+from bitboundary.kernel import (
+    build_profile,
+    default_grid,
+    f_recursion,
+    q_recursion,
+    uniform_grid,
+)
 from bitboundary.theory import expected_h_star, ln_count_flipped
 
 from conftest import ACCEPTANCE_SEED
@@ -80,7 +86,8 @@ def test_03_kernel_shape(gate):
     for sw2, sb2 in ((2.0, 0.0), (1.0, 1.0), (0.5, 2.0)):
         for layers in (1, 2, 5):
             prof = build_profile(sw2, sb2, layers, "relu")
-            t, f = prof.grid_t, prof.f_grid
+            t = default_grid()
+            f = prof.evaluate(t)
             worst_low = min(worst_low, float(np.min(f - t)))
             worst_high = max(worst_high, float(np.max(f)))
             worst_mono = min(worst_mono, float(np.min(np.diff(f))))
@@ -122,21 +129,20 @@ def test_05_quadrature_vs_closed_form(gate):
             "relu_quadrature_gate",
             lambda x: np.maximum(x, 0.0),
             lambda x: (x > 0),
-            kink_at_zero=True,
         )
     )
     grid = uniform_grid()
-    closed = build_profile(2.0, 0.0, 2, "relu", grid_t=grid)
-    generic = build_profile(2.0, 0.0, 2, "relu_quadrature_gate", grid_t=grid)
-    gap = float(
-        np.max(np.abs(np.asarray(generic.grid_f_layers) - np.asarray(closed.grid_f_layers)))
-    )
+    stacks = [
+        f_recursion(2.0, 0.0, q_recursion(2.0, 0.0, 2, act), grid, act)[1]
+        for act in ("relu", "relu_quadrature_gate")
+    ]
+    gap = float(np.max(np.abs(stacks[1] - stacks[0])))
     ok = gap <= 1e-6
     gate(
         "quadrature agreement",
         ok,
         f"max |generic - closed| = {gap:.3e} over {grid.size} points x "
-        f"{len(closed.grid_f_layers)} layers (tol 1e-6)",
+        f"{len(stacks[0])} layers (tol 1e-6)",
     )
 
 

@@ -8,12 +8,17 @@ so a refactor that passes here kept every other byte of every row.
 The gp-check rows pin is the one exception: it was recomputed when gp-check
 moved from drawing whole networks to sampling each layer's preactivations
 at the probe points (nets.sample_outputs), which draws from its own stream.
+
+The kernel table pins are the bytes `bitboundary kernel --out-csv` wrote
+while kernel profiles still carried the tabulated grid, so the CLI's own
+table of F_1 .. F_{L+1} on default_grid() has kept every byte.
 """
 
 import hashlib
 
 import pytest
 
+from bitboundary import cli
 from bitboundary.harness import (
     KIND_CLOSEST,
     KIND_FLIPS,
@@ -59,3 +64,24 @@ def test_rows_csv_and_config_hash_are_golden(kind, tmp_path):
     run_experiment(config)
     assert config_hash(config) == config_sha256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == rows_sha256
+
+
+# kernel flags: SHA-256 of the --out-csv table
+KERNEL_CSV_GOLDEN = {
+    "relu-default": (
+        [],
+        "3c43d0f600cb560bcedf8310737dd0e7f2e9edb3250d0c7ebce219d76b91556a",
+    ),
+    "relu-1-1-3": (
+        ["--sigma-w2", "1", "--sigma-b2", "1", "--layers", "3"],
+        "6d76be027130a627ae61162956be5e562cac8f767a58fa2a741861edf3a6e7b5",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_CSV_GOLDEN))
+def test_kernel_csv_is_golden(label, tmp_path, capsys):
+    flags, csv_sha256 = KERNEL_CSV_GOLDEN[label]
+    out = tmp_path / "kernel.csv"
+    assert cli.main(["kernel", *flags, "--out-csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256

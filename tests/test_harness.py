@@ -546,6 +546,12 @@ class TestCliKernelTheoryFit:
         assert obj["Q_l"] == [2.0, 2.0]
         np.testing.assert_allclose(obj["Fprime1"], 0.25, rtol=1e-12)
 
+    def test_kernel_tanh_above_q_2_73(self, capsys):
+        # Q_1 = 3: past where Gauss-Hermite 128/192 stopped agreeing on tanh^2
+        assert cli.main(["kernel", "--activation", "tanh", "--sigma-w2", "3"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["Q_l"][0] == 3.0
+
     def test_theory_report_round_trip(self, capsys):
         from bitboundary.kernel import build_profile
         from bitboundary.theory import theory_report

@@ -27,17 +27,8 @@ from .errors import (
 )
 from .gp import GpEnsemble, build_ensemble, sample, sample_block
 from .harness import ExperimentConfig, ExperimentResult, run_experiment
-from .kernel import KernelProfile, build_profile, covariance, psi
-from .nets import (
-    DeepNet,
-    NetworkConfig,
-    classify,
-    forward,
-    forward_batch,
-    load_weights,
-    sample_network,
-    save_weights,
-)
+from .kernel import KernelProfile, build_profile, psi
+from .nets import DeepNet, NetworkConfig, forward, forward_batch, sample_network
 from .search import (
     SearchResult,
     exact_search,
@@ -77,9 +68,7 @@ __all__ = [
     "TheoryQuery",
     "build_ensemble",
     "build_profile",
-    "classify",
     "conditional_flip_probability",
-    "covariance",
     "exact_search",
     "expected_h_star",
     "forward",
@@ -92,7 +81,6 @@ __all__ = [
     "heuristic_flip_bound",
     "ln_count_asymptotic",
     "ln_count_flipped",
-    "load_weights",
     "psi",
     "random_flip_walk",
     "register_activation",
@@ -100,6 +88,5 @@ __all__ = [
     "sample",
     "sample_block",
     "sample_network",
-    "save_weights",
     "theory_report",
 ]

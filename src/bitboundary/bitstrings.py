@@ -1,14 +1,14 @@
-"""Bit strings as points of the hypercube {-1,+1}^n.
+"""Points of the hypercube {-1,+1}^n as read-only float64 sign vectors.
 
-Storage is bit-packed (one byte per eight entries) with the convention
-bit 0 -> +1, bit 1 -> -1. The float view used by network forward passes is
-materialized lazily and cached; instances are immutable and hashable.
+A BitString holds one immutable vector of +1.0 / -1.0 entries, which network
+forward passes and the searches read as ``x.signs``. ``random`` draws 0/1
+bits (1 means -1) by one ``rng.integers`` call, so a seeded stream always
+gives the same string.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -17,99 +17,45 @@ from .errors import ConfigError
 
 
 class BitString:
-    """Immutable element of {-1,+1}^n with Hamming-cube operations."""
+    """Immutable element of {-1,+1}^n."""
 
-    def __init__(self, n: int, packed: bytes):
-        if n < 1:
-            raise ConfigError(f"bit string length must be >= 1, got {n}")
-        if len(packed) != (n + 7) // 8:
-            raise ConfigError(
-                f"packed payload has {len(packed)} bytes, expected {(n + 7) // 8}"
-            )
-        self.n = int(n)
-        self.packed = bytes(packed)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_signs(cls, signs: Iterable[float]) -> "BitString":
-        arr = np.asarray(list(signs) if not isinstance(signs, np.ndarray) else signs)
-        if arr.ndim != 1 or arr.size < 1:
+    def __init__(self, signs):
+        try:
+            s = np.array(signs, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("signs must be a sequence of numbers") from None
+        if s.ndim != 1 or s.size < 1:
             raise ConfigError("signs must be a nonempty 1-D sequence")
-        if not np.all(np.abs(arr) == 1):
+        if not np.all(np.abs(s) == 1.0):
             raise ConfigError("signs must all be +1 or -1")
-        bits = (arr < 0).astype(np.uint8)
-        return cls(arr.size, np.packbits(bits).tobytes())
+        s.flags.writeable = False
+        self._signs = s
+
+    @property
+    def signs(self) -> np.ndarray:
+        """Float64 entries in {-1.0, +1.0}. Read-only."""
+        return self._signs
+
+    @property
+    def n(self) -> int:
+        return self._signs.size
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        return cls(n, np.packbits(bits).tobytes())
-
-    @classmethod
-    def all_plus(cls, n: int) -> "BitString":
-        return cls(n, bytes((n + 7) // 8))
-
-    # -- views -------------------------------------------------------------
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """0/1 view (1 means the entry is -1). Read-only."""
-        raw = np.unpackbits(np.frombuffer(self.packed, dtype=np.uint8), count=self.n)
-        raw.flags.writeable = False
-        return raw
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """Float64 view with entries in {-1.0, +1.0}. Read-only."""
-        s = 1.0 - 2.0 * self.bits
-        s.flags.writeable = False
-        return s
-
-    # -- cube operations ---------------------------------------------------
-
-    def flip(self, i: int) -> "BitString":
-        return self.flip_many((i,))
+        return cls(1.0 - 2.0 * bits)
 
     def flip_many(self, indices: Iterable[int]) -> "BitString":
         idx = np.asarray(tuple(indices), dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ConfigError(f"flip index out of range for n={self.n}")
-        bits = self.bits.copy()
-        bits[idx] ^= 1
-        return BitString(self.n, np.packbits(bits).tobytes())
-
-    def overlap(self, other: "BitString") -> int:
-        """Inner product x . y (an integer in [-n, n])."""
-        if other.n != self.n:
-            raise ConfigError(f"length mismatch: {self.n} vs {other.n}")
-        return self.n - 2 * self.hamming(other)
-
-    def hamming(self, other: "BitString") -> int:
-        if other.n != self.n:
-            raise ConfigError(f"length mismatch: {self.n} vs {other.n}")
-        diff = np.frombuffer(self.packed, dtype=np.uint8) ^ np.frombuffer(
-            other.packed, dtype=np.uint8
-        )
-        return int(np.unpackbits(diff, count=self.n).sum())
+        s = self._signs.copy()
+        s[idx] *= -1.0
+        return BitString(s)
 
     def digest(self) -> str:
+        """blake2b-128 hex of the length and the bit-packed -1 entries."""
         h = hashlib.blake2b(digest_size=16)
         h.update(self.n.to_bytes(8, "little"))
-        h.update(self.packed)
+        h.update(np.packbits(self._signs < 0).tobytes())
         return h.hexdigest()
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitString)
-            and self.n == other.n
-            and self.packed == other.packed
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.packed))
-
-    def __repr__(self) -> str:
-        return f"BitString(n={self.n}, digest={self.digest()[:8]})"

@@ -41,6 +41,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     read_rows_csv,
+    read_text,
     refit_rows,
     run_experiment,
 )
@@ -111,12 +112,8 @@ def parse_widths(text: str) -> Tuple[int, ...]:
 
 def read_config_file(path: str) -> Dict[str, str]:
     """Plain key=value lines; `#` starts a comment; blank lines ignored."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     values: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

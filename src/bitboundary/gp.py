@@ -1,21 +1,20 @@
 """Exact Gaussian-process sampling of the infinite-width output field.
 
-On any finite set of bit strings the infinite-width network output is a
-zero-mean multivariate Gaussian with covariance K_ij = Q * F(x_i . x_j / n).
-This module factorizes that covariance (dense Cholesky with an escalating
-jitter ladder for the rank-deficient cases, e.g. duplicate points) and draws
-joint samples deterministically per trial index, providing the oracle against
-which finite networks and the closed-form theory are validated.
+On any finite set of bit strings, given as the rows x_i of an (m, n) sign
+matrix, the infinite-width network output is a zero-mean multivariate
+Gaussian with covariance K_ij = Q * F(x_i . x_j / n). This module factorizes
+that covariance (dense Cholesky with an escalating jitter ladder for the
+rank-deficient cases, e.g. duplicate points) and draws joint samples
+deterministically per trial index, providing the oracle against which finite
+networks and the closed-form theory are validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
-from .bitstrings import BitString
 from .errors import ConfigError, FactorizationError
 from .kernel import KernelProfile
 from .rng import STREAM_GP, spawn_rng
@@ -30,8 +29,6 @@ JITTER_FACTOR = 10.0
 class GpEnsemble:
     """Factorized joint Gaussian over a fixed point set."""
 
-    points: Tuple[BitString, ...]
-    profile: KernelProfile
     cov: np.ndarray
     chol: np.ndarray
     jitter: float
@@ -39,29 +36,23 @@ class GpEnsemble:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.chol.shape[0]
 
 
-def build_ensemble(
-    profile: KernelProfile, points: Sequence[BitString], seed: int = 0
-) -> GpEnsemble:
-    """Build K from pairwise overlaps and factorize K + jitter * I.
+def build_ensemble(profile: KernelProfile, signs: np.ndarray, seed: int = 0) -> GpEnsemble:
+    """Build K from the overlaps of the sign rows (m, n) and factorize
+    K + jitter * I.
 
     The jitter ladder starts at 1e-12 * Q and multiplies by 10 up to
     1e-6 * Q; failure after that signals a far-from-PSD kernel matrix,
     which would be a bug, not data.
     """
-    pts = tuple(points)
-    if not pts:
-        raise ConfigError("ensemble needs at least one point")
-    if len(pts) > MAX_POINTS:
-        raise ConfigError(
-            f"point set of {len(pts)} exceeds the dense factorization cap {MAX_POINTS}"
-        )
-    n = pts[0].n
-    if any(p.n != n for p in pts):
-        raise ConfigError("all ensemble points must have the same length")
-    signs = np.stack([p.signs for p in pts])
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.ndim != 2 or signs.size < 1 or not np.all(np.abs(signs) == 1.0):
+        raise ConfigError(f"ensemble needs a nonempty (m, n) matrix of +-1, got {signs.shape}")
+    m, n = signs.shape
+    if m > MAX_POINTS:
+        raise ConfigError(f"point set of {m} exceeds the dense factorization cap {MAX_POINTS}")
     overlaps = (signs @ signs.T) / n
     cov = profile.q * np.asarray(profile.evaluate(overlaps.ravel())).reshape(
         overlaps.shape
@@ -71,7 +62,7 @@ def build_ensemble(
     chol = None
     while jitter <= JITTER_STOP * profile.q * (1.0 + 1e-12):
         try:
-            chol = np.linalg.cholesky(cov + jitter * np.eye(len(pts)))
+            chol = np.linalg.cholesky(cov + jitter * np.eye(m))
             break
         except np.linalg.LinAlgError:
             jitter *= JITTER_FACTOR
@@ -81,9 +72,7 @@ def build_ensemble(
         )
     cov.flags.writeable = False
     chol.flags.writeable = False
-    return GpEnsemble(
-        points=pts, profile=profile, cov=cov, chol=chol, jitter=jitter, seed=seed
-    )
+    return GpEnsemble(cov=cov, chol=chol, jitter=jitter, seed=seed)
 
 
 def sample(ensemble: GpEnsemble, trial_index: int) -> np.ndarray:

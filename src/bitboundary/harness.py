@@ -284,10 +284,10 @@ def _paired_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
 def _gp_points(seed: int, n: int):
     """Fixed point set per (seed, n): base string, its duplicate, and one
     partner per overlap target (a random h-subset flip), all from a derived
-    stream; plus their read-only stacked sign rows. Drawn once, not per row."""
+    stream, as read-only stacked sign rows. Drawn once, not per row."""
     rng = spawn_rng(seed, STREAM_INPUT, n)
     x = BitString.random(n, rng)
-    labels, hs, points = ["base", "duplicate"], [0, 0], [x, x]
+    labels, hs, points = ["base", "duplicate"], [0, 0], [x.signs, x.signs]
     for label, target in GP_TARGETS:
         if target is None:
             h = 1
@@ -296,14 +296,14 @@ def _gp_points(seed: int, n: int):
         idx = rng.choice(n, size=h, replace=False)
         labels.append(label)
         hs.append(h)
-        points.append(x.flip_many(idx))
-    signs = np.stack([p.signs for p in points])
+        points.append(x.flip_many(idx).signs)
+    signs = np.stack(points)
     signs.flags.writeable = False
-    return tuple(labels), tuple(hs), tuple(points), signs
+    return tuple(labels), tuple(hs), signs
 
 
 def _gp_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    signs = _gp_points(config.seed, n)[3]
+    signs = _gp_points(config.seed, n)[2]
     phi = sample_outputs(network_config_for(config, n), trial, signs)
     return (n, trial, *map(float, phi))
 
@@ -482,14 +482,14 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
     max_net_z = 0.0
     max_gp_z = 0.0
     for n in config.n_values:
-        labels, hs, points, _ = _gp_points(config.seed, n)
+        labels, hs, signs = _gp_points(config.seed, n)
         net_phi = np.array([r[2:] for r in rows if r[0] == n])
         if net_phi.size == 0:
             continue
         trials = net_phi.shape[0]
-        ensemble = build_ensemble(profile, points, seed=derive_seed(config.seed, n))
+        ensemble = build_ensemble(profile, signs, seed=derive_seed(config.seed, n))
         gp_phi = sample_block(ensemble, 0, trials)
-        for col in range(2, len(points)):
+        for col in range(2, len(labels)):
             h = hs[col]
             t = 1.0 - 2.0 * h / n
             qf = q * float(profile.evaluate(t))
@@ -535,7 +535,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
                     np.corrcoef(net_phi[:, 0], net_phi[:, col])[0, 1]
                     - np.corrcoef(gp_phi[:, 0], gp_phi[:, col])[0, 1]
                 )
-                for col in range(2, len(points))
+                for col in range(2, len(labels))
             },
         }
         details["jitter"][str(n)] = ensemble.jitter
@@ -703,6 +703,16 @@ def _persist(result: ExperimentResult) -> None:
         write_plot_csv(cfg.plot_csv, result)
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """A UTF-8 input file's text, or ConfigError naming an unreadable or undecodable file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_rows_csv(path: Union[str, Path]) -> Tuple[dict, Tuple[str, ...], List[tuple]]:
     """Parse a rows CSV back into (provenance meta, columns, typed rows).
 
@@ -710,7 +720,7 @@ def read_rows_csv(path: Union[str, Path]) -> Tuple[dict, Tuple[str, ...], List[t
     meta: dict = {}
     columns: Optional[Tuple[str, ...]] = None
     rows: List[tuple] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line:
             continue
         if line.startswith("#"):

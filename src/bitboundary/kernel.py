@@ -64,7 +64,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_laguerre
 
 from .activations import Activation, get_activation
-from .bitstrings import BitString
 from .errors import ConfigError, NumericalFaultError, QuadratureError
 
 # Gauss-Hermite orders of every one-dimensional moment. Analytic activations
@@ -240,8 +239,8 @@ def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
     if np.any(gap > QUAD_RTOL * scale):
         worst = int(np.argmax(gap / scale))
         raise QuadratureError(
-            f"cross moment of {act.name} did not converge at c={c.flat[worst]:.6g}: "
-            f"gap {gap.flat[worst]:.3e}"
+            f"cross moment of {act.name} did not converge at "
+            f"c={float(c.flat[worst])!r}, q={float(q)!r}: gap {gap.flat[worst]:.3e}"
         )
     return hi
 
@@ -417,10 +416,3 @@ def profile_for_config(config) -> KernelProfile:
         layers=len(config.hidden_widths),
         activation=config.activation,
     )
-
-
-def covariance(profile: KernelProfile, x: BitString, y: BitString) -> float:
-    """K(x, y) = Q * F(x.y / n)."""
-    if x.n != y.n:
-        raise ConfigError(f"length mismatch: {x.n} vs {y.n}")
-    return profile.q * float(profile.evaluate(x.overlap(y) / x.n))

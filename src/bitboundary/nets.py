@@ -5,8 +5,10 @@ A network with hidden widths (n_1, .., n_L) maps x in {-1,+1}^n to the scalar
     phi(x) = W^(L+1) tau(... tau(W^(1) x + b^(1)) ...) + b^(L+1),
 
 with independent Gaussian entries, weight variance sigma_w^2 / n_{l-1} and
-bias variance sigma_b^2. The classifier is psi(x) = sign(phi(x)) with the
-deterministic tie rule sign(0) = +1.
+bias variance sigma_b^2. The classifier is psi(x) = sign_with_tie(phi(x)),
+with the deterministic tie rule sign(0) = +1. The batch paths take float64
+(m, n) sign rows; forward and forward_with_first_layer_cache take one
+BitString.
 
 All math is float64 with a fixed summation order (row-major matrix products),
 so a given (config, trial_index) reproduces phi bit for bit. Single-bit flips
@@ -18,22 +20,13 @@ matrix: given the layer below, the preactivations of layer l at m inputs
 (the columns of H) are Gaussian with covariance sigma_w^2 / n_{l-1} H^T H +
 sigma_b^2, independently per unit. This is the finite network's exact law,
 at n_l * m normals per layer instead of n_l * n_{l-1}.
-
-Weight files use a little-endian binary format: magic "SBNW", version u32,
-layer count u32 (= L+1), the L+2 dims as u32, all weight matrices (row-major
-f64) in layer order, then all bias vectors, then a CRC32 of everything that
-precedes it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +35,6 @@ from .bitstrings import BitString
 from .errors import ConfigError
 from .kernel import validate_variances
 from .rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
-
-SBNW_MAGIC = b"SBNW"
-SBNW_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -66,16 +56,6 @@ class NetworkConfig:
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden_widths}")
         validate_variances(self.sigma_w2, self.sigma_b2)
         get_activation(self.activation)
-
-    @classmethod
-    def default(cls, n: int, seed: int = 0) -> "NetworkConfig":
-        """Two hidden layers of width n, sigma_w^2 = 2, sigma_b^2 = 0, ReLU."""
-        return cls(n=n, hidden_widths=(n, n), seed=seed)
-
-    @property
-    def depth(self) -> int:
-        """Number of hidden layers L."""
-        return len(self.hidden_widths)
 
     @property
     def dims(self) -> Tuple[int, ...]:
@@ -124,18 +104,6 @@ class DeepNet:
         """First-layer weights transposed (row i = column i of W^(1)),
         contiguous so flip updates slice whole rows."""
         return np.ascontiguousarray(self.weights[0].T)
-
-    @cached_property
-    def digest(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(repr(self.config).encode())
-        for w, b in zip(self.weights, self.biases):
-            h.update(w.tobytes())
-            h.update(b.tobytes())
-        return h.hexdigest()
-
-    def __repr__(self) -> str:
-        return f"DeepNet(dims={self.config.dims}, digest={self.digest[:8]})"
 
 
 def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
@@ -208,8 +176,6 @@ def forward_batch(net: DeepNet, signs: np.ndarray) -> np.ndarray:
 
 def forward(net: DeepNet, x: BitString) -> float:
     """phi(x) by the full layer recursion."""
-    if x.n != net.config.n:
-        raise ConfigError(f"input length {x.n} != network input_dim {net.config.n}")
     return float(forward_batch(net, x.signs[None, :])[0])
 
 
@@ -241,84 +207,3 @@ def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, n
 def sign_with_tie(phi: float) -> int:
     """Classifier sign with the documented tie rule sign(0) = +1."""
     return 1 if phi >= 0.0 else -1
-
-
-def classify(net: DeepNet, x: BitString) -> int:
-    """psi(x) in {-1, +1}."""
-    return sign_with_tie(forward(net, x))
-
-
-# ---------------------------------------------------------------------------
-# weight files
-# ---------------------------------------------------------------------------
-
-
-def save_weights(net: DeepNet, path: Union[str, Path]) -> None:
-    """Write the SBNW binary weight file (see module docstring)."""
-    dims = net.config.dims
-    parts = [
-        SBNW_MAGIC,
-        struct.pack("<I", SBNW_VERSION),
-        struct.pack("<I", len(net.weights)),
-        struct.pack(f"<{len(dims)}I", *dims),
-    ]
-    parts.extend(np.ascontiguousarray(w, dtype="<f8").tobytes() for w in net.weights)
-    parts.extend(np.ascontiguousarray(b, dtype="<f8").tobytes() for b in net.biases)
-    payload = b"".join(parts)
-    Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
-
-
-def load_weights(
-    path: Union[str, Path],
-    activation: str = "relu",
-    sigma_w2: float = 2.0,
-    sigma_b2: float = 0.0,
-    seed: int = 0,
-) -> DeepNet:
-    """Load an SBNW file as an immutable DeepNet.
-
-    The file stores realized weights only, so the variance and activation
-    fields of the reconstructed config are declared metadata, not recovered
-    quantities.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != SBNW_MAGIC:
-        raise ConfigError(f"{path}: not an SBNW weight file")
-    body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(body) != crc:
-        raise ConfigError(f"{path}: CRC mismatch (file corrupted)")
-    version, n_layers = struct.unpack("<II", body[4:12])
-    if version != SBNW_VERSION:
-        raise ConfigError(f"{path}: unsupported SBNW version {version}")
-    n_dims = n_layers + 1
-    header_end = 12 + 4 * n_dims
-    if len(body) < header_end:
-        raise ConfigError(f"{path}: truncated header")
-    dims = struct.unpack(f"<{n_dims}I", body[12:header_end])
-    if dims[-1] != 1 or n_layers < 2:
-        raise ConfigError(f"{path}: dims {dims} do not describe a scalar-output net")
-    expected = sum(dims[l + 1] * dims[l] for l in range(n_layers))
-    expected += sum(dims[l + 1] for l in range(n_layers))
-    if len(body) != header_end + 8 * expected:
-        raise ConfigError(
-            f"{path}: payload holds {(len(body) - header_end) // 8} floats, "
-            f"expected {expected}"
-        )
-    flat = np.frombuffer(body, dtype="<f8", offset=header_end)
-    weights, biases, pos = [], [], 0
-    for l in range(n_layers):
-        size = dims[l + 1] * dims[l]
-        weights.append(flat[pos : pos + size].reshape(dims[l + 1], dims[l]))
-        pos += size
-    for l in range(n_layers):
-        biases.append(flat[pos : pos + dims[l + 1]])
-        pos += dims[l + 1]
-    config = NetworkConfig(
-        n=dims[0],
-        hidden_widths=tuple(dims[1:-1]),
-        sigma_w2=sigma_w2,
-        sigma_b2=sigma_b2,
-        activation=activation,
-        seed=seed,
-    )
-    return DeepNet(config, weights, biases)

@@ -43,10 +43,6 @@ DEFAULT_BUDGET = 20_000_000
 _ENUM_CHUNK = 2048
 _WALK_BLOCK = 64
 
-METHOD_GREEDY = "greedy"
-METHOD_EXACT = "exact"
-METHOD_WALK = "walk"
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -57,7 +53,6 @@ class SearchResult:
     walk never returns None: its cap n is part of its definition).
     """
 
-    method: str
     start_phi: float
     distance: Optional[int]
     path: Optional[Tuple[int, ...]]
@@ -73,8 +68,6 @@ def greedy_search(
     candidates again.
     """
     n = net.config.n
-    if x.n != n:
-        raise ConfigError(f"input length {x.n} != network input_dim {n}")
     if max_steps is None:
         max_steps = n
     if not 1 <= max_steps <= n:
@@ -104,7 +97,6 @@ def greedy_search(
             distance = step
             break
     return SearchResult(
-        method=METHOD_GREEDY,
         start_phi=phi0,
         distance=distance,
         path=tuple(path),
@@ -126,8 +118,6 @@ def exact_search(
     BudgetExceededError carrying the largest fully searched h.
     """
     n = net.config.n
-    if x.n != n:
-        raise ConfigError(f"input length {x.n} != network input_dim {n}")
     if max_h is None:
         max_h = n
     if not 1 <= max_h <= n:
@@ -159,14 +149,12 @@ def exact_search(
             if hits.size:
                 k = int(hits[0])
                 return SearchResult(
-                    method=METHOD_EXACT,
                     start_phi=phi0,
                     distance=h,
                     path=tuple(chunk[k]),
                     evaluations=evaluations,
                 )
     return SearchResult(
-        method=METHOD_EXACT,
         start_phi=phi0,
         distance=None,
         path=None,
@@ -181,8 +169,6 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     net and trial reproduce the walk exactly.
     """
     n = net.config.n
-    if x.n != n:
-        raise ConfigError(f"input length {x.n} != network input_dim {n}")
     rng = spawn_rng(net.config.seed, STREAM_WALK, trial_index)
     perm = rng.permutation(n)
     phi0 = forward(net, x)
@@ -205,7 +191,6 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
         signs = block[-1]
         pos += b
     return SearchResult(
-        method=METHOD_WALK,
         start_phi=phi0,
         distance=steps,
         path=tuple(int(v) for v in perm[:steps]),

@@ -1,4 +1,4 @@
-"""Packed bit strings and their Hamming-cube operations."""
+"""Bit strings as read-only float64 sign vectors."""
 
 import numpy as np
 import pytest
@@ -8,45 +8,30 @@ from bitboundary.errors import ConfigError
 
 
 class TestConstruction:
-    def test_from_signs_round_trip(self):
+    def test_constructor_round_trip(self):
         signs = [1, -1, -1, 1, -1, 1, 1, 1, -1, 1, -1]
-        x = BitString.from_signs(signs)
+        x = BitString(signs)
         assert x.n == 11
+        assert x.signs.dtype == np.float64
         np.testing.assert_array_equal(x.signs, np.asarray(signs, dtype=float))
-        np.testing.assert_array_equal(x.bits, (np.asarray(signs) < 0).astype(np.uint8))
-
-    def test_all_plus(self):
-        x = BitString.all_plus(13)
-        assert x.n == 13
-        assert np.all(x.signs == 1.0)
 
     def test_random_matches_generator_bits(self):
-        rng = np.random.default_rng(5)
-        x = BitString.random(20, rng)
-        expected = np.random.default_rng(5).integers(0, 2, size=20, dtype=np.uint8)
-        np.testing.assert_array_equal(x.bits, expected)
-
-    def test_padding_bits_are_zero(self):
-        # n = 11 occupies 2 bytes; the 5 pad bits must not leak into equality
-        x = BitString.from_signs([-1] * 11)
-        assert x.packed[1] & 0b00011111 == 0
+        x = BitString.random(20, np.random.default_rng(5))
+        bits = np.random.default_rng(5).integers(0, 2, size=20, dtype=np.uint8)
+        np.testing.assert_array_equal(x.signs, 1.0 - 2.0 * bits)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            BitString.from_signs([1, 0, -1])
-        with pytest.raises(ConfigError):
-            BitString.from_signs([])
-        with pytest.raises(ConfigError):
-            BitString(0, b"")
-        with pytest.raises(ConfigError):
-            BitString(9, b"\x00")  # needs two bytes
+        for bad in ([1, 0, -1], [], [[1, -1], [1, 1]], 1.0, [np.nan], [np.inf], ["a"]):
+            with pytest.raises(ConfigError):
+                BitString(bad)
 
     def test_views_are_read_only(self):
-        x = BitString.all_plus(8)
+        source = np.ones(8)
+        x = BitString(source)
         with pytest.raises(ValueError):
             x.signs[0] = -1.0
-        with pytest.raises(ValueError):
-            x.bits[0] = 1
+        source[0] = -1.0  # the caller's array is copied, not shared
+        assert x.signs[0] == 1.0
 
 
 class TestCubeOperations:
@@ -56,10 +41,10 @@ class TestCubeOperations:
             n = int(rng.integers(1, 70))
             x = BitString.random(n, rng)
             i = int(rng.integers(0, n))
-            y = x.flip(i)
+            y = x.flip_many((i,))
             assert y.signs[i] == -x.signs[i]
-            assert x.hamming(y) == 1
-            assert y.flip(i) == x
+            assert np.count_nonzero(y.signs != x.signs) == 1
+            np.testing.assert_array_equal(y.flip_many((i,)).signs, x.signs)
 
     def test_flip_many_matches_sign_product(self):
         rng = np.random.default_rng(23)
@@ -68,53 +53,27 @@ class TestCubeOperations:
             x = BitString.random(n, rng)
             k = int(rng.integers(0, n + 1))
             idx = rng.choice(n, size=k, replace=False)
+            mask = np.ones(n)
+            mask[idx] = -1.0
             y = x.flip_many(idx)
-            expected = x.signs.copy()
-            expected[idx] *= -1.0
-            np.testing.assert_array_equal(y.signs, expected)
-            assert x.hamming(y) == k
-            assert x.overlap(y) == n - 2 * k
-
-    def test_overlap_is_inner_product(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            n = int(rng.integers(1, 90))
-            x = BitString.random(n, rng)
-            y = BitString.random(n, rng)
-            assert x.overlap(y) == int(np.dot(x.signs, y.signs))
-            assert x.overlap(y) == y.overlap(x)
+            np.testing.assert_array_equal(y.signs, x.signs * mask)
+            assert int(x.signs @ y.signs) == n - 2 * k
 
     def test_flip_index_out_of_range(self):
-        x = BitString.all_plus(8)
-        with pytest.raises(ConfigError):
-            x.flip(8)
-        with pytest.raises(ConfigError):
-            x.flip_many([-1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            BitString.all_plus(8).hamming(BitString.all_plus(9))
-        with pytest.raises(ConfigError):
-            BitString.all_plus(8).overlap(BitString.all_plus(9))
+        x = BitString(np.ones(8))
+        for bad in ((8,), (-1,), (0, 8)):
+            with pytest.raises(ConfigError):
+                x.flip_many(bad)
+        np.testing.assert_array_equal(x.flip_many(()).signs, x.signs)
 
 
 class TestIdentity:
-    def test_equality_and_hash(self):
-        a = BitString.from_signs([1, -1, 1])
-        b = BitString.from_signs([1, -1, 1])
-        c = BitString.from_signs([1, -1, -1])
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-        assert a != "not a bitstring"
-        assert len({a, b, c}) == 2
-
     def test_digest_distinguishes_length(self):
-        # same packed byte, different n
-        a = BitString(3, b"\x00")
-        b = BitString(4, b"\x00")
-        assert a.digest() != b.digest()
+        # both pack to the single byte 0x00
+        assert BitString(np.ones(3)).digest() != BitString(np.ones(4)).digest()
 
     def test_digest_stable(self):
-        x = BitString.from_signs([-1, 1, -1, -1, 1])
-        assert x.digest() == x.digest()
+        x = BitString([-1, 1, -1, -1, 1])
+        assert x.digest() == BitString([-1, 1, -1, -1, 1]).digest()
+        assert x.digest() != x.flip_many((1,)).digest()
         assert len(x.digest()) == 32  # blake2b-128 hex

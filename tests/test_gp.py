@@ -12,24 +12,27 @@ from bitboundary.gp import (
     sample,
     sample_block,
 )
-from bitboundary.kernel import covariance
 
 
 @pytest.fixture(scope="module")
 def small_ensemble(default_profile):
+    return build_ensemble(default_profile, _small_points(), seed=77)
+
+
+def _small_points():
     rng = np.random.default_rng(41)
-    points = [BitString.random(128, rng) for _ in range(12)]
-    return build_ensemble(default_profile, points, seed=77)
+    return np.stack([BitString.random(128, rng).signs for _ in range(12)])
 
 
 class TestBuildEnsemble:
     def test_cov_matches_pairwise_covariance(self, small_ensemble, default_profile):
-        pts = small_ensemble.points
+        pts = _small_points()
         for i in range(len(pts)):
             for j in range(len(pts)):
+                t = pts[i] @ pts[j] / 128
                 np.testing.assert_allclose(
                     small_ensemble.cov[i, j],
-                    covariance(default_profile, pts[i], pts[j]),
+                    default_profile.q * float(default_profile.evaluate(t)),
                     rtol=1e-12,
                 )
 
@@ -43,29 +46,32 @@ class TestBuildEnsemble:
         )
 
     def test_duplicate_points_need_jitter_but_factorize(self, default_profile):
-        x = BitString.all_plus(64)
-        ens = build_ensemble(default_profile, [x, x, x.flip(0)], seed=1)
+        x = BitString(np.ones(64))
+        signs = np.stack([x.signs, x.signs, x.flip_many((0,)).signs])
+        ens = build_ensemble(default_profile, signs, seed=1)
         assert ens.jitter >= 1e-12 * 2.0
         assert ens.jitter <= 1e-6 * 2.0 * (1 + 1e-12)
 
     def test_antipodal_entry(self, default_profile):
-        x = BitString.all_plus(32)
+        x = BitString(np.ones(32))
         y = x.flip_many(range(32))
-        ens = build_ensemble(default_profile, [x, y], seed=0)
+        ens = build_ensemble(default_profile, np.stack([x.signs, y.signs]), seed=0)
         np.testing.assert_allclose(
             ens.cov[0, 1], 2.0 / np.pi, rtol=1e-12
         )  # Q * F(-1) = 2 * Psi(Psi(-1))
 
     def test_validation(self, default_profile):
         with pytest.raises(ConfigError):
-            build_ensemble(default_profile, [], seed=0)
+            build_ensemble(default_profile, np.ones((0, 8)), seed=0)
         with pytest.raises(ConfigError):
-            build_ensemble(
-                default_profile, [BitString.all_plus(8), BitString.all_plus(9)], seed=0
-            )
-        too_many = [BitString.all_plus(4)] * (MAX_POINTS + 1)
-        with pytest.raises(ConfigError):
-            build_ensemble(default_profile, too_many, seed=0)
+            build_ensemble(default_profile, np.array([[1.0, 0.0]]), seed=0)
+
+    def test_sign_matrix_shape_checked(self, default_profile):
+        for bad in (np.ones(8), np.ones((2, 2, 2))):
+            with pytest.raises(ConfigError):
+                build_ensemble(default_profile, bad, seed=0)
+        with pytest.raises(ConfigError, match="cap"):
+            build_ensemble(default_profile, np.ones((MAX_POINTS + 1, 4)), seed=0)
 
     def test_arrays_frozen(self, small_ensemble):
         with pytest.raises(ValueError):
@@ -88,7 +94,7 @@ class TestSampling:
     def test_single_point_variance(self, default_profile):
         """Marginal variance of phi at one point is Q, to within five
         chi-square standard errors over 4000 draws."""
-        ens = build_ensemble(default_profile, [BitString.all_plus(64)], seed=5)
+        ens = build_ensemble(default_profile, np.ones((1, 64)), seed=5)
         draws = sample_block(ens, 0, 4000)[:, 0]
         var = draws.var(ddof=1)
         assert abs(var - 2.0) < 5.0 * 2.0 * np.sqrt(2.0 / 3999.0)
@@ -101,7 +107,7 @@ class TestSampling:
         x = BitString.random(64, rng)
         for h in (1, 16, 48):
             y = x.flip_many(range(h))
-            ens = build_ensemble(default_profile, [x, y], seed=h)
+            ens = build_ensemble(default_profile, np.stack([x.signs, y.signs]), seed=h)
             block = sample_block(ens, 0, 3000)
             r = np.corrcoef(block[:, 0], block[:, 1])[0, 1]
             f = float(default_profile.evaluate(1.0 - 2.0 * h / 64.0))
@@ -109,8 +115,7 @@ class TestSampling:
 
     def test_duplicate_points_draw_identically(self, default_profile):
         """Samples at a duplicated point differ only by the jitter scale."""
-        x = BitString.all_plus(64)
-        ens = build_ensemble(default_profile, [x, x], seed=2)
+        ens = build_ensemble(default_profile, np.ones((2, 64)), seed=2)
         block = sample_block(ens, 0, 500)
         spread = np.max(np.abs(block[:, 0] - block[:, 1]))
         assert spread < 1e-2 * np.sqrt(ens.jitter / 1e-12)

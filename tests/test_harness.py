@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bitboundary import cli, harness
-from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.harness import (
     GP_TARGETS,
@@ -322,6 +321,29 @@ class TestMalformedInput:
         for kind in (KIND_CLOSEST, KIND_FLIPS):
             with pytest.raises(ConfigError):
                 tiny_config(kind=kind, n_values=(2, 16))
+
+    def assert_one_line_error(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("bitboundary: error:") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_fit_rejects_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff" + self.HEADER.encode())
+        assert cli.main(["fit", str(path)]) == 2
+        self.assert_one_line_error(capsys, path)
+
+    def test_config_file_rejects_undecodable_bytes(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"trials=\xff\n")
+        assert cli.main(["closest", "--config", str(path)]) == 2
+        self.assert_one_line_error(capsys, path)
+
+    def test_directory_as_input_exits_2(self, tmp_path, capsys):
+        assert cli.main(["fit", str(tmp_path)]) == 2
+        self.assert_one_line_error(capsys, tmp_path)
+        assert cli.main(["closest", "--config", str(tmp_path)]) == 2
+        self.assert_one_line_error(capsys, tmp_path)
 
     def test_fit_rejects_rows_below_n_3(self, tmp_path):
         assert self.fit_exit_code(tmp_path, "1,0,0.5,1,1\n") == 2

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from bitboundary.activations import Activation, get_activation, register_activation
-from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError, NumericalFaultError, QuadratureError
 from bitboundary.kernel import (
     KernelProfile,
+    _cross_moment,
     build_profile,
-    covariance,
     default_grid,
     f_prime_1,
     f_recursion,
@@ -153,6 +152,11 @@ class TestFRecursion:
                 float(prof.evaluate(c)), 2.0 * moment / q2, atol=5e-10
             )
 
+    def test_cross_moment_failure_names_the_real_overlap(self):
+        # the polar rule fails just below c = 1 at Q = 3.4; c must not print as 1
+        with pytest.raises(QuadratureError, match=r"at c=0\.99999999, q=3\.4: gap"):
+            _cross_moment(TANH, 3.4, np.array([1 - 1e-8]))
+
     def test_tanh_perfect_anticorrelation_is_preserved(self):
         # odd activation: E[tanh(u) tanh(-u)] = -E[tanh^2], so F(-1) = -1
         prof = build_profile(2.0, 0.0, 3, "tanh")
@@ -250,18 +254,6 @@ class TestProfile:
         direct = build_profile(1.0, 1.0, 2, "relu")
         assert via_config.q_per_layer == direct.q_per_layer
         assert via_config.f_prime_1 == direct.f_prime_1
-
-    def test_covariance_is_q_times_f(self, default_profile):
-        x = BitString.from_signs([1, -1, 1, 1, -1, 1, -1, -1])
-        y = x.flip_many([0, 3])
-        t = x.overlap(y) / 8.0
-        np.testing.assert_allclose(
-            covariance(default_profile, x, y),
-            2.0 * float(default_profile.evaluate(t)),
-            rtol=1e-14,
-        )
-        with pytest.raises(ConfigError):
-            covariance(default_profile, x, BitString.all_plus(9))
 
 
 class TestGrids:

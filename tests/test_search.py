@@ -16,9 +16,9 @@ from bitboundary.bitstrings import BitString
 from bitboundary.errors import BudgetExceededError, ConfigError
 from bitboundary.nets import (
     NetworkConfig,
-    classify,
     forward,
     sample_network,
+    sign_with_tie,
 )
 from bitboundary.rng import STREAM_WALK, spawn_rng
 from bitboundary.search import (
@@ -33,7 +33,7 @@ from conftest import build_constant_net, build_linear_net
 class TestGreedyOnLinearNets:
     def test_flips_largest_contributions_first(self):
         net = build_linear_net([5.0, 3.0, 9.0, 1.0, 7.0])
-        x = BitString.all_plus(5)  # phi = 25
+        x = BitString(np.ones(5))  # phi = 25
         res = greedy_search(net, x)
         # needs sum of largest products > 12.5: 9 + 7 = 16, so distance 2
         assert res.distance == 2
@@ -42,39 +42,39 @@ class TestGreedyOnLinearNets:
 
     def test_mixed_signs(self):
         net = build_linear_net([5.0, 3.0, 9.0, 1.0, 7.0])
-        x = BitString.from_signs([1, -1, 1, -1, -1])  # phi = 3
+        x = BitString([1, -1, 1, -1, -1])  # phi = 3
         res = greedy_search(net, x)
         assert res.distance == 1
         assert res.path == (2,)
 
     def test_negative_start(self):
         net = build_linear_net([4.0, 3.0, 2.0, 1.0])
-        x = BitString.from_signs([-1, -1, -1, -1])  # phi = -10, s0 = -1
+        x = BitString([-1, -1, -1, -1])  # phi = -10, s0 = -1
         res = greedy_search(net, x)
         assert res.distance == 2
         assert res.path == (0, 1)  # +8 then +6 crosses zero
 
     def test_tie_breaks_to_lowest_index(self):
         net = build_linear_net([2.0, 2.0, 2.0, 2.0, 1.0])
-        res = greedy_search(net, BitString.all_plus(5))  # phi = 9
+        res = greedy_search(net, BitString(np.ones(5)))  # phi = 9
         assert res.distance == 3
         assert res.path == (0, 1, 2)
 
     def test_evaluation_accounting(self):
         net = build_linear_net([4.0, 3.0, 2.0, 1.0])
-        res = greedy_search(net, BitString.all_plus(4))
+        res = greedy_search(net, BitString(np.ones(4)))
         assert res.distance == 2
         assert res.evaluations == 4 + 3
 
     def test_no_boundary_returns_none(self):
         net = build_constant_net(6, 3.0)
-        res = greedy_search(net, BitString.all_plus(6))
+        res = greedy_search(net, BitString(np.ones(6)))
         assert res.distance is None
         assert len(res.path) == 6  # exhausted every bit once
 
     def test_max_steps_cap(self):
         net = build_linear_net([3.0, 3.0, 3.0, 3.0, 3.0])
-        x = BitString.all_plus(5)  # phi = 15; three flips of -6 to cross
+        x = BitString(np.ones(5))  # phi = 15; three flips of -6 to cross
         assert greedy_search(net, x).distance == 3
         res = greedy_search(net, x, max_steps=2)
         assert res.distance is None
@@ -86,8 +86,13 @@ class TestGreedyOnLinearNets:
 
     def test_input_length_checked(self):
         net = build_linear_net([1.0, 2.0])
+        x = BitString(np.ones(3))
         with pytest.raises(ConfigError):
-            greedy_search(net, BitString.all_plus(3))
+            greedy_search(net, x)
+        with pytest.raises(ConfigError):
+            exact_search(net, x)
+        with pytest.raises(ConfigError):
+            random_flip_walk(net, x, 0)
 
 
 class TestExactSearch:
@@ -121,33 +126,33 @@ class TestExactSearch:
 
     def test_lexicographic_first_hit(self):
         net = build_linear_net([4.0, 3.0, 2.0, 1.0])
-        res = exact_search(net, BitString.all_plus(4))  # min distance 2
+        res = exact_search(net, BitString(np.ones(4)))  # min distance 2
         assert res.distance == 2
         assert res.path == (0, 1)  # first h=2 combination already crosses
 
     def test_agrees_with_greedy_linear_hand_case(self):
         net = build_linear_net([5.0, 3.0, 9.0, 1.0, 7.0])
-        x = BitString.all_plus(5)
+        x = BitString(np.ones(5))
         assert exact_search(net, x).distance == greedy_search(net, x).distance == 2
 
     def test_no_boundary_enumerates_everything(self):
         n = 8
         net = build_constant_net(n, -1.5)
-        res = exact_search(net, BitString.all_plus(n))
+        res = exact_search(net, BitString(np.ones(n)))
         assert res.distance is None
         assert res.path is None
         assert res.evaluations == 2**n - 1
 
     def test_max_h_limits_shells(self):
         net = build_linear_net([4.0, 3.0, 2.0, 1.0])
-        res = exact_search(net, BitString.all_plus(4), max_h=1)
+        res = exact_search(net, BitString(np.ones(4)), max_h=1)
         assert res.distance is None
         assert res.evaluations == 4
 
     def test_budget_checked_before_each_shell(self):
         n = 30
         net = build_constant_net(n, 2.0)
-        x = BitString.all_plus(n)
+        x = BitString(np.ones(n))
         # C(30,1) = 30 fits in 400; adding C(30,2) = 435 would not
         with pytest.raises(BudgetExceededError) as info:
             exact_search(net, x, budget=400)
@@ -186,12 +191,12 @@ class TestRandomFlipWalk:
             x = BitString.random(n, rng)
             res = random_flip_walk(net, x, trial)
             perm = spawn_rng(config.seed, STREAM_WALK, trial).permutation(n)
-            start = classify(net, x)
+            start = sign_with_tie(forward(net, x))
             cur = x
             naive = None
             for step, bit in enumerate(perm, start=1):
-                cur = cur.flip(int(bit))
-                if classify(net, cur) != start:
+                cur = cur.flip_many((int(bit),))
+                if sign_with_tie(forward(net, cur)) != start:
                     naive = step
                     break
             assert res.distance == (naive if naive is not None else n)
@@ -199,7 +204,7 @@ class TestRandomFlipWalk:
     def test_no_boundary_caps_at_n(self):
         n = 12
         net = build_constant_net(n, 1.0, seed=3)
-        res = random_flip_walk(net, BitString.all_plus(n), 0)
+        res = random_flip_walk(net, BitString(np.ones(n)), 0)
         assert res.distance == n
         assert res.evaluations == n
         assert len(res.path) == n

@@ -21,11 +21,14 @@ class BitString:
 
     def __init__(self, signs):
         try:
-            s = np.array(signs, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("signs must be a sequence of numbers") from None
-        if s.ndim != 1 or s.size < 1:
+            raw = np.asarray(signs)
+        except (TypeError, ValueError):
+            raw = None
+        if raw is None or raw.dtype.kind not in "iuf":
+            raise ConfigError("signs must be a sequence of numbers")
+        if raw.ndim != 1 or raw.size < 1:
             raise ConfigError("signs must be a nonempty 1-D sequence")
+        s = raw.astype(np.float64)
         if not np.all(np.abs(s) == 1.0):
             raise ConfigError("signs must all be +1 or -1")
         s.flags.writeable = False
@@ -51,7 +54,10 @@ class BitString:
             raise ConfigError(f"flip index out of range for n={self.n}")
         s = self._signs.copy()
         s[idx] *= -1.0
-        return BitString(s)
+        s.flags.writeable = False
+        flipped = object.__new__(BitString)  # s is valid: skip the checks
+        flipped._signs = s
+        return flipped
 
     def digest(self) -> str:
         """blake2b-128 hex of the length and the bit-packed -1 entries."""

@@ -69,8 +69,8 @@ def parse_n_values(text: str) -> Tuple[int, ...]:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
                 raise ConfigError(f"bad size range {item!r}") from None
-            if lo > hi:
-                raise ConfigError(f"empty size range {item!r}")
+            if not 1 <= lo <= hi:
+                raise ConfigError(f"size range {item!r} needs 1 <= start <= end")
             if step_part.startswith("x"):
                 try:
                     factor = int(step_part[1:])

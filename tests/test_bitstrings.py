@@ -21,7 +21,8 @@ class TestConstruction:
         np.testing.assert_array_equal(x.signs, 1.0 - 2.0 * bits)
 
     def test_invalid_inputs(self):
-        for bad in ([1, 0, -1], [], [[1, -1], [1, 1]], 1.0, [np.nan], [np.inf], ["a"]):
+        for bad in ([1, 0, -1], [], [[1, -1], [1, 1]], 1.0, [np.nan], [np.inf], ["a"],
+                    ["1", "-1"], [True, True]):
             with pytest.raises(ConfigError):
                 BitString(bad)
 

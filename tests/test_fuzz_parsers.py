@@ -2,14 +2,13 @@
 as ConfigError, never as another exception.
 
 Size lists are built from bounded integers, and free text carries no decimal
-digits, so no example expands a range into millions of sizes.
+digits, so no example expands a range into millions of sizes. A range that
+starts below 1 is a ConfigError, so a geometric range cannot stall at 0.
 """
 
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitboundary.bitstrings import BitString
@@ -75,6 +74,8 @@ def _outcome(call, *args):
 
 @FUZZ
 @given(size_list)
+@example("0-5:x2")
+@example("0-0:x3")
 def test_parse_n_values(text):
     values = _outcome(parse_n_values, text)
     if values is not None:
@@ -115,5 +116,6 @@ def test_read_rows_csv(fuzz_dir, data):
 def test_bitstring_constructor(signs):
     x = _outcome(BitString, signs)
     if x is not None:
+        assert np.asarray(signs).dtype.kind in "iuf"
         assert x.signs.dtype == np.float64 and x.signs.ndim == 1 and x.n >= 1
         assert np.all(np.abs(x.signs) == 1.0) and not x.signs.flags.writeable

@@ -322,6 +322,11 @@ class TestMalformedInput:
             with pytest.raises(ConfigError):
                 tiny_config(kind=kind, n_values=(2, 16))
 
+    def test_geometric_range_from_zero_exits_2(self, capsys):
+        assert cli.main(["closest", "--n", "0-5:x2", "--trials", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bitboundary: error:") and "0-5:x2" in err
+
     def assert_one_line_error(self, capsys, path):
         err = capsys.readouterr().err
         assert err.startswith("bitboundary: error:") and str(path) in err

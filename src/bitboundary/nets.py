@@ -13,7 +13,10 @@ BitString.
 All math is float64 with a fixed summation order (row-major matrix products),
 so a given (config, trial_index) reproduces phi bit for bit. Single-bit flips
 reuse the first-layer preactivations: flipping bit i changes W^(1) x by
--2 x_i W^(1)[:, i], so only the layers above the first are recomputed.
+-2 x_i W^(1)[:, i]: a flip is one add of a row precomputed per trial, and
+only the layers above the first are recomputed. Their hidden products go
+into rows owned by the DeepNet (grown to the largest batch, never returned),
+so one net must not run forward passes from several threads at once.
 
 sample_outputs draws phi at a few fixed inputs without drawing any weight
 matrix: given the layer below, the preactivations of layer l at m inputs
@@ -64,7 +67,7 @@ class NetworkConfig:
 
 
 class DeepNet:
-    """Immutable sampled (or hand-built) network."""
+    """Sampled (or hand-built) network with read-only weights and biases."""
 
     def __init__(
         self,
@@ -94,16 +97,19 @@ class DeepNet:
         self.config = config
         self.weights = tuple(frozen_w)
         self.biases = tuple(frozen_b)
+        self._gemm_out = {}
+
+    def _rows(self, l: int, m: int) -> np.ndarray:
+        """Private (m, n_{l+1}) output rows for layer l's matrix product,
+        reused across calls; the buffer grows to the largest m seen."""
+        buf = self._gemm_out.get(l)
+        if buf is None or len(buf) < m:
+            buf = self._gemm_out[l] = np.empty((m, self.weights[l].shape[0]))
+        return buf[:m]
 
     @cached_property
     def activation(self) -> Activation:
         return get_activation(self.config.activation)
-
-    @cached_property
-    def w1_columns(self) -> np.ndarray:
-        """First-layer weights transposed (row i = column i of W^(1)),
-        contiguous so flip updates slice whole rows."""
-        return np.ascontiguousarray(self.weights[0].T)
 
 
 def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
@@ -165,13 +171,9 @@ def sample_outputs(config: NetworkConfig, trial_index: int, signs: np.ndarray) -
 def forward_batch(net: DeepNet, signs: np.ndarray) -> np.ndarray:
     """phi for a batch of sign rows, shape (m, n) -> (m,)."""
     signs = _sign_batch(signs, net.config.n)
-    act = net.activation
-    h = signs
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        h = z if l == last else act(z)
-    return z[:, 0]
+    z1 = signs @ net.weights[0].T
+    z1 += net.biases[0]
+    return _tail(net, z1)
 
 
 def forward(net: DeepNet, x: BitString) -> float:
@@ -181,21 +183,32 @@ def forward(net: DeepNet, x: BitString) -> float:
 
 def forward_from_first_layer(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     """phi from a batch of first-layer preactivations, shape (m, n_1) -> (m,)."""
+    return _tail(net, z1)
+
+
+def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
+    """The layers above the first, for both forward paths (a name of its own
+    keeps forward_batch's calls out of forward_from_first_layer's trace).
+    Hidden products go into net's reused rows; the output layer's is fresh,
+    so the result never aliases a buffer."""
     act = net.activation
     h = act(z1)
     last = len(net.weights) - 1
     for l in range(1, last):
-        h = act(h @ net.weights[l].T + net.biases[l])
-    z = h @ net.weights[last].T + net.biases[last]
+        z = np.matmul(h, net.weights[l].T, out=net._rows(l, len(h)))
+        z += net.biases[l]
+        h = act(z)
+    z = h @ net.weights[last].T
+    z += net.biases[last]
     return z[:, 0]
 
 
 def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, np.ndarray]:
     """phi(x) and the first-layer preactivations z1 = W^(1) x + b^(1).
 
-    Flipping bit i turns z1 into z1 - 2 x_i W^(1)[:, i] (a row of
-    net.w1_columns), so any single-bit flip costs only the layers above the
-    first through forward_from_first_layer.
+    Flipping bit i turns z1 into z1 - 2 x_i W^(1)[:, i] (row i of
+    W^(1).T * -2 x[:, None]), so any single-bit flip costs one row add plus
+    the layers above the first through forward_from_first_layer.
     """
     if x.n != net.config.n:
         raise ConfigError(f"input length {x.n} != network input_dim {net.config.n}")

@@ -6,7 +6,8 @@ Three procedures, all pure functions of (net, x, seed):
   s0 * phi furthest down (s0 = sign of the starting output), until the sign
   changes. Step count equals Hamming distance from the start because bits
   are never re-flipped. Candidate evaluations reuse the first-layer
-  preactivations, so each step costs at most n tail-layer passes.
+  preactivations: a flip is one add of a row of a per-trial flip table, so
+  each step costs at most n row adds plus n tail-layer passes.
 * exact_search: enumerate Hamming shells h = 1, 2, .. exhaustively
   (lexicographic combinations, early exit on the first hit), so the returned
   distance is guaranteed minimal. A budget caps the total enumeration.
@@ -75,22 +76,25 @@ def greedy_search(
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
-    w1c = net.w1_columns
-    signs = x.signs.copy()
+    # Row i is the change of z1 when bit i flips, exactly (s = +-1, factor
+    # 2); bits are never re-flipped, so the start signs stay valid.
+    delta = np.multiply(net.weights[0].T, -2.0 * x.signs[:, None], order="C")
+    workspace = np.empty_like(delta)
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
     distance = None
     for step in range(1, max_steps + 1):
         cand = np.flatnonzero(remaining)
-        z1_cand = z1[None, :] - 2.0 * (signs[cand, None] * w1c[cand])
+        # mode="clip" (cand is in range) lets take write straight into out
+        z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")
+        z1_cand += z1
         phis = forward_from_first_layer(net, z1_cand)
         evaluations += cand.size
         j = int(np.argmin(s0 * phis))
         i = int(cand[j])
         path.append(i)
-        z1 = z1_cand[j]
-        signs[i] = -signs[i]
+        z1 = z1 + delta[i]  # the same sum as z1_cand[j], without a view into workspace
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phis[j] >= 0.0) != started_positive:

@@ -5,6 +5,11 @@ serially. The pinned SHA-256 values are the bytes these configs produced
 before the per-trial `micros` column left the CSV, with that column removed,
 so a refactor that passes here kept every other byte of every row.
 
+The closest pin at n = 64, 128 was computed later, before the greedy step
+moved to a per-trial flip table and reused GEMM output rows: the small pins
+finish greedy in a step or two on tiny batches, this one takes several steps
+on batches wider than the BLAS blocking.
+
 The gp-check rows pin is the one exception: it was recomputed when gp-check
 moved from drawing whole networks to sampling each layer's preactivations
 at the probe points (nets.sample_outputs), which draws from its own stream.
@@ -31,36 +36,41 @@ from bitboundary.harness import (
 
 from conftest import ACCEPTANCE_SEED
 
-# kind: (config arguments, rows CSV SHA-256, config_sha256)
+# label: (config arguments, rows CSV SHA-256, config_sha256)
 GOLDEN = {
     KIND_CLOSEST: (
-        dict(n_values=(12, 16), trials=4),
+        dict(kind=KIND_CLOSEST, n_values=(12, 16), trials=4),
         "7ecf68fa5ae40b410a371db48d43f9a279e61e518484887ec8f0db0887220ba0",
         "2bc5813b90991efe4daecf6832a242f8757c07eaf9c8aee7d2da19bc26d2f2e5",
     ),
     KIND_FLIPS: (
-        dict(n_values=(12,), trials=6),
+        dict(kind=KIND_FLIPS, n_values=(12,), trials=6),
         "239828827adfcf1bc339c0635148350ec23883eb421b25bff8763a316d336720",
         "1a88f443bc099dd6e8b08822dda6d0a491b43fc20ff17a50080e7b507f7e9091",
     ),
     KIND_GP_CHECK: (
-        dict(n_values=(16,), trials=8),
+        dict(kind=KIND_GP_CHECK, n_values=(16,), trials=8),
         "347580d6b5582b996be376717e610ebb4cf7508d24a3219ae26bf2a37f2b82a4",
         "4219ec2916e6bfa18b5003047980c39b6a1814cf003304c1bf2a16885e774a4e",
     ),
     KIND_GREEDY_VS_EXACT: (
-        dict(n_values=(6, 8), trials=4),
+        dict(kind=KIND_GREEDY_VS_EXACT, n_values=(6, 8), trials=4),
         "a1020891bae5e9044294c69ee649f41627828b2b52fdb6af7e8604c2e7630eb2",
         "5099b3a9dc38d393a6cc316a731b2d6b7c4607b1e4cf136842a9bd69399ec4ff",
+    ),
+    "closest-n64-128": (
+        dict(kind=KIND_CLOSEST, n_values=(64, 128), trials=6),
+        "db1214030ce6932a46160966544026701942987a4ddf6003635bbf3df448d200",
+        "9deb436cfe4f36c792e3a9d8c613ee39f21a774fedc098450e7314e1178ca7b5",
     ),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_rows_csv_and_config_hash_are_golden(kind, tmp_path):
-    args, rows_sha256, config_sha256 = GOLDEN[kind]
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_rows_csv_and_config_hash_are_golden(label, tmp_path):
+    args, rows_sha256, config_sha256 = GOLDEN[label]
     out = tmp_path / "rows.csv"
-    config = ExperimentConfig(kind=kind, seed=ACCEPTANCE_SEED, out_csv=str(out), **args)
+    config = ExperimentConfig(seed=ACCEPTANCE_SEED, out_csv=str(out), **args)
     run_experiment(config)
     assert config_hash(config) == config_sha256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == rows_sha256

@@ -7,7 +7,6 @@ from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.gp import (
     MAX_POINTS,
-    GpEnsemble,
     build_ensemble,
     sample,
     sample_block,

@@ -24,11 +24,10 @@ from bitboundary.harness import (
     refit_rows,
     run_experiment,
     sqrt_n_over_ln_n,
-    write_rows_csv,
 )
 from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
 
-from conftest import build_constant_net, build_linear_net
+from conftest import build_linear_net
 
 
 def tiny_config(kind=KIND_CLOSEST, **kw):

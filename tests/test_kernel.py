@@ -15,7 +15,6 @@ import pytest
 from bitboundary.activations import Activation, get_activation, register_activation
 from bitboundary.errors import ConfigError, NumericalFaultError, QuadratureError
 from bitboundary.kernel import (
-    KernelProfile,
     _cross_moment,
     build_profile,
     default_grid,

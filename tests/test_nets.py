@@ -77,11 +77,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             net.weights[0][0, 0] = 99.0
 
-    def test_w1_columns_view(self):
-        net = sample_network(NetworkConfig(n=5, hidden_widths=(7, 4)), 1)
-        np.testing.assert_array_equal(net.w1_columns, net.weights[0].T)
-        assert net.w1_columns.flags.c_contiguous
-
     def test_shape_mismatch_rejected(self):
         config = NetworkConfig(n=3, hidden_widths=(2,))
         with pytest.raises(ConfigError):
@@ -195,6 +190,31 @@ class TestForward:
         singles = [forward(net, BitString(row)) for row in block]
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n, widths", [(9, (13, 5, 7)), (40, (24, 48)), (6, (4,))])
+    def test_batch_equals_explicit_layer_loop(self, n, widths, activation):
+        config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=0.4, activation=activation)
+        net = sample_network(config, 3)
+        signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(70, n))
+        h = signs
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = h @ w.T + b
+            h = z if l == len(widths) else net.activation(z)
+        for _ in range(2):  # the second call reuses the net's row buffers
+            np.testing.assert_array_equal(forward_batch(net, signs), z[:, 0])
+
+    def test_results_do_not_alias_reused_buffers(self):
+        net = sample_network(NetworkConfig(n=9, hidden_widths=(13, 5, 7), sigma_b2=0.4), 5)
+        rng = np.random.default_rng(6)
+        results, copies = [], []
+        for m in (7, 3, 11):
+            z1 = rng.standard_normal((m, 13))
+            for phi in (forward_from_first_layer(net, z1), forward_batch(net, np.sign(z1[:, :9]))):
+                results.append(phi)
+                copies.append(phi.copy())
+        for phi, copy in zip(results, copies):
+            np.testing.assert_array_equal(phi, copy)
+
     def test_input_length_checked(self):
         net = sample_network(NetworkConfig(n=6, hidden_widths=(4,)), 0)
         with pytest.raises(ConfigError):
@@ -232,7 +252,7 @@ class TestFlipCache:
         x = BitString.random(14, rng)
         _, z1 = forward_with_first_layer_cache(net, x)
         # every single flip at once, as one greedy step evaluates them
-        z1_flips = z1[None, :] - 2.0 * (x.signs[:, None] * net.w1_columns)
+        z1_flips = z1[None, :] - 2.0 * (x.signs[:, None] * net.weights[0].T)
         via_cache = forward_from_first_layer(net, z1_flips)
         for i in range(14):
             direct = forward(net, x.flip_many((i,)))

@@ -1,7 +1,6 @@
 """Stream derivation: SplitMix64 finisher and per-path generators."""
 
 import numpy as np
-import pytest
 
 from bitboundary.rng import (
     STREAM_GP,

@@ -7,7 +7,6 @@ exceeding s0 phi, and greedy flips exactly those bits in that order.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from bitboundary.errors import BudgetExceededError, ConfigError
 from bitboundary.nets import (
     NetworkConfig,
     forward,
+    forward_batch,
     sample_network,
     sign_with_tie,
 )
@@ -95,6 +95,47 @@ class TestGreedyOnLinearNets:
             random_flip_walk(net, x, 0)
 
 
+def naive_greedy(net, x):
+    """Greedy by full forward passes: at each step evaluate every remaining
+    single flip of the current string, take the argmin of s0 * phi (ties to
+    the lowest index) and stop at the first sign change."""
+    n = net.config.n
+    start_phi = forward(net, x)
+    s0 = 1.0 if start_phi >= 0.0 else -1.0
+    signs = x.signs.copy()
+    remaining = list(range(n))
+    path, evaluations = [], 0
+    for step in range(1, n + 1):
+        block = np.repeat(signs[None, :], len(remaining), axis=0)
+        block[np.arange(len(remaining)), remaining] *= -1.0
+        phis = forward_batch(net, block)
+        evaluations += len(remaining)
+        j = int(np.argmin(s0 * phis))
+        i = remaining.pop(j)
+        path.append(i)
+        signs[i] = -signs[i]
+        if (phis[j] >= 0.0) != (s0 > 0.0):
+            return start_phi, tuple(path), step, evaluations
+    return start_phi, tuple(path), None, evaluations
+
+
+class TestGreedyMatchesNaiveReference:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n, widths", [(9, (13, 5, 7)), (40, (24, 48))])
+    def test_sampled_nets(self, n, widths, activation):
+        steps = 0
+        for trial in range(8):
+            config = NetworkConfig(
+                n=n, hidden_widths=widths, sigma_b2=0.3, activation=activation, seed=11
+            )
+            net = sample_network(config, trial)
+            x = BitString.random(n, np.random.default_rng(trial))
+            res = greedy_search(net, x)
+            assert (res.start_phi, res.path, res.distance, res.evaluations) == naive_greedy(net, x)
+            steps += len(res.path)
+        assert steps > 8  # some trials take several steps
+
+
 class TestExactSearch:
     def test_full_cube_oracle(self):
         """Against brute-force enumeration of all 2^10 strings on sampled
@@ -108,8 +149,6 @@ class TestExactSearch:
             config = NetworkConfig(n=n, hidden_widths=(n, n), seed=int(rng.integers(1 << 30)))
             net = sample_network(config, trial)
             x = BitString.random(n, rng)
-            from bitboundary.nets import forward_batch
-
             phis = forward_batch(net, all_signs)
             classes = phis >= 0.0
             x_class = forward(net, x) >= 0.0

@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import norm
 
 from bitboundary.stats import (
-    FitResult,
     fit_line,
     fit_power_law,
     fit_through_origin,

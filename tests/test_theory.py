@@ -12,7 +12,6 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from bitboundary.errors import ConfigError
-from bitboundary.kernel import build_profile
 from bitboundary.theory import (
     TheoryQuery,
     conditional_flip_probability,

@@ -17,9 +17,15 @@ at the probe points (nets.sample_outputs), which draws from its own stream.
 The kernel table pins are the bytes `bitboundary kernel --out-csv` wrote
 while kernel profiles still carried the tabulated grid, so the CLI's own
 table of F_1 .. F_{L+1} on default_grid() has kept every byte.
+
+The plot-data CSV, summary JSON and stdout JSON pins were computed before
+the harness became the one writer of CSV and JSON files and the one owner of
+the provenance hash and of each kind's scaling law. JSON is compared as
+parsed values; output paths, which name per-test directories, are left out.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -95,3 +101,88 @@ def test_kernel_csv_is_golden(label, tmp_path, capsys):
     out = tmp_path / "kernel.csv"
     assert cli.main(["kernel", *flags, "--out-csv", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
+
+def _parsed_sha256(obj) -> str:
+    """SHA-256 of a parsed JSON object in canonical form (sorted keys), so
+    the pin compares values, not layout."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# label: (plot-data CSV SHA-256 or None for kinds without a scaling law,
+#         parsed summary JSON SHA-256 with the output paths removed)
+GOLDEN_OUTPUTS = {
+    KIND_CLOSEST: (
+        "cc4c27c065be02ad1b9decbf64551695198f0a86058f3dfed4b7b3a71c506ec5",
+        "4bebd17545f72214e0f7400767d8abac78c04b629dd38f88c66e79d3592768a5",
+    ),
+    KIND_FLIPS: (
+        "9b5f6d774338827313d390651a38ffc92f98f25880b05dba93599c771cb25162",
+        "7ea6430d1217d3c4220765cafdb665115d3d7aeda955058d3ab16c2faeea6884",
+    ),
+    KIND_GP_CHECK: (
+        None,
+        "cf759c3f6fdd859e30e7a40646c3a6ef6b74271ced91560e8a045a9fd7b52fda",
+    ),
+    KIND_GREEDY_VS_EXACT: (
+        None,
+        "f788bf7efd12654b2e22e438d86d8fa98491d61ca57587f444db351c6fbf6e23",
+    ),
+    "closest-n64-128": (
+        "9a816f371daf77f227867a0744542b0ab0a0975d09123b324765300f57c19a68",
+        "76bc5d6dc646e9f1c8f7704b7d4e27c6141827d2f1e83f09e38581aa565b8a30",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_OUTPUTS))
+def test_plot_csv_and_summary_json_are_golden(label, tmp_path):
+    args = GOLDEN[label][0]
+    plot_sha256, summary_sha256 = GOLDEN_OUTPUTS[label]
+    plot, summary = tmp_path / "plot.csv", tmp_path / "run.json"
+    run_experiment(
+        ExperimentConfig(
+            seed=ACCEPTANCE_SEED,
+            out_json=str(summary),
+            plot_csv=str(plot) if plot_sha256 else None,
+            **args,
+        )
+    )
+    obj = json.loads(summary.read_text())
+    for key in ("out_csv", "out_json", "plot_csv"):
+        del obj["config"][key]
+    assert _parsed_sha256(obj) == summary_sha256
+    if plot_sha256:
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_sha256
+
+
+# command: (CLI arguments, parsed stdout JSON SHA-256); `fit` reads the rows
+# CSV of the closest pin, and its `source` (the file's path) is dropped.
+STDOUT_GOLDEN = {
+    "kernel": (
+        ["kernel"],
+        "a74516c0adc0754d8100cd7a909a02ad08c393a5db6d5284d108962a96a9eef1",
+    ),
+    "theory-784": (
+        ["theory", "--n", "784"],
+        "bb142a6b0758976bff4b5866adc956b63993cfcfe542460dd55d05a565b8e2db",
+    ),
+    "fit-closest": (
+        ["fit"],
+        "eb27cdd26a9e6aa1a38257eea6b3354213e16ea37c504206d2a73c59031dae74",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STDOUT_GOLDEN))
+def test_stdout_json_is_golden(label, tmp_path, capsys):
+    argv, stdout_sha256 = STDOUT_GOLDEN[label]
+    if argv == ["fit"]:
+        rows = tmp_path / "rows.csv"
+        config_args = GOLDEN[KIND_CLOSEST][0]
+        run_experiment(ExperimentConfig(seed=ACCEPTANCE_SEED, out_csv=str(rows), **config_args))
+        argv = ["fit", str(rows)]
+    assert cli.main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    obj.pop("source", None)
+    assert _parsed_sha256(obj) == stdout_sha256

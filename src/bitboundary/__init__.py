@@ -36,7 +36,6 @@ from .search import (
     random_flip_walk,
 )
 from .theory import (
-    TheoryQuery,
     conditional_flip_probability,
     expected_h_star,
     h_n,
@@ -65,7 +64,6 @@ __all__ = [
     "NumericalFaultError",
     "QuadratureError",
     "SearchResult",
-    "TheoryQuery",
     "build_ensemble",
     "build_profile",
     "conditional_flip_probability",

@@ -54,9 +54,12 @@ _REGISTRY: Dict[str, Activation] = {RELU.name: RELU, TANH.name: TANH}
 
 
 def register_activation(act: Activation) -> Activation:
-    """Register a custom activation under its declared name."""
+    """Register a custom activation under its declared name. The built-in
+    names cannot be taken: the kernel picks its ReLU closed form by name."""
     if not act.name or not act.name.isidentifier():
         raise ConfigError(f"activation name {act.name!r} is not a valid identifier")
+    if act.name in (RELU.name, TANH.name):
+        raise ConfigError(f"activation {act.name!r} is built in and cannot be replaced")
     _REGISTRY[act.name] = act
     return act
 

@@ -21,11 +21,8 @@ Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from ._version import VERSION
@@ -37,15 +34,18 @@ from .harness import (
     KIND_FLIPS,
     KIND_GP_CHECK,
     KIND_GREEDY_VS_EXACT,
-    SCALING_COLUMNS,
     ExperimentConfig,
     ExperimentResult,
-    read_rows_csv,
+    check_output_paths,
+    json_text,
+    kernel_summary,
     read_text,
-    refit_rows,
+    refit_csv,
     run_experiment,
+    write_json,
+    write_kernel_csv,
 )
-from .kernel import KernelProfile, build_profile, default_grid, f_recursion
+from .kernel import build_profile
 from .search import DEFAULT_BUDGET
 from .theory import theory_report
 
@@ -223,12 +223,11 @@ def _settings(command: str, args) -> dict:
 
 def _emit_json(obj: dict, path: Optional[str], label: str) -> None:
     """Write obj to path (reporting it) or, without a path, print it."""
-    text = json.dumps(obj, indent=2)
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        write_json(path, obj)
         print(f"wrote {label} to {path}")
     else:
-        print(text)
+        sys.stdout.write(json_text(obj))
 
 
 def _print_run_summary(result: ExperimentResult) -> None:
@@ -276,101 +275,33 @@ def _cmd_experiment(args) -> int:
     return 130 if result.truncated else 0
 
 
-def _profile_params(values: dict) -> dict:
-    """build_profile arguments from kernel or theory settings, with the
-    defaults the flag help states."""
-    return {
-        "sigma_w2": values.get("sigma_w2", 2.0),
-        "sigma_b2": values.get("sigma_b2", 0.0),
-        "layers": values.get("layers", 2),
-        "activation": values.get("activation", "relu"),
-    }
-
-
-def _params_hash(label: str, params: dict) -> str:
-    text = label + "".join(f"\n{k}={params[k]!r}" for k in sorted(params))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _kernel_csv(profile: KernelProfile, sha: str) -> str:
-    """F_1 .. F_{L+1} and F on default_grid(), one row per overlap t."""
-    t = default_grid()
-    _, stack = f_recursion(
-        profile.sigma_w2, profile.sigma_b2, list(profile.q_per_layer), t, profile.activation
-    )
-    depth = stack.shape[0]
-    header = ["t"] + [f"F_{l}" for l in range(1, depth + 1)] + ["F"]
-    lines = [
-        "# kind=kernel",
-        f"# config_sha256={sha}",
-        f"# version={VERSION}",
-        ",".join(header),
-    ]
-    for tj, column in zip(t, stack.T):
-        lines.append(",".join(repr(float(v)) for v in (tj, *column, column[-1])))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_kernel(args) -> int:
     values = _settings("kernel", args)
-    build = _profile_params(values)
-    profile = build_profile(**build)
-    sha = _params_hash("kernel", build)
-    summary = {
-        "Q_l": list(profile.q_per_layer),
-        "Q": profile.q,
-        "Fprime1": profile.f_prime_1,
-        "activation": profile.activation,
-        "params": build,
-        "provenance": {"config_sha256": sha, "version": VERSION},
-    }
-    out_csv = values.get("out_csv")
+    out_csv, out_json = values.pop("out_csv", None), values.pop("out_json", None)
+    check_output_paths(out_csv, out_json)
+    profile = build_profile(**values)
     if out_csv:
-        Path(out_csv).write_text(
-            _kernel_csv(profile, sha), encoding="utf-8", newline="\n"
-        )
+        write_kernel_csv(out_csv, profile)
         print(f"wrote kernel table to {out_csv}")
-    _emit_json(summary, values.get("out_json"), "kernel summary")
+    _emit_json(kernel_summary(profile), out_json, "kernel summary")
     return 0
 
 
 def _cmd_theory(args) -> int:
     values = _settings("theory", args)
-    if "n" not in values:
+    out_json = values.pop("out_json", None)
+    check_output_paths(out_json)
+    query = {key: values.pop(key) for key in ("n", "a", "z") if key in values}
+    if "n" not in query:
         raise ConfigError("theory requires --n")
-    profile = build_profile(**_profile_params(values))
-    report = theory_report(
-        profile,
-        n=values["n"],
-        a=values.get("a", 0.4),
-        z=values.get("z", 1.0),
-    )
-    _emit_json(report, values.get("out_json"), "theory report")
+    report = theory_report(build_profile(**values), **query)
+    _emit_json(report, out_json, "theory report")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    meta, columns, rows = read_rows_csv(args.csv)
-    kind = meta.get("kind")
-    if kind not in (KIND_CLOSEST, KIND_FLIPS):
-        raise ConfigError(
-            f"fit expects a closest or flips rows CSV, got kind={kind!r}"
-        )
-    if columns != SCALING_COLUMNS:
-        raise ConfigError(
-            f"unexpected columns {','.join(columns)}; "
-            f"want {','.join(SCALING_COLUMNS)}"
-        )
-    per_n, fit, censored = refit_rows(kind, rows)
-    out = {
-        "kind": kind,
-        "source": str(args.csv),
-        "source_meta": meta,
-        "per_n": per_n,
-        "fit": fit.as_dict() if fit is not None else None,
-        "censored": {str(k): v for k, v in censored.items()},
-    }
-    _emit_json(out, args.out_json, "fit")
+    check_output_paths(args.out_json)
+    _emit_json(refit_csv(args.csv), args.out_json, "fit")
     return 0
 
 

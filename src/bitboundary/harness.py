@@ -18,12 +18,14 @@ whether computed inline or in any process pool, and rows are written back in
 degrees. Rows hold no wall-clock measurement for the same reason.
 
 Each kind is one entry of EXPERIMENTS: its CSV columns, the row worker that
-computes one (n, trial) row, and the summarizer that turns all rows into the
-per-n aggregates, fit and details. run_experiment is the only driver.
+computes one (n, trial) row, the summarizer that turns all rows into the
+per-n aggregates, fit and details, and the scaling law its fit and plot data
+use (closest and flips only). run_experiment is the only driver.
 
-Output files carry a provenance header: a hash over the scientific config
-fields (execution details like parallelism and output paths are excluded),
-the seed, and the package version.
+This module alone lays out output files, all checked before any trial runs.
+Every CSV, the kernel table included, carries a provenance header: a hash
+over the scientific config fields (execution details like parallelism and
+output paths are excluded), the seed, and the package version.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.stats import kurtosis, skew
@@ -45,7 +47,7 @@ from ._version import VERSION
 from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
-from .kernel import KernelProfile, profile_for_config
+from .kernel import KernelProfile, default_grid, f_recursion, profile_for_config
 from .nets import DeepNet, NetworkConfig, sample_network, sample_outputs
 from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces harness.forward_batch
 from .rng import STREAM_INPUT, derive_seed, spawn_rng
@@ -63,7 +65,7 @@ from .stats import (
     fit_through_origin,
     mean_stderr,
 )
-from .theory import heuristic_flip_bound, validate_n
+from .theory import h_star_slope, heuristic_flip_bound, sqrt_n_over_ln_n, validate_n
 
 KIND_CLOSEST = "closest"
 KIND_FLIPS = "flips"
@@ -109,20 +111,9 @@ GP_TARGETS: Tuple[Tuple[str, Optional[float]], ...] = (
 PHI_BIN_WIDTH_SCALE = 0.25  # |phi| bin width in units of sqrt(Q)
 PHI_BIN_MIN_COUNT = 10
 
-_HASH_FIELDS = (
-    "kind",
-    "n_values",
-    "trials",
-    "seed",
-    "sigma_w2",
-    "sigma_b2",
-    "layers",
-    "widths",
-    "activation",
-    "method",
-    "max_h",
-    "budget",
-)
+# ExperimentConfig fields that say where and how fast a run goes, not what it
+# computes; config_hash covers every other field.
+_EXECUTION_FIELDS = ("out_csv", "out_json", "plot_csv", "parallel")
 
 DESK_DEFAULTS: Dict[str, Dict] = {
     KIND_CLOSEST: {"n_values": (64, 128, 256, 512), "trials": 200},
@@ -175,14 +166,17 @@ class ExperimentConfig:
             raise ConfigError(f"method must be greedy or exact, got {self.method!r}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if self.plot_csv is not None and self.kind not in (KIND_CLOSEST, KIND_FLIPS):
-            raise ConfigError("plot data is only defined for closest and flips runs")
+        if self.widths is not None and len(self.widths) != self.layers:
+            raise ConfigError(f"{len(self.widths)} widths given for {self.layers} layers")
+        if self.plot_csv is not None:
+            scaling_law(self.kind, "plot data")
         if self.kind == KIND_GP_CHECK and min(self.n_values) < 4:
             raise ConfigError("gp-check needs n >= 4 for its overlap menu")
-        if self.kind in (KIND_CLOSEST, KIND_FLIPS):
+        if EXPERIMENTS[self.kind].law is not None:
             validate_n(min(self.n_values))
         # Validate the network parameters once up front.
         network_config_for(self, self.n_values[0])
+        check_output_paths(self.out_csv, self.out_json, self.plot_csv)
 
 
 def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:
@@ -199,15 +193,24 @@ def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:
     )
 
 
+def provenance_hash(fields: Iterable[Tuple[str, object]], label: Optional[str] = None) -> str:
+    """SHA-256 over `key=repr(value)` lines, after an optional label line."""
+    lines = [] if label is None else [label]
+    lines.extend(f"{key}={value!r}" for key, value in fields)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    """SHA-256 over the scientific fields (not execution details)."""
-    parts = []
-    for name in _HASH_FIELDS:
-        value = getattr(config, name)
+    """SHA-256 over the scientific fields, in declaration order."""
+    fields = []
+    for f in dataclasses.fields(config):
+        if f.name in _EXECUTION_FIELDS:
+            continue
+        value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        parts.append(f"{name}={value!r}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        fields.append((f.name, value))
+    return provenance_hash(fields)
 
 
 @dataclass
@@ -313,13 +316,19 @@ def _gp_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_n_over_ln_n(n: Union[int, np.ndarray]):
-    return np.sqrt(np.asarray(n, dtype=float) / np.log(np.asarray(n, dtype=float)))
+@dataclass(frozen=True)
+class ScalingLaw:
+    """mean = coefficient * x(n), fitted through the origin; `model` names
+    the law in fit output."""
 
+    model: str
+    x: Callable[[int], float]
 
-def _scaling_x(kind: str, n: int) -> float:
-    """Abscissa of the scaling law: sqrt(n / ln n) for closest, n for flips."""
-    return float(sqrt_n_over_ln_n(n)) if kind == KIND_CLOSEST else float(n)
+    def fit(self, per_n: Sequence[dict]) -> Optional[FitResult]:
+        if not per_n:
+            return None
+        xs = [self.x(e["n"]) for e in per_n]
+        return fit_through_origin(xs, [e["mean"] for e in per_n], model=self.model)
 
 
 def _aggregate_distances(
@@ -338,6 +347,8 @@ def _aggregate_distances(
                 {"n": n, "mean": mean, "stderr": stderr, "count": len(found)}
             )
     return per_n, censored
+
+
 def _phi_binned(
     profile: KernelProfile, rows: Sequence[tuple], n: int
 ) -> Optional[dict]:
@@ -371,9 +382,7 @@ def _phi_binned(
         [b["distance_mean"] for b in bins],
         model="mean_distance=k*|phi|",
     )
-    predicted = math.sqrt(n / math.log(n)) / (
-        2.0 * math.sqrt(profile.q * profile.f_prime_1)
-    )
+    predicted = h_star_slope(n, profile.q, profile.f_prime_1)
     return {
         "n": n,
         "bin_width": width,
@@ -382,19 +391,6 @@ def _phi_binned(
         "predicted_slope": predicted,
         "slope_over_predicted": bin_fit.coefficient / predicted,
     }
-
-
-def _scaling_fit(kind: str, per_n: Sequence[dict]) -> Optional[FitResult]:
-    """The through-origin scaling-law fit of a closest or flips aggregate."""
-    if not per_n:
-        return None
-    xs = [_scaling_x(kind, e["n"]) for e in per_n]
-    ys = [e["mean"] for e in per_n]
-    if kind == KIND_CLOSEST:
-        model = "mean_distance=a*sqrt(n/ln(n))"
-    else:
-        model = "mean_steps=s*n"
-    return fit_through_origin(xs, ys, model=model)
 
 
 def _check_scaling_row(row: tuple) -> None:
@@ -419,28 +415,49 @@ def refit_rows(
     aggregates in a run's JSON equal this recomputation from its CSV rows.
     Rows come from files, so each is checked before it is used.
     """
-    if kind not in (KIND_CLOSEST, KIND_FLIPS):
-        raise ConfigError(f"refit is defined for closest and flips rows, not {kind!r}")
+    law = scaling_law(kind, "refit")
     for row in rows:
         _check_scaling_row(row)
     n_values = sorted({int(r[0]) for r in rows})
     if not n_values:
         raise ConfigError("no data rows to refit")
     per_n, censored = _aggregate_distances(n_values, rows)
-    return per_n, _scaling_fit(kind, per_n), censored
+    return per_n, law.fit(per_n), censored
+
+
+def refit_csv(path: Union[str, Path]) -> dict:
+    """The `fit` report: a closest or flips rows CSV, re-aggregated and
+    refitted, with the file's provenance."""
+    meta, columns, rows = read_rows_csv(path)
+    kind = meta.get("kind")
+    scaling_law(kind, "fit")
+    if columns != SCALING_COLUMNS:
+        raise ConfigError(
+            f"unexpected columns {','.join(columns)}; want {','.join(SCALING_COLUMNS)}"
+        )
+    per_n, fit, censored = refit_rows(kind, rows)
+    return {
+        "kind": kind,
+        "source": str(path),
+        "source_meta": meta,
+        "per_n": per_n,
+        "fit": fit.as_dict() if fit is not None else None,
+        "censored": {str(k): v for k, v in censored.items()},
+    }
 
 
 def _scaling_summary(config: ExperimentConfig, rows: List[tuple]):
     """per_n, fit and the details closest and flips share, plus the kernel
     profile their own details need."""
+    law = EXPERIMENTS[config.kind].law
     per_n, censored = _aggregate_distances(config.n_values, rows)
     details: dict = {"censored": censored}
     if len(per_n) >= 2:
-        xs = [_scaling_x(config.kind, e["n"]) for e in per_n]
+        xs = [law.x(e["n"]) for e in per_n]
         details["free_intercept_fit"] = fit_line(xs, [e["mean"] for e in per_n])
     profile = profile_for_config(network_config_for(config, config.n_values[0]))
     details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
-    return per_n, _scaling_fit(config.kind, per_n), details, profile
+    return per_n, law.fit(per_n), details, profile
 
 
 def _summarize_closest(config: ExperimentConfig, rows: List[tuple]):
@@ -585,14 +602,32 @@ class ExperimentKind:
     columns: Tuple[str, ...]
     row: Callable[[ExperimentConfig, int, int], tuple]
     summarize: Callable[[ExperimentConfig, List[tuple]], Summary]
+    law: Optional[ScalingLaw] = None
 
 
 EXPERIMENTS: Dict[str, ExperimentKind] = {
-    KIND_CLOSEST: ExperimentKind(SCALING_COLUMNS, _closest_row, _summarize_closest),
-    KIND_FLIPS: ExperimentKind(SCALING_COLUMNS, _flips_row, _summarize_flips),
+    KIND_CLOSEST: ExperimentKind(
+        SCALING_COLUMNS,
+        _closest_row,
+        _summarize_closest,
+        ScalingLaw("mean_distance=a*sqrt(n/ln(n))", sqrt_n_over_ln_n),
+    ),
+    KIND_FLIPS: ExperimentKind(
+        SCALING_COLUMNS, _flips_row, _summarize_flips, ScalingLaw("mean_steps=s*n", float)
+    ),
     KIND_GP_CHECK: ExperimentKind(GP_COLUMNS, _gp_row, _summarize_gp),
     KIND_GREEDY_VS_EXACT: ExperimentKind(PAIRED_COLUMNS, _paired_row, _summarize_paired),
 }
+
+
+def scaling_law(kind: Optional[str], what: str) -> ScalingLaw:
+    """The scaling law of `kind`, or ConfigError saying that `what` needs a
+    kind that has one."""
+    law = EXPERIMENTS[kind].law if kind in EXPERIMENTS else None
+    if law is None:
+        with_law = " and ".join(k for k, e in EXPERIMENTS.items() if e.law is not None)
+        raise ConfigError(f"{what} is defined for {with_law} runs only, not {kind!r}")
+    return law
 
 
 def _pool_task(payload: Tuple[ExperimentConfig, int, int]) -> tuple:
@@ -653,44 +688,53 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _provenance_lines(result: ExperimentResult) -> List[str]:
-    p = result.provenance()
-    return [
-        f"# kind={result.config.kind}",
-        f"# config_sha256={p['config_sha256']}",
-        f"# seed={p['seed']}",
-        f"# version={p['version']}",
-    ]
+def _write_csv(
+    path: Union[str, Path],
+    header: Iterable[Tuple[str, object]],
+    columns: Sequence[str],
+    rows: Iterable[Sequence],
+    truncated: bool = False,
+) -> None:
+    """The one CSV layout: `# key=value` provenance lines, the column line,
+    one line per row (floats as repr, so they parse back bit for bit), and
+    `# truncated=1` after an interrupted run; UTF-8 with LF."""
+    lines = [f"# {key}={value}" for key, value in header]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    if truncated:
+        lines.append("# truncated=1")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def json_text(obj) -> str:
+    """The one JSON layout, for files and stdout alike."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_json(path: Union[str, Path], obj) -> None:
+    Path(path).write_text(json_text(obj), encoding="utf-8", newline="\n")
+
+
+def check_output_paths(*paths: Optional[str]) -> None:
+    """ConfigError for an output path that names a directory or lies in a
+    missing one, so that a run fails before its first trial, not after."""
+    for path in paths:
+        if not path:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"output path {path}: no directory {target.parent}")
+
+
+def _run_header(result: ExperimentResult) -> List[Tuple[str, object]]:
+    return [("kind", result.config.kind), *result.provenance().items()]
 
 
 def write_rows_csv(path: Union[str, Path], result: ExperimentResult) -> None:
-    """Rows with the provenance header; UTF-8, LF, full float round-trip."""
-    lines = _provenance_lines(result)
-    lines.append(",".join(result.columns))
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in result.rows)
-    if result.truncated:
-        lines.append("# truncated=1")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_summary_json(path: Union[str, Path], result: ExperimentResult) -> None:
-    Path(path).write_text(
-        json.dumps(result.to_json_obj(), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def write_plot_csv(path: Union[str, Path], result: ExperimentResult) -> None:
-    """(x, y, yerr) per n: x is sqrt(n / ln n) for closest runs, n for flips."""
-    lines = _provenance_lines(result)
-    lines.append("x,y,yerr")
-    for entry in result.per_n:
-        x = _scaling_x(result.config.kind, entry["n"])
-        lines.append(
-            f"{_fmt_cell(x)},{_fmt_cell(entry['mean'])},{_fmt_cell(entry['stderr'])}"
-        )
-    if result.truncated:
-        lines.append("# truncated=1")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Rows with the provenance header."""
+    _write_csv(path, _run_header(result), result.columns, result.rows, result.truncated)
 
 
 def _persist(result: ExperimentResult) -> None:
@@ -698,9 +742,42 @@ def _persist(result: ExperimentResult) -> None:
     if cfg.out_csv:
         write_rows_csv(cfg.out_csv, result)
     if cfg.out_json:
-        write_summary_json(cfg.out_json, result)
-    if cfg.plot_csv:
-        write_plot_csv(cfg.plot_csv, result)
+        write_json(cfg.out_json, result.to_json_obj())
+    if cfg.plot_csv:  # (x, y, yerr) per n, x the abscissa of the run's scaling law
+        x = EXPERIMENTS[cfg.kind].law.x
+        rows = [(x(e["n"]), e["mean"], e["stderr"]) for e in result.per_n]
+        header = _run_header(result)
+        _write_csv(cfg.plot_csv, header, ("x", "y", "yerr"), rows, result.truncated)
+
+
+def kernel_summary(profile: KernelProfile) -> dict:
+    """The `kernel` report: Q_l, Q, F'(1), and the build_profile arguments
+    the profile was built from with their hash as provenance."""
+    params = {k: getattr(profile, k) for k in ("sigma_w2", "sigma_b2", "layers", "activation")}
+    return {
+        "Q_l": list(profile.q_per_layer),
+        "Q": profile.q,
+        "Fprime1": profile.f_prime_1,
+        "activation": profile.activation,
+        "params": params,
+        "provenance": {
+            "config_sha256": provenance_hash(sorted(params.items()), label="kernel"),
+            "version": VERSION,
+        },
+    }
+
+
+def write_kernel_csv(path: Union[str, Path], profile: KernelProfile) -> None:
+    """F_1 .. F_{L+1} and F on default_grid(), one row per overlap t, under
+    the kernel summary's provenance."""
+    t = default_grid()
+    _, stack = f_recursion(
+        profile.sigma_w2, profile.sigma_b2, list(profile.q_per_layer), t, profile.activation
+    )
+    columns = ["t"] + [f"F_{l}" for l in range(1, stack.shape[0] + 1)] + ["F"]
+    header = [("kind", "kernel"), *kernel_summary(profile)["provenance"].items()]
+    rows = ((tj, *column, column[-1]) for tj, column in zip(t, stack.T))
+    _write_csv(path, header, columns, rows)
 
 
 def read_text(path: Union[str, Path]) -> str:

@@ -60,19 +60,13 @@ class SearchResult:
     evaluations: int
 
 
-def greedy_search(
-    net: DeepNet, x: BitString, max_steps: Optional[int] = None
-) -> SearchResult:
-    """Greedy descent of s0 * phi over single-bit flips.
+def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
+    """Greedy descent of s0 * phi over single-bit flips, for at most n steps.
 
     Ties break toward the lowest bit index; already-flipped bits are never
     candidates again.
     """
     n = net.config.n
-    if max_steps is None:
-        max_steps = n
-    if not 1 <= max_steps <= n:
-        raise ConfigError(f"max_steps must be in [1, {n}], got {max_steps}")
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
@@ -84,7 +78,7 @@ def greedy_search(
     path = []
     evaluations = 0
     distance = None
-    for step in range(1, max_steps + 1):
+    for step in range(1, n + 1):
         cand = np.flatnonzero(remaining)
         # mode="clip" (cand is in range) lets take write straight into out
         z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")

@@ -23,7 +23,6 @@ ln is the natural logarithm throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
@@ -33,36 +32,30 @@ from .stats import log_binomial, phi_cdf, phi_log_cdf
 _DEGENERATE_S2 = 1e-300
 
 
-@dataclass(frozen=True)
-class TheoryQuery:
-    """Inputs of the asymptotic count: h_n = floor(a sqrt(n / ln n)) and the
-    conditioning phi(x) = sqrt(Q) z."""
-
-    n: int
-    a: float
-    z: float
-    f_prime_1: float
-
-    def __post_init__(self):
-        validate_n(self.n)
-        if self.a <= 0:
-            raise ConfigError(f"distance scale a must be > 0, got {self.a}")
-        if self.f_prime_1 <= 0:
-            raise ConfigError(f"F'(1) must be > 0, got {self.f_prime_1}")
-
-
 def validate_n(n: int) -> None:
     """The sqrt(n / ln n) scale needs ln n > 1, so every size must be >= 3."""
     if n < 3:
         raise ConfigError(f"n must be >= 3 (ln n > 1 region), got {n}")
 
 
+def sqrt_n_over_ln_n(n: int) -> float:
+    """The scale sqrt(n / ln n) of the nearest-boundary law; also the
+    abscissa of the closest experiment's scaling fit."""
+    return math.sqrt(n / math.log(n))
+
+
+def _validate(n: int, a: float = 1.0, q: float = 1.0, f_prime_1: float = 1.0) -> None:
+    """ConfigError unless n >= 3 and the scale a, Q and F'(1) are positive."""
+    validate_n(n)
+    for name, value in (("distance scale a", a), ("Q", q), ("F'(1)", f_prime_1)):
+        if value <= 0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
+
+
 def h_n(n: int, a: float) -> int:
     """Shell index floor(a sqrt(n / ln n))."""
-    validate_n(n)
-    if a <= 0:
-        raise ConfigError(f"distance scale a must be > 0, got {a}")
-    return math.floor(a * math.sqrt(n / math.log(n)))
+    _validate(n, a=a)
+    return math.floor(a * sqrt_n_over_ln_n(n))
 
 
 def _flip_probability_at_f(f: float, z: float, log: bool) -> float:
@@ -105,31 +98,34 @@ def ln_count_flipped(profile: KernelProfile, n: int, a: float, z: float) -> floa
     return log_binomial(n, hn) + _flip_probability_at_f(f, z, log=True)
 
 
-def ln_count_asymptotic(query: TheoryQuery) -> float:
+def ln_count_asymptotic(n: int, a: float, z: float, f_prime_1: float) -> float:
     """The asymptotic bracket of ln N_n(a, z)."""
-    n, a, z, fp = query.n, query.a, query.z, query.f_prime_1
+    _validate(n, a=a, f_prime_1=f_prime_1)
     ln_n = math.log(n)
     return (
         0.5
         * a
         * math.sqrt(n * ln_n)
-        * (1.0 - z * z / (4.0 * fp * a * a) + math.log(ln_n / (a * a)) / ln_n)
+        * (1.0 - z * z / (4.0 * f_prime_1 * a * a) + math.log(ln_n / (a * a)) / ln_n)
     )
 
 
 def h_star(phi_x: float, q: float, f_prime_1: float, n: int) -> float:
     """Predicted nearest-boundary distance for a specific output value."""
-    validate_n(n)
-    if q <= 0 or f_prime_1 <= 0:
-        raise ConfigError(f"need q > 0 and F'(1) > 0, got q={q}, F'(1)={f_prime_1}")
-    return abs(phi_x) / (2.0 * math.sqrt(q * f_prime_1)) * math.sqrt(n / math.log(n))
+    _validate(n, q=q, f_prime_1=f_prime_1)
+    return abs(phi_x) / (2.0 * math.sqrt(q * f_prime_1)) * sqrt_n_over_ln_n(n)
+
+
+def h_star_slope(n: int, q: float, f_prime_1: float) -> float:
+    """The slope of h*_n in |phi(x)|, sqrt(n / ln n) / (2 sqrt(Q F'(1))), rounded
+    once (h_star(1, ...) rounds twice and can differ in the last bit)."""
+    _validate(n, q=q, f_prime_1=f_prime_1)
+    return sqrt_n_over_ln_n(n) / (2.0 * math.sqrt(q * f_prime_1))
 
 
 def expected_h_star(n: int, f_prime_1: float) -> float:
     """E[h*_n] = sqrt(n / (2 pi F'(1) ln n)) over the half-normal |phi|."""
-    validate_n(n)
-    if f_prime_1 <= 0:
-        raise ConfigError(f"F'(1) must be > 0, got {f_prime_1}")
+    _validate(n, f_prime_1=f_prime_1)
     return math.sqrt(n / (2.0 * math.pi * f_prime_1 * math.log(n)))
 
 
@@ -142,14 +138,12 @@ def heuristic_flip_bound(n: int, f_prime_1: float) -> float:
 
 def heuristic_closest_bound(n: int, f_prime_1: float) -> float:
     """Heuristic nearest-boundary distance from the extreme-value argument."""
-    validate_n(n)
-    if f_prime_1 <= 0:
-        raise ConfigError(f"F'(1) must be > 0, got {f_prime_1}")
+    _validate(n, f_prime_1=f_prime_1)
     return math.sqrt(n / (8.0 * f_prime_1 * math.log(n)))
 
 
 def theory_report(
-    profile: KernelProfile, n: int, a: float, z: float
+    profile: KernelProfile, n: int, a: float = 0.4, z: float = 1.0
 ) -> dict:
     """All predictors for one (profile, n, a, z), as written by the CLI."""
     hn = h_n(n, a)
@@ -158,7 +152,6 @@ def theory_report(
         p_n = conditional_flip_probability(profile, n, hn, z)
     else:
         p_n = None
-    query = TheoryQuery(n=n, a=a, z=z, f_prime_1=profile.f_prime_1)
     q = profile.q
     return {
         "n": n,
@@ -173,7 +166,7 @@ def theory_report(
         "h_n": hn,
         "P_n": p_n,
         "ln_N_exact": ln_count_flipped(profile, n, a, z),
-        "ln_N_asymptotic": ln_count_asymptotic(query),
+        "ln_N_asymptotic": ln_count_asymptotic(n, a, z, profile.f_prime_1),
         "h_star_at_z": h_star(math.sqrt(q) * z, q, profile.f_prime_1, n),
         "expected_h_star": expected_h_star(n, profile.f_prime_1),
         "heuristic_flip_bound": heuristic_flip_bound(n, profile.f_prime_1),

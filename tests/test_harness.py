@@ -368,6 +368,47 @@ class TestMalformedInput:
                 refit_rows(KIND_CLOSEST, [good, bad])
 
 
+    def test_widths_must_match_layers(self):
+        """Used to build 2-layer nets while reporting and hashing layers=5."""
+        argv = ["closest", "--n", "12,16", "--trials", "3", "--layers", "5", "--widths", "10,10"]
+        assert cli.main(argv) == 2
+        with pytest.raises(ConfigError):
+            tiny_config(widths=(10, 10, 10))
+        assert tiny_config(layers=3, widths=(10, 10, 10)).widths == (10, 10, 10)
+
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json", "--emit-plot-data"])
+    def test_bad_output_path_exits_2_before_any_trial(self, flag, tmp_path, monkeypatch, capsys):
+        """A directory used to fail with exit 1, and a missing directory with
+        exit 2, only after every trial had run."""
+
+        def never(config, n, trial):
+            raise AssertionError("a trial ran")
+
+        patch_row_worker(monkeypatch, KIND_CLOSEST, never)
+        for path in (tmp_path, tmp_path / "missing" / "out"):
+            assert cli.main(["closest", "--n", "12", "--trials", "2", flag, str(path)]) == 2
+            self.assert_one_line_error(capsys, path)
+            with pytest.raises(ConfigError):
+                tiny_config(out_csv=str(path))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--out-csv"],
+            ["kernel", "--out-json"],
+            ["theory", "--n", "64", "--out-json"],
+            ["fit", "ROWS", "--out-json"],
+        ],
+    )
+    def test_bad_output_path_of_kernel_theory_fit_exits_2(self, argv, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        run_experiment(tiny_config(trials=2, out_csv=str(rows)))
+        argv = [str(rows) if a == "ROWS" else a for a in argv]
+        for path in (tmp_path, tmp_path / "missing" / "out"):
+            assert cli.main([*argv, str(path)]) == 2
+            self.assert_one_line_error(capsys, path)
+
+
 class TestReadRowsCsv:
     def test_type_inference_and_meta(self, tmp_path):
         path = tmp_path / "rows.csv"

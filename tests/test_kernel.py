@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from bitboundary import activations
 from bitboundary.activations import Activation, get_activation, register_activation
 from bitboundary.errors import ConfigError, NumericalFaultError, QuadratureError
 from bitboundary.kernel import (
@@ -253,6 +254,15 @@ class TestProfile:
         direct = build_profile(1.0, 1.0, 2, "relu")
         assert via_config.q_per_layer == direct.q_per_layer
         assert via_config.f_prime_1 == direct.f_prime_1
+
+    def test_builtin_activations_cannot_be_replaced(self, monkeypatch):
+        """A tanh registered as "relu" ran in networks while the kernel kept
+        the ReLU closed form (Q = 2, F'(1) = 1), which it picks by name."""
+        monkeypatch.setattr(activations, "_REGISTRY", dict(activations._REGISTRY))
+        for name in ("relu", "tanh"):
+            with pytest.raises(ConfigError):
+                register_activation(Activation(name, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2))
+        assert get_activation("relu") is RELU and get_activation("tanh") is TANH
 
 
 class TestGrids:

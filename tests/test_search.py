@@ -72,18 +72,6 @@ class TestGreedyOnLinearNets:
         assert res.distance is None
         assert len(res.path) == 6  # exhausted every bit once
 
-    def test_max_steps_cap(self):
-        net = build_linear_net([3.0, 3.0, 3.0, 3.0, 3.0])
-        x = BitString(np.ones(5))  # phi = 15; three flips of -6 to cross
-        assert greedy_search(net, x).distance == 3
-        res = greedy_search(net, x, max_steps=2)
-        assert res.distance is None
-        assert len(res.path) == 2
-        with pytest.raises(ConfigError):
-            greedy_search(net, x, max_steps=0)
-        with pytest.raises(ConfigError):
-            greedy_search(net, x, max_steps=6)
-
     def test_input_length_checked(self):
         net = build_linear_net([1.0, 2.0])
         x = BitString(np.ones(3))

@@ -13,7 +13,6 @@ from scipy.stats import multivariate_normal, norm
 
 from bitboundary.errors import ConfigError
 from bitboundary.theory import (
-    TheoryQuery,
     conditional_flip_probability,
     expected_h_star,
     h_n,
@@ -148,8 +147,8 @@ class TestLnCount:
         assert ln_count_flipped(default_profile, 100, 0.01, 1.0) == -math.inf
 
     def test_asymptotic_hand_value(self):
-        q = TheoryQuery(n=1000, a=0.5, z=1.0, f_prime_1=1.0)
-        np.testing.assert_allclose(ln_count_asymptotic(q), 9.98322409323626, rtol=1e-13)
+        asym = ln_count_asymptotic(n=1000, a=0.5, z=1.0, f_prime_1=1.0)
+        np.testing.assert_allclose(asym, 9.98322409323626, rtol=1e-13)
 
     def test_asymptotic_relative_gap_shrinks(self, default_profile):
         """The exact ln N approaches the asymptotic bracket as n grows; the
@@ -158,7 +157,7 @@ class TestLnCount:
         for k in (3, 6, 9, 12):
             n = 10**k
             exact = ln_count_flipped(default_profile, n, 1.0, 1.0)
-            asym = ln_count_asymptotic(TheoryQuery(n=n, a=1.0, z=1.0, f_prime_1=1.0))
+            asym = ln_count_asymptotic(n=n, a=1.0, z=1.0, f_prime_1=1.0)
             gaps.append(abs(exact - asym) / abs(asym))
         frozen = [
             0.1510775167308188,
@@ -172,11 +171,11 @@ class TestLnCount:
 
     def test_query_validation(self):
         with pytest.raises(ConfigError):
-            TheoryQuery(n=1000, a=0.0, z=1.0, f_prime_1=1.0)
+            ln_count_asymptotic(n=1000, a=0.0, z=1.0, f_prime_1=1.0)
         with pytest.raises(ConfigError):
-            TheoryQuery(n=1000, a=0.5, z=1.0, f_prime_1=0.0)
+            ln_count_asymptotic(n=1000, a=0.5, z=1.0, f_prime_1=0.0)
         with pytest.raises(ConfigError):
-            TheoryQuery(n=2, a=0.5, z=1.0, f_prime_1=1.0)
+            ln_count_asymptotic(n=2, a=0.5, z=1.0, f_prime_1=1.0)
 
 
 class TestHStar:

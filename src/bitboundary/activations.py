@@ -10,7 +10,10 @@ The derivative gives the kernel slope F'(1) by its exact layer recursion,
 which needs E[tau'(sqrt(Q) z)^2]. Where the function has a kink or a jump,
 any value of the derivative at that point will do.
 
-Custom activations are registered by name so that configs stay serializable.
+Custom activations are registered by name so that configs stay serializable,
+and a name in an output file's provenance means one function: the built-in
+names relu and tanh cannot be taken. The kernel does not look at names; it
+gives the built-in RELU object its closed forms by identity.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _REGISTRY: Dict[str, Activation] = {RELU.name: RELU, TANH.name: TANH}
 
 def register_activation(act: Activation) -> Activation:
     """Register a custom activation under its declared name. The built-in
-    names cannot be taken: the kernel picks its ReLU closed form by name."""
+    names cannot be taken, so that a provenance name means one function."""
     if not act.name or not act.name.isidentifier():
         raise ConfigError(f"activation name {act.name!r} is not a valid identifier")
     if act.name in (RELU.name, TANH.name):

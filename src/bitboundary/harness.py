@@ -34,6 +34,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -482,11 +483,9 @@ def _summarize_flips(config: ExperimentConfig, rows: List[tuple]):
     return rows, per_n, fit, details
 
 
-def _product_stats(a: np.ndarray, b: np.ndarray, target: float) -> Tuple[float, float, float]:
-    """Empirical E[a b], its standard error, and the z-score against target."""
-    mean, stderr = mean_stderr(a * b)
-    z = 0.0 if stderr == 0.0 else (mean - target) / stderr
-    return mean, stderr, z
+def _z_score(x: float, target: float, stderr: float) -> float:
+    """(x - target) / stderr, and 0 when the standard error is 0."""
+    return 0.0 if stderr == 0.0 else (x - target) / stderr
 
 
 def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
@@ -510,10 +509,9 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
             h = hs[col]
             t = 1.0 - 2.0 * h / n
             qf = q * float(profile.evaluate(t))
-            net_cov, net_se, net_z = _product_stats(
-                net_phi[:, 0], net_phi[:, col], qf
-            )
-            gp_cov, gp_se, gp_z = _product_stats(gp_phi[:, 0], gp_phi[:, col], qf)
+            net_cov, net_se = mean_stderr(net_phi[:, 0] * net_phi[:, col])
+            gp_cov, gp_se = mean_stderr(gp_phi[:, 0] * gp_phi[:, col])
+            net_z, gp_z = _z_score(net_cov, qf, net_se), _z_score(gp_cov, qf, gp_se)
             max_net_z = max(max_net_z, abs(net_z))
             max_gp_z = max(max_gp_z, abs(gp_z))
             summary_rows.append(
@@ -539,10 +537,10 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
         details["per_n"][str(n)] = {
             "trials": trials,
             "net_mean": mean,
-            "net_mean_z": 0.0 if se == 0 else mean / se,
-            "gp_mean_z": 0.0 if gp_se_m == 0 else gp_mean / gp_se_m,
+            "net_mean_z": _z_score(mean, 0.0, se),
+            "gp_mean_z": _z_score(gp_mean, 0.0, gp_se_m),
             "net_var": var_mean,
-            "net_var_z": 0.0 if var_se == 0 else (var_mean - q) / var_se,
+            "net_var_z": _z_score(var_mean, q, var_se),
             "net_skew": float(skew(base)),
             "net_excess_kurtosis": float(kurtosis(base)),
             "net_duplicate_corr": float(np.corrcoef(net_phi[:, 0], net_phi[:, 1])[0, 1]),
@@ -652,8 +650,11 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
                 slots[rank] = worker(config, n, t)
         else:
             payloads = [(config, n, t) for n, t in tasks]
-            chunk = max(1, len(tasks) // (config.parallel * 8))
-            with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+            # the fork start method starts every worker at once: never more
+            # than there are tasks or CPUs
+            workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
+            chunk = max(1, len(tasks) // (workers * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for rank, row in enumerate(
                     pool.map(_pool_task, payloads, chunksize=chunk)
                 ):
@@ -706,9 +707,19 @@ def _write_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _json_safe(obj):
+    """obj with every NaN or infinite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def json_text(obj) -> str:
-    """The one JSON layout, for files and stdout alike."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The one JSON layout, for files and stdout alike. JSON has no NaN or
+    infinity, so a non-finite number is written as null."""
+    return json.dumps(_json_safe(obj), indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: Union[str, Path], obj) -> None:

@@ -8,22 +8,24 @@ where Q and F come from the layer recursions
     F_l(t) = (sw2 * E[tau(u) tau(v)] + sb2) / Q_l,
 
 with (u, v) centered bivariate normal of variance Q_{l-1} and correlation
-F_{l-1}(t). For ReLU the cross moment has the arccosine-kernel closed form
-(Cho and Saul 2009)
-
-    E[tau(u) tau(v)] = Q_{l-1} * Psi(c) / 2,
-    Psi(c) = (sqrt(1 - c^2) + (pi - arccos c) c) / pi,
-
-so F_l(t) = (Q_{l-1} sw2 Psi(F_{l-1}(t)) + 2 sb2) / (Q_{l-1} sw2 + 2 sb2).
-
-The slope F'(1) follows from d/dc E[tau(u) tau(v)] = Q_{l-1} E[tau'(u) tau'(v)]
-at c = 1 (the chi_1 of Poole et al. 2016 and Schoenholz et al. 2017):
+F_{l-1}(t). The slope F'(1) follows from d/dc E[tau(u) tau(v)] =
+Q_{l-1} E[tau'(u) tau'(v)] at c = 1 (the chi_1 of Poole et al. 2016 and
+Schoenholz et al. 2017):
 
     F'_1(1) = sw2 / (sw2 + sb2),
-    F'_l(1) = sw2 * Q_{l-1} E[tau'(sqrt(Q_{l-1}) z)^2] / Q_l * F'_{l-1}(1),
+    F'_l(1) = sw2 * Q_{l-1} E[tau'(sqrt(Q_{l-1}) z)^2] / Q_l * F'_{l-1}(1).
 
-which for ReLU (E[tau'^2] = 1/2) makes each layer factor
-Q_{l-1} sw2 / (Q_{l-1} sw2 + 2 sb2).
+Each recursion has one body, fed by the activation's moment table: the
+second moment E[tau(sqrt(q) z)^2], the cross moment E[tau(u) tau(v)] at
+correlations c, and the slope q E[tau'(sqrt(q) z)^2]. The built-in RELU
+(picked by identity, never by name) has the arccosine-kernel closed forms of
+Cho and Saul 2009,
+
+    second = q / 2,   cross = q * Psi(c) / 2,   slope = q / 2,
+    Psi(c) = (sqrt(1 - c^2) + (pi - arccos c) c) / pi;
+
+every other activation, a ReLU twin under another name included, gets the
+cross-checked quadratures below.
 
 A KernelProfile holds Q_l and F'(1), which are all the checks of the paper
 need besides F at a few overlaps; it evaluates F exactly, by the recursion,
@@ -56,14 +58,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_laguerre
 
-from .activations import Activation, get_activation
+from .activations import RELU, Activation, get_activation
 from .errors import ConfigError, NumericalFaultError, QuadratureError
 
 # Gauss-Hermite orders of every one-dimensional moment. Analytic activations
@@ -153,21 +155,6 @@ def _gh_moment(what: str, g, q: float) -> float:
     return hi
 
 
-def _second_moment(act: Activation, q: float) -> float:
-    """Cross-checked E[tau(sqrt(q) z)^2]."""
-    return _gh_moment(f"second moment of {act.name}", lambda u: act(u) ** 2, q)
-
-
-def _slope_moment(act: Activation, q: float) -> float:
-    """Cross-checked q * E[tau'(sqrt(q) z)^2], the slope in c of
-    E[tau(u) tau(v)] at c = 1."""
-    return _gh_moment(
-        f"derivative moment of {act.name}",
-        lambda u: q * np.asarray(act.derivative(u), dtype=float) ** 2,
-        q,
-    )
-
-
 def _cross_moment_polar(
     act: Activation, q: float, c: np.ndarray, n_rad: int, n_ang: int
 ) -> np.ndarray:
@@ -250,15 +237,39 @@ def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Moments(NamedTuple):
+    """The three Gaussian moments of an activation the recursions consume."""
+
+    second: Callable[[float], float]  # E[tau(sqrt(q) z)^2]
+    cross: Callable[[float, np.ndarray], np.ndarray]  # E[tau(u) tau(v)] at c
+    slope: Callable[[float], float]  # q E[tau'(sqrt(q) z)^2]
+
+
+def _moments(act: Activation) -> _Moments:
+    """Closed forms for the built-in RELU object, quadrature for the rest."""
+    if act is RELU:
+        return _Moments(lambda q: q / 2.0, lambda q, c: q * psi(c) / 2.0, lambda q: q / 2.0)
+    return _Moments(
+        lambda q: _gh_moment(f"second moment of {act.name}", lambda u: act(u) ** 2, q),
+        lambda q, c: _cross_moment(act, q, c),
+        lambda q: _gh_moment(
+            f"derivative moment of {act.name}",
+            lambda u: q * np.asarray(act.derivative(u), dtype=float) ** 2,
+            q,
+        ),
+    )
+
+
 def _resolve(activation: Union[str, Activation]) -> Activation:
     return get_activation(activation) if isinstance(activation, str) else activation
 
 
 def validate_variances(sigma_w2: float, sigma_b2: float) -> None:
     """The variance rule shared by the kernel and the finite networks."""
-    if sigma_w2 < 0 or sigma_b2 < 0 or sigma_w2 + sigma_b2 <= 0:
+    finite = math.isfinite(sigma_w2) and math.isfinite(sigma_b2)
+    if not finite or sigma_w2 < 0 or sigma_b2 < 0 or sigma_w2 + sigma_b2 <= 0:
         raise ConfigError(
-            f"need sigma_w2, sigma_b2 >= 0 with positive sum, got ({sigma_w2}, {sigma_b2})"
+            f"need finite sigma_w2, sigma_b2 >= 0 with positive sum, got ({sigma_w2}, {sigma_b2})"
         )
 
 
@@ -268,22 +279,15 @@ def q_recursion(
     layers: int,
     activation: Union[str, Activation] = "relu",
 ) -> list:
-    """Per-layer variances Q_1 .. Q_{L+1} for L hidden layers.
-
-    ReLU uses the closed form E[ReLU(sqrt(Q) z)^2] = Q/2; other activations
-    use cross-checked Gauss-Hermite.
-    """
+    """Per-layer variances Q_1 .. Q_{L+1} for L hidden layers."""
     act = _resolve(activation)
     validate_variances(sigma_w2, sigma_b2)
     if layers < 1:
         raise ConfigError(f"need at least one hidden layer, got {layers}")
+    second = _moments(act).second
     qs = [sigma_w2 + sigma_b2]
     for _ in range(layers):
-        if act.name == "relu":
-            moment = qs[-1] / 2.0
-        else:
-            moment = _second_moment(act, qs[-1])
-        q_next = sigma_w2 * moment + sigma_b2
+        q_next = sigma_w2 * second(qs[-1]) + sigma_b2
         if not math.isfinite(q_next) or q_next <= 0.0:
             raise NumericalFaultError(
                 f"layer variance degenerated to {q_next} (activation {act.name})"
@@ -300,7 +304,7 @@ def f_recursion(
     activation: Union[str, Activation] = "relu",
 ) -> Tuple[ArrayLike, np.ndarray]:
     """F(t) together with the per-layer stack F_1(t) .. F_{L+1}(t)."""
-    act = _resolve(activation)
+    cross = _moments(_resolve(activation)).cross
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + _T_TOL):
@@ -310,15 +314,7 @@ def f_recursion(
     t = np.clip(t, -1.0, 1.0)
     levels = [(sigma_w2 * t + sigma_b2) / (sigma_w2 + sigma_b2)]
     for l in range(1, len(qs)):
-        q_prev, q_here = qs[l - 1], qs[l]
-        prev = levels[-1]
-        if act.name == "relu":
-            f_next = (q_prev * sigma_w2 * psi(prev) + 2.0 * sigma_b2) / (
-                q_prev * sigma_w2 + 2.0 * sigma_b2
-            )
-        else:
-            moment = _cross_moment(act, q_prev, prev)
-            f_next = (sigma_w2 * moment + sigma_b2) / q_here
+        f_next = (sigma_w2 * cross(qs[l - 1], levels[-1]) + sigma_b2) / qs[l]
         if np.any(np.abs(f_next) > 1.0 + _F_TOL):
             raise NumericalFaultError(
                 f"|F_{l + 1}| exceeded 1 by more than {_F_TOL}: "
@@ -336,25 +332,18 @@ def f_prime_1(
     qs: list,
     activation: Union[str, Activation] = "relu",
 ) -> float:
-    """F'(1) by the exact layer recursion of the module docstring.
-
-    ReLU uses its closed-form layer factors; other activations use the
-    cross-checked Gauss-Hermite moment E[tau'(sqrt(Q) z)^2].
-    """
+    """F'(1) by the exact layer recursion of the module docstring."""
     act = _resolve(activation)
     if sigma_w2 == 0.0:
         raise NumericalFaultError(
             "F'(1) = 0: no signal propagation (sigma_w2 = 0 is degenerate)"
         )
+    slope = _moments(act).slope
     fp = sigma_w2 / (sigma_w2 + sigma_b2)
-    if act.name == "relu":
-        for q_prev in qs[:-1]:
-            fp *= q_prev * sigma_w2 / (q_prev * sigma_w2 + 2.0 * sigma_b2)
-        if not 0.0 < fp <= 1.0:
-            raise NumericalFaultError(f"ReLU F'(1) = {fp} outside (0, 1]")
-        return fp
     for q_prev, q_here in zip(qs[:-1], qs[1:]):
-        fp *= sigma_w2 * _slope_moment(act, q_prev) / q_here
+        fp *= sigma_w2 * slope(q_prev) / q_here
+    if act is RELU and not 0.0 < fp <= 1.0:
+        raise NumericalFaultError(f"ReLU F'(1) = {fp} outside (0, 1]")
     if not math.isfinite(fp) or fp <= 0.0:
         raise NumericalFaultError(f"F'(1) of {act.name} is not positive: got {fp}")
     return fp
@@ -397,6 +386,11 @@ def build_profile(
 ) -> KernelProfile:
     """Run the Q and F'(1) recursions; F is evaluated on demand."""
     act = _resolve(activation)
+    if get_activation(act.name) is not act:
+        raise ConfigError(
+            f"activation {act.name!r} is not the one registered under that name; "
+            "a profile evaluates F by its activation's name"
+        )
     qs = q_recursion(sigma_w2, sigma_b2, layers, act)
     return KernelProfile(
         sigma_w2=float(sigma_w2),

@@ -23,7 +23,6 @@ ln is the natural logarithm throughout.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .errors import ConfigError
 from .kernel import KernelProfile
@@ -44,18 +43,26 @@ def sqrt_n_over_ln_n(n: int) -> float:
     return math.sqrt(n / math.log(n))
 
 
-def _validate(n: int, a: float = 1.0, q: float = 1.0, f_prime_1: float = 1.0) -> None:
-    """ConfigError unless n >= 3 and the scale a, Q and F'(1) are positive."""
+def _validate(
+    n: int, a: float = 1.0, q: float = 1.0, f_prime_1: float = 1.0, z: float = 0.0
+) -> None:
+    """ConfigError unless n >= 3, the scale a, Q and F'(1) are positive and
+    finite, and z is finite."""
     validate_n(n)
+    if not math.isfinite(z):
+        raise ConfigError(f"z must be finite, got {z}")
     for name, value in (("distance scale a", a), ("Q", q), ("F'(1)", f_prime_1)):
-        if value <= 0:
-            raise ConfigError(f"{name} must be > 0, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 def h_n(n: int, a: float) -> int:
-    """Shell index floor(a sqrt(n / ln n))."""
+    """Shell index floor(a sqrt(n / ln n)); a shell beyond n is an error."""
     _validate(n, a=a)
-    return math.floor(a * sqrt_n_over_ln_n(n))
+    scaled = a * sqrt_n_over_ln_n(n)
+    if scaled >= n + 1:
+        raise ConfigError(f"distance scale a = {a} puts h_n beyond n = {n}")
+    return math.floor(scaled)
 
 
 def _flip_probability_at_f(f: float, z: float, log: bool) -> float:
@@ -100,7 +107,7 @@ def ln_count_flipped(profile: KernelProfile, n: int, a: float, z: float) -> floa
 
 def ln_count_asymptotic(n: int, a: float, z: float, f_prime_1: float) -> float:
     """The asymptotic bracket of ln N_n(a, z)."""
-    _validate(n, a=a, f_prime_1=f_prime_1)
+    _validate(n, a=a, f_prime_1=f_prime_1, z=z)
     ln_n = math.log(n)
     return (
         0.5
@@ -145,13 +152,14 @@ def heuristic_closest_bound(n: int, f_prime_1: float) -> float:
 def theory_report(
     profile: KernelProfile, n: int, a: float = 0.4, z: float = 1.0
 ) -> dict:
-    """All predictors for one (profile, n, a, z), as written by the CLI."""
+    """All predictors for one (profile, n, a, z), as written by the CLI.
+
+    P_n and the asymptotic ln N describe the shell at h_n, so both are None
+    when h_n = 0 (there the exact ln N is -inf for z >= 0).
+    """
+    _validate(n, a=a, z=z)
     hn = h_n(n, a)
-    p_n: Optional[float]
-    if hn >= 1:
-        p_n = conditional_flip_probability(profile, n, hn, z)
-    else:
-        p_n = None
+    shell = hn >= 1
     q = profile.q
     return {
         "n": n,
@@ -164,9 +172,11 @@ def theory_report(
         "Q": q,
         "Fprime1": profile.f_prime_1,
         "h_n": hn,
-        "P_n": p_n,
+        "P_n": conditional_flip_probability(profile, n, hn, z) if shell else None,
         "ln_N_exact": ln_count_flipped(profile, n, a, z),
-        "ln_N_asymptotic": ln_count_asymptotic(n, a, z, profile.f_prime_1),
+        "ln_N_asymptotic": (
+            ln_count_asymptotic(n, a, z, profile.f_prime_1) if shell else None
+        ),
         "h_star_at_z": h_star(math.sqrt(q) * z, q, profile.f_prime_1, n),
         "expected_h_star": expected_h_star(n, profile.f_prime_1),
         "heuristic_flip_bound": heuristic_flip_bound(n, profile.f_prime_1),

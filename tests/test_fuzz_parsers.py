@@ -1,10 +1,16 @@
 """Property tests of the input parsers: any input ends as a valid result or
-as ConfigError, never as another exception.
+as ConfigError, never as another exception. Any float given to a `kernel` or
+`theory` flag ends as exit 0, 2 or 4, never a traceback, and what is printed
+is strict JSON.
 
 Size lists are built from bounded integers, and free text carries no decimal
 digits, so no example expands a range into millions of sizes. A range that
 starts below 1 is a ConfigError, so a geometric range cannot stall at 0.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitboundary.bitstrings import BitString
+from bitboundary import cli
 from bitboundary.cli import parse_n_values, parse_widths, read_config_file
 from bitboundary.errors import ConfigError
 from bitboundary.harness import read_rows_csv
@@ -119,3 +126,57 @@ def test_bitstring_constructor(signs):
         assert np.asarray(signs).dtype.kind in "iuf"
         assert x.signs.dtype == np.float64 and x.signs.ndim == 1 and x.n >= 1
         assert np.all(np.abs(x.signs) == 1.0) and not x.signs.flags.writeable
+
+
+def _strict_json(text):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _cli_outcome(argv):
+    """Run the CLI and check the allowed outcomes: exit 0 with strict JSON on
+    stdout, or exit 2 or 4 with one error line; never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        return _strict_json(out)
+    assert out == "" and err.startswith("bitboundary: error:") and err.count("\n") == 1
+    return None
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@FUZZ
+@given(any_float, any_float)
+@example(float("inf"), 1.0)
+@example(0.4, float("nan"))
+@example(1e308, 1.0)
+@example(5e-324, 0.0)
+@example(0.4, 1e200)
+@example(0.01, 1.0)
+def test_theory_cli_any_float(a, z):
+    report = _cli_outcome(["theory", "--n", "784", f"--a={a!r}", f"--z={z!r}"])
+    if report is not None:
+        assert report["a"] == a and report["z"] == z and 0 <= report["h_n"] <= 784
+
+
+@FUZZ
+@given(any_float, any_float, st.sampled_from(["relu", "tanh"]))
+@example(float("nan"), 0.0, "relu")
+@example(2.0, float("-inf"), "relu")
+@example(1e308, 1e308, "relu")
+@example(5e-324, 0.0, "tanh")
+@example(0.0, 1.0, "relu")
+def test_kernel_cli_any_float(sigma_w2, sigma_b2, activation):
+    argv = ["kernel", f"--sigma-w2={sigma_w2!r}", f"--sigma-b2={sigma_b2!r}",
+            "--activation", activation]
+    summary = _cli_outcome(argv)
+    if summary is not None:
+        assert summary["Q"] > 0 and summary["Fprime1"] > 0

@@ -176,6 +176,36 @@ class TestDeterminism:
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_pool_never_exceeds_tasks_or_cpus(self, monkeypatch):
+        """The fork start method starts every worker at once, so --parallel
+        1000 used to start 1000 processes for a handful of trials. A fake
+        pool records the worker count and starts no process."""
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        serial = run_experiment(tiny_config(n_values=(12,), trials=5)).rows
+        for parallel, trials, workers in ((1000, 3, 2), (1000, 1, 1), (2, 5, 2)):
+            config = tiny_config(n_values=(12,), trials=trials, parallel=parallel)
+            assert run_experiment(config).rows == serial[:trials]
+            assert seen.pop() == workers
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_experiment(tiny_config(n_values=(12,), trials=3, parallel=8))
+        assert seen == [1]
+
     def test_rerun_is_identical(self, tmp_path):
         a = run_experiment(tiny_config(n_values=(12,), trials=4))
         b = run_experiment(tiny_config(n_values=(12,), trials=4))
@@ -390,6 +420,53 @@ class TestMalformedInput:
             self.assert_one_line_error(capsys, path)
             with pytest.raises(ConfigError):
                 tiny_config(out_csv=str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closest", "--n", "12", "--trials", "2", "--sigma-w2"],
+            ["closest", "--n", "12", "--trials", "2", "--sigma-b2"],
+            ["theory", "--n", "784", "--a"],
+            ["theory", "--n", "784", "--z"],
+        ],
+        ids=["closest-sigma-w2", "closest-sigma-b2", "theory-a", "theory-z"],
+    )
+    def test_non_finite_number_exits_2_before_any_trial(
+        self, argv, value, monkeypatch, capsys
+    ):
+        """A NaN variance used to run every trial and then exit 4 without a
+        CSV; theory died on --a inf and printed invalid JSON for --z nan."""
+
+        def never(config, n, trial):
+            raise AssertionError("a trial ran")
+
+        patch_row_worker(monkeypatch, KIND_CLOSEST, never)
+        *head, flag = argv
+        assert cli.main([*head, f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bitboundary: error:") and value in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        if argv[0] == "closest":
+            with pytest.raises(ConfigError):
+                tiny_config(**{flag[2:].replace("-", "_"): float(value)})
+
+    def test_theory_shell_beyond_n_exits_2(self, capsys):
+        """A finite a whose shell overflows used to die with OverflowError."""
+        assert cli.main(["theory", "--n", "784", "--a", "1e308"]) == 2
+        assert "beyond n" in capsys.readouterr().err
+
+    def test_theory_json_writes_infinity_as_null(self, capsys):
+        """At h_n = 0 the exact ln N is -inf, which JSON cannot spell."""
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert cli.main(["theory", "--n", "784", "--a", "0.01"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["h_n"] == 0 and report["ln_N_exact"] is None
+        assert report["P_n"] is None and report["ln_N_asymptotic"] is None
 
     @pytest.mark.parametrize(
         "argv",

@@ -116,7 +116,7 @@ class TestQRecursion:
 class TestFRecursion:
     def test_first_layer_is_affine(self):
         t = np.linspace(-1.0, 1.0, 11)
-        _, stack = f_recursion(3.0, 1.0, [4.0, 4.0], t, RELU)
+        _, stack = f_recursion(3.0, 1.0, q_recursion(3.0, 1.0, 1, RELU), t, RELU)
         np.testing.assert_allclose(stack[0], (3.0 * t + 1.0) / 4.0, rtol=1e-15)
 
     def test_default_profile_composition(self):
@@ -196,8 +196,8 @@ class TestFPrime1:
 
 class TestGenericQuadratureAgainstClosedForm:
     """The quadrature path re-derives the ReLU closed form when handed a
-    ReLU that is not named "relu" (unit-scale twin of the full-grid check
-    in the acceptance suite)."""
+    ReLU that is not the built-in RELU object, which alone gets the closed
+    forms (unit-scale twin of the full-grid check in the acceptance suite)."""
 
     def setup_method(self):
         self.twin = register_activation(
@@ -256,13 +256,29 @@ class TestProfile:
         assert via_config.f_prime_1 == direct.f_prime_1
 
     def test_builtin_activations_cannot_be_replaced(self, monkeypatch):
-        """A tanh registered as "relu" ran in networks while the kernel kept
-        the ReLU closed form (Q = 2, F'(1) = 1), which it picks by name."""
+        """A tanh registered as "relu" would run in networks while every
+        output file named it relu."""
         monkeypatch.setattr(activations, "_REGISTRY", dict(activations._REGISTRY))
         for name in ("relu", "tanh"):
             with pytest.raises(ConfigError):
                 register_activation(Activation(name, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2))
         assert get_activation("relu") is RELU and get_activation("tanh") is TANH
+
+    def test_closed_forms_go_by_identity_not_name(self):
+        """An unregistered tanh named "relu" used to get the ReLU closed
+        forms (Q = 2, F'(1) = 1) because the kernel matched the name."""
+        impostor = Activation("relu", np.tanh, TANH.derivative)
+        for sw2, sb2, layers in [(2.0, 0.0, 2), (1.0, 0.5, 3)]:
+            qs = q_recursion(sw2, sb2, layers, impostor)
+            assert qs == q_recursion(sw2, sb2, layers, TANH)
+            assert f_prime_1(sw2, sb2, qs, impostor) == f_prime_1(sw2, sb2, qs, TANH)
+            t = np.linspace(-0.9, 0.9, 7)
+            np.testing.assert_array_equal(
+                f_recursion(sw2, sb2, qs, t, impostor)[1],
+                f_recursion(sw2, sb2, qs, t, TANH)[1],
+            )
+        with pytest.raises(ConfigError):
+            build_profile(activation=impostor)  # its profile would evaluate F as "relu"
 
 
 class TestGrids:

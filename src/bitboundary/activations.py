@@ -2,9 +2,10 @@
 
 An activation is a vectorized scalar map plus a declared name (used for
 provenance in output files) and its derivative. The kernel quadrature needs
-no further metadata: its polar rule always splits the angular integral at
-the rays where either argument vanishes, so a kink at the origin (ReLU and
-its relatives) keeps spectral accuracy.
+no further metadata: its cross moment takes the Hermite series where that
+converges (smooth activations) and otherwise a polar rule that splits the
+angular integral at the rays where either argument vanishes, so a kink at
+the origin (ReLU and its relatives) keeps spectral accuracy.
 
 The derivative gives the kernel slope F'(1) by its exact layer recursion,
 which needs E[tau'(sqrt(Q) z)^2]. Where the function has a kink or a jump,

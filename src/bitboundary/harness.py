@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.stats import kurtosis, skew
@@ -49,7 +49,7 @@ from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, default_grid, f_recursion, profile_for_config
-from .nets import DeepNet, NetworkConfig, sample_network, sample_outputs
+from .nets import DeepNet, NetworkConfig, probe_factor, sample_network, sample_outputs
 from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces harness.forward_batch
 from .rng import STREAM_INPUT, derive_seed, spawn_rng
 from .search import (
@@ -284,11 +284,19 @@ def _paired_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
     return (n, trial, g.start_phi, gd, ed, g.evaluations, e.evaluations)
 
 
+class _GPPoints(NamedTuple):
+    labels: Tuple[str, ...]
+    hs: Tuple[int, ...]
+    signs: np.ndarray  # (m, n), read-only
+    factor: np.ndarray  # nets.probe_factor(signs, n), shared by every trial
+
+
 @lru_cache(maxsize=64)
-def _gp_points(seed: int, n: int):
+def _gp_points(seed: int, n: int) -> _GPPoints:
     """Fixed point set per (seed, n): base string, its duplicate, and one
     partner per overlap target (a random h-subset flip), all from a derived
-    stream, as read-only stacked sign rows. Drawn once, not per row."""
+    stream, as read-only stacked sign rows with their first-layer factor.
+    Drawn once, not per row."""
     rng = spawn_rng(seed, STREAM_INPUT, n)
     x = BitString.random(n, rng)
     labels, hs, points = ["base", "duplicate"], [0, 0], [x.signs, x.signs]
@@ -303,12 +311,12 @@ def _gp_points(seed: int, n: int):
         points.append(x.flip_many(idx).signs)
     signs = np.stack(points)
     signs.flags.writeable = False
-    return tuple(labels), tuple(hs), signs
+    return _GPPoints(tuple(labels), tuple(hs), signs, probe_factor(signs, n))
 
 
 def _gp_row(config: ExperimentConfig, n: int, trial: int) -> tuple:
-    signs = _gp_points(config.seed, n)[2]
-    phi = sample_outputs(network_config_for(config, n), trial, signs)
+    factor = _gp_points(config.seed, n).factor
+    phi = sample_outputs(network_config_for(config, n), trial, factor)
     return (n, trial, *map(float, phi))
 
 
@@ -498,7 +506,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
     max_net_z = 0.0
     max_gp_z = 0.0
     for n in config.n_values:
-        labels, hs, signs = _gp_points(config.seed, n)
+        labels, hs, signs, _ = _gp_points(config.seed, n)
         net_phi = np.array([r[2:] for r in rows if r[0] == n])
         if net_phi.size == 0:
             continue

@@ -32,10 +32,25 @@ need besides F at a few overlaps; it evaluates F exactly, by the recursion,
 at whatever overlaps it is asked for. Only `bitboundary kernel --out-csv`
 tabulates F_1 .. F_{L+1} on default_grid().
 
-Generic activations are handled by quadrature. The one-dimensional moments
-(E[tau^2], E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use Gauss-Hermite at
-orders 256 and 320; for tanh they agree while every Q_l stays below about
-3.67. The two-dimensional cross moment is computed in polar coordinates:
+Generic activations are handled by quadrature, and every rule is evaluated
+at two orders that must agree to 1e-8 relative (scaled by max(|value|, Q))
+or a QuadratureError is raised. The one-dimensional moments (E[tau^2],
+E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use Gauss-Hermite at orders
+256 and 320; for tanh they agree while every Q_l stays below about 3.67,
+which bounds the tanh kernel: Q_l, F'(1) and F all build up to Q_1 ~ 3.67.
+
+The cross moment at |c| < 1 is first taken from the Hermite series of
+Mehler's formula (the dual activation of Daniely et al. 2016),
+
+    E[tau(u) tau(v)] = sum_k a_k^2 c^k,   a_k = E[tau(sqrt(Q) z) h_k(z)],
+
+with h_k the normalized Hermite polynomials, h_{k+1} = (z h_k - sqrt(k)
+h_{k-1}) / sqrt(k + 1). The a_k come from the Gauss-Hermite nodes, 160 terms
+at order 256 and 220 at order 320, cached per (activation, Q, order); an
+entry takes the series where the two agree. For smooth activations such as
+tanh the a_k decay fast and the series holds at every overlap, with an
+error uniform in c. A kink makes them decay only algebraically (ReLU:
+a_k^2 ~ k^(-5/2)), so such entries fail the check and go to the polar rule:
 with (z, w) standard normal and u = sqrt(Q) z, v = sqrt(Q)(c z + s w),
 
     E[tau(u) tau(v)] = (1/2pi) Int_0^2pi dtheta Int_0^inf dr r e^{-r^2/2}
@@ -46,11 +61,8 @@ angular integral is piecewise Gauss-Legendre with panels split at the rays
 where A or B vanishes. Activation kinks at the origin lie exactly on those
 rays, so the integrand is smooth on every panel and the rule converges
 spectrally; a plain tensor Gauss-Hermite rule only converges algebraically
-there and cannot reach the 1e-6 agreement this module promises. Every
-quadrature is evaluated at two orders and must agree to 1e-8 relative
-(scaled by max(|value|, Q)) or a QuadratureError is raised. For tanh the
-polar rule agrees at every overlap while Q_l stays below about 3.39; above
-that it fails first at overlaps near +-1.
+there and cannot reach the 1e-6 agreement this module promises. (For tanh
+the polar rule alone fails near c = +-1 from Q_l ~ 3.39.)
 """
 
 from __future__ import annotations
@@ -63,6 +75,7 @@ from typing import Callable, NamedTuple, Tuple, Union
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.special import roots_laguerre
 
 from .activations import RELU, Activation, get_activation
@@ -76,6 +89,11 @@ from .errors import ConfigError, NumericalFaultError, QuadratureError
 # order ~376.
 GH_ORDER = 256
 GH_ORDER_CHECK = 320
+# Hermite-series terms at orders 256 and 320. The series' error is largest at
+# c -> +-1, where it is the tail sum of a_k^2: for tanh at q = 3.67 the terms
+# from 160 on sum to 1.1e-9, inside QUAD_RTOL * q, and from 220 on to 3e-11.
+HERMITE_TERMS = 160
+HERMITE_TERMS_CHECK = 220
 POLAR_RADIAL_ORDER = 64
 POLAR_RADIAL_ORDER_CHECK = 96
 POLAR_ANGULAR_ORDER = 48
@@ -155,40 +173,35 @@ def _gh_moment(what: str, g, q: float) -> float:
     return hi
 
 
+@lru_cache(maxsize=256)
+def _hermite_power(act: Activation, q: float, order: int, terms: int) -> np.ndarray:
+    """Squared normalized Hermite coefficients a_k^2, k < terms, of
+    tau(sqrt(q) z), from Gauss-Hermite at `order` (read-only)."""
+    z, w = _herme_nodes(order)
+    fw = w * act(math.sqrt(q) * z)
+    a = np.empty(terms)
+    h_prev, h = np.zeros_like(z), np.ones_like(z)
+    for k in range(terms):
+        a[k] = fw @ h
+        h_prev, h = h, (z * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
+    power = a * a
+    power.flags.writeable = False
+    return power
+
+
 def _cross_moment_polar(
     act: Activation, q: float, c: np.ndarray, n_rad: int, n_ang: int
 ) -> np.ndarray:
-    """Polar quadrature of E[tau(u) tau(v)] at correlations c (vectorized).
-
-    Degenerate entries (1 - c^2 < 1e-300, i.e. c rounded to +-1) use the
-    cross-checked one-dimensional moment E[tau(u) tau(+-u)] instead; at c = 1
-    it is the same sum as the second moment, so F(1) = 1 exactly.
-    """
-    c = np.asarray(c, dtype=float)
-    out = np.empty_like(c)
-    s2 = 1.0 - c * c
-    deg = s2 < _DEGENERATE_S2
-    if np.any(deg):
-        for sign in (1.0, -1.0):
-            mask = deg & ((c >= 0.0) if sign > 0 else (c < 0.0))
-            if np.any(mask):
-                out[mask] = _gh_moment(
-                    f"pair moment of {act.name}", lambda u: act(u) * act(sign * u), q
-                )
-    live = ~deg
-    if not np.any(live):
-        return out
-
+    """Polar quadrature of E[tau(u) tau(v)] at correlations |c| < 1."""
     r, wu = _laguerre_nodes(n_rad)
     xg, wg = _legendre_nodes(n_ang)
     sq = math.sqrt(q)
-    cl = c[live]
-    sl = np.sqrt(s2[live])
+    s = np.sqrt(1.0 - c * c)
     half = math.pi / 2.0
-    buf = np.empty(cl.size)
-    for start in range(0, cl.size, _CHUNK):
-        cc = cl[start : start + _CHUNK]
-        ss = sl[start : start + _CHUNK]
+    buf = np.empty(c.size)
+    for start in range(0, c.size, _CHUNK):
+        cc = c[start : start + _CHUNK]
+        ss = s[start : start + _CHUNK]
         # breakpoints: rays cos(theta) = 0 and c cos(theta) + s sin(theta) = 0
         th0 = np.mod(np.arctan2(-cc, ss), 2.0 * math.pi)
         bks = np.sort(
@@ -211,12 +224,38 @@ def _cross_moment_polar(
         buf[start : start + cc.size] = np.einsum("mk,mkj,j->m", wth, vals, wu) / (
             2.0 * math.pi
         )
-    out[live] = buf
-    return out
+    return buf
 
 
 def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
-    """Two-order cross-checked E[tau(u) tau(v)] over an array of correlations."""
+    """Cross-checked E[tau(u) tau(v)] over an array of correlations.
+
+    Entries with c rounded to +-1 (1 - c^2 < 1e-300) take the one-dimensional
+    moment E[tau(u) tau(+-u)]; at c = 1 it is the same sum as the second
+    moment, so F(1) = 1 exactly. Every other entry takes the Hermite series
+    where its two orders agree and the polar rule, at two orders, elsewhere.
+    """
+    c = np.asarray(c, dtype=float)
+    out = np.empty_like(c)
+    deg = 1.0 - c * c < _DEGENERATE_S2
+    for sign in (1.0, -1.0):
+        mask = deg & ((c >= 0.0) if sign > 0 else (c < 0.0))
+        if np.any(mask):
+            out[mask] = _gh_moment(
+                f"pair moment of {act.name}", lambda u: act(u) * act(sign * u), q
+            )
+    cl = c[~deg]
+    lo = polyval(cl, _hermite_power(act, q, GH_ORDER, HERMITE_TERMS))
+    hi = polyval(cl, _hermite_power(act, q, GH_ORDER_CHECK, HERMITE_TERMS_CHECK))
+    rest = ~(np.abs(lo - hi) <= QUAD_RTOL * np.maximum(np.abs(hi), q))  # NaN fails too
+    if np.any(rest):
+        hi[rest] = _cross_moment_polar_checked(act, q, cl[rest])
+    out[~deg] = hi
+    return out
+
+
+def _cross_moment_polar_checked(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
+    """The polar rule at two orders that must agree."""
     lo = _cross_moment_polar(act, q, c, POLAR_RADIAL_ORDER, POLAR_ANGULAR_ORDER)
     hi = _cross_moment_polar(
         act, q, c, POLAR_RADIAL_ORDER_CHECK, POLAR_ANGULAR_ORDER_CHECK

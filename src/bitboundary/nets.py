@@ -22,7 +22,9 @@ sample_outputs draws phi at a few fixed inputs without drawing any weight
 matrix: given the layer below, the preactivations of layer l at m inputs
 (the columns of H) are Gaussian with covariance sigma_w^2 / n_{l-1} H^T H +
 sigma_b^2, independently per unit. This is the finite network's exact law,
-at n_l * m normals per layer instead of n_l * n_{l-1}.
+at n_l * m normals per layer instead of n_l * n_{l-1}. The first layer's
+factor of H^T H depends on the inputs alone (probe_factor), so it is
+computed once per input set, not once per network.
 """
 
 from __future__ import annotations
@@ -138,9 +140,19 @@ def _sign_batch(signs: np.ndarray, n: int) -> np.ndarray:
     return signs
 
 
-def sample_outputs(config: NetworkConfig, trial_index: int, signs: np.ndarray) -> np.ndarray:
-    """phi at the sign rows (m, n) -> (m,) of one network drawn from the
-    stream derived from (config.seed, trial_index), layer by layer.
+def probe_factor(signs: np.ndarray, n: int) -> np.ndarray:
+    """The first-layer factor of sample_outputs for the sign rows (m, n):
+    R (k, m), k = min(n, m), from a QR of signs^T, so R^T R = signs signs^T.
+    It depends on the inputs alone, so one factor serves every trial."""
+    r = np.linalg.qr(_sign_batch(signs, n).T, mode="r")
+    r.flags.writeable = False
+    return r
+
+
+def sample_outputs(config: NetworkConfig, trial_index: int, factor: np.ndarray) -> np.ndarray:
+    """phi at m inputs -> (m,) of one network drawn from the stream derived
+    from (config.seed, trial_index), layer by layer; `factor` is
+    probe_factor(signs, config.n) of the inputs' sign rows.
 
     With H the (n_{l-1}, m) inputs or post-activations of layer l and
     R^T R = H^T H (R from a QR of H, k = min(n_{l-1}, m) rows), the
@@ -148,18 +160,17 @@ def sample_outputs(config: NetworkConfig, trial_index: int, signs: np.ndarray) -
     with G (n_l, k) and g (n_l, 1) standard normal, drawn in that order.
     Duplicate or dependent inputs need no jitter: R may be singular.
     """
-    signs = _sign_batch(signs, config.n)
     rng = spawn_rng(config.seed, STREAM_OUTPUTS, trial_index)
     act = get_activation(config.activation)
     dims = config.dims
-    h = signs.T
     last = len(dims) - 2
+    r = factor
     for l in range(last + 1):
-        r = np.linalg.qr(h, mode="r")
         g = rng.standard_normal((dims[l + 1], r.shape[0]))
         z = g @ r * np.sqrt(config.sigma_w2 / dims[l])
         z += np.sqrt(config.sigma_b2) * rng.standard_normal((dims[l + 1], 1))
-        h = z if l == last else act(z)
+        if l < last:
+            r = np.linalg.qr(act(z), mode="r")
     return z[0]
 
 

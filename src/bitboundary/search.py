@@ -12,7 +12,9 @@ Three procedures, all pure functions of (net, x, seed):
   (lexicographic combinations, early exit on the first hit), so the returned
   distance is guaranteed minimal. A budget caps the total enumeration.
 * random_flip_walk: flip bits in a uniformly random order (a geodesic, no
-  bit twice) until the classification changes, capped at n steps.
+  bit twice) until the classification changes, capped at n steps. The walk
+  reuses the first-layer preactivations too: a block of steps is a running
+  sum of flip rows, and only the layers above the first are evaluated.
 
 ``evaluations`` counts candidate forward passes; the single evaluation of
 the starting point is excluded, which keeps "per step at most n" and
@@ -70,9 +72,7 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
-    # Row i is the change of z1 when bit i flips, exactly (s = +-1, factor
-    # 2); bits are never re-flipped, so the start signs stay valid.
-    delta = np.multiply(net.weights[0].T, -2.0 * x.signs[:, None], order="C")
+    delta = _flip_rows(net, x, slice(None))
     workspace = np.empty_like(delta)
     remaining = np.ones(n, dtype=bool)
     path = []
@@ -164,29 +164,32 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     """Geodesic walk in a uniformly random flip order, capped at n.
 
     The permutation derives from (net.config.seed, trial_index), so a fixed
-    net and trial reproduce the walk exactly.
+    net and trial reproduce the walk exactly. Each 64-step block's
+    first-layer preactivations are a running sum of flip rows from the
+    current z1, so only the layers above the first are evaluated.
     """
     n = net.config.n
     rng = spawn_rng(net.config.seed, STREAM_WALK, trial_index)
     perm = rng.permutation(n)
     phi0 = forward(net, x)
     started_positive = sign_with_tie(phi0) == 1
-    signs = x.signs.copy()
+    z1 = x.signs @ net.weights[0].T
+    z1 += net.biases[0]
     evaluations = 0
     steps = n  # the cap, when no flip crosses the boundary
     pos = 0
     while pos < n:
         b = min(_WALK_BLOCK, n - pos)
-        block = np.repeat(signs[None, :], b, axis=0)
-        for j in range(b):
-            block[j:, perm[pos + j]] *= -1.0
-        phis = forward_batch(net, block)
+        block = _flip_rows(net, x, perm[pos : pos + b])
+        block[0] += z1
+        np.cumsum(block, axis=0, out=block)  # row j: z1 after flips pos..pos+j
+        phis = forward_from_first_layer(net, block)
         evaluations += b
         hits = np.flatnonzero((phis >= 0.0) != started_positive)
         if hits.size:
             steps = pos + int(hits[0]) + 1
             break
-        signs = block[-1]
+        z1 = block[-1]
         pos += b
     return SearchResult(
         start_phi=phi0,
@@ -194,3 +197,10 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
         path=tuple(int(v) for v in perm[:steps]),
         evaluations=evaluations,
     )
+
+
+def _flip_rows(net: DeepNet, x: BitString, bits) -> np.ndarray:
+    """Row k is the change of z1 = W^(1) x + b^(1) when bit bits[k] flips,
+    -2 x_i W^(1)[:, i], exactly (x_i = +-1, factor 2), as a fresh C-ordered
+    array. Both searches never re-flip a bit, so x's signs stay valid."""
+    return np.multiply(net.weights[0].T[bits], -2.0 * x.signs[bits, None], order="C")

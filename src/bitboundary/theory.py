@@ -29,12 +29,15 @@ from .kernel import KernelProfile
 from .stats import log_binomial, phi_cdf, phi_log_cdf
 
 _DEGENERATE_S2 = 1e-300
+# log_binomial hands n + 1 to scipy's gammaln, which takes it as an int64
+_MAX_N = 2**63 - 2
 
 
 def validate_n(n: int) -> None:
-    """The sqrt(n / ln n) scale needs ln n > 1, so every size must be >= 3."""
-    if n < 3:
-        raise ConfigError(f"n must be >= 3 (ln n > 1 region), got {n}")
+    """The sqrt(n / ln n) scale needs ln n > 1, so every size must be >= 3,
+    and every size must fit the log-gamma of log_binomial."""
+    if not 3 <= n <= _MAX_N:
+        raise ConfigError(f"n must be >= 3 (ln n > 1) and <= {_MAX_N}, got {n}")
 
 
 def sqrt_n_over_ln_n(n: int) -> float:

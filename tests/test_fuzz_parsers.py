@@ -168,6 +168,19 @@ def test_theory_cli_any_float(a, z):
 
 
 @FUZZ
+@given(st.integers(min_value=-(2**70), max_value=10**400))
+@example(2**63)
+@example(2**63 - 2)
+@example(10**20)
+@example(10**400)
+@example(2)
+def test_theory_cli_any_size(n):
+    # n + 1 beyond int64 or n beyond the float range must exit 2, not crash
+    report = _cli_outcome(["theory", "--n", str(n)])
+    assert (report is not None) == (3 <= n <= 2**63 - 2)
+
+
+@FUZZ
 @given(any_float, any_float, st.sampled_from(["relu", "tanh"]))
 @example(float("nan"), 0.0, "relu")
 @example(2.0, float("-inf"), "relu")

@@ -696,6 +696,13 @@ class TestCliKernelTheoryFit:
         obj = json.loads(capsys.readouterr().out)
         assert obj["Q_l"][0] == 3.0
 
+    def test_kernel_tanh_table_above_q_3_39(self, tmp_path, capsys):
+        # the polar rule alone failed near c = +-1 from Q ~ 3.39 (exit 4)
+        out_csv = tmp_path / "kernel.csv"
+        argv = ["kernel", "--activation", "tanh", "--sigma-w2", "3.4", "--out-csv", str(out_csv)]
+        assert cli.main(argv) == 0
+        assert float(out_csv.read_text().splitlines()[-1].split(",")[-1]) == 1.0
+
     def test_theory_report_round_trip(self, capsys):
         from bitboundary.kernel import build_profile
         from bitboundary.theory import theory_report

@@ -1,10 +1,11 @@
 """Kernel recursions: Q per layer, the correlation map F, and F'(1).
 
 Closed forms for ReLU come from the arc-cosine kernel (Cho and Saul 2009);
-the generic-activation path is polar Gaussian quadrature. Frozen oracle
-values in this file were computed with scipy.integrate.dblquad on the
-bivariate normal integrand at epsabs=1e-12, independently of the package's
-quadrature.
+the generic-activation path is a Hermite series, with polar Gaussian
+quadrature where the series fails its check. Frozen oracle values in this
+file were computed with scipy.integrate.dblquad on the bivariate normal
+integrand at epsabs=1e-12 (1e-13 for TANH_SERIES_ORACLE), independently of
+the package's quadrature.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bitboundary import activations
+from bitboundary import activations, kernel
 from bitboundary.activations import Activation, get_activation, register_activation
 from bitboundary.errors import ConfigError, NumericalFaultError, QuadratureError
 from bitboundary.kernel import (
@@ -36,6 +37,21 @@ TANH_MOMENT_ORACLE = {
     (2.0, 0.9): 0.4542393491897774,
     (2.0, -0.7): -0.339089956121105,
     (1.5, 0.25): 0.10654267920505499,
+}
+# E[tanh(u) tanh(v)] where the Hermite series alone converges (the polar rule
+# fails near c = +-1 from q ~ 3.39), scipy dblquad over (z, w) standard
+# normal with u = sqrt(q) z, v = sqrt(q) (c z + sqrt(1 - c^2) w)
+TANH_SERIES_ORACLE = {
+    (2.0, 0.5): 0.2360073345513688,
+    (2.0, 0.9): 0.45423934918977726,
+    (2.0, 0.9999): 0.5199058489903797,
+    (2.0, 0.99999999): 0.5199757386737827,
+    (2.0, -0.99999999): -0.5199757386737827,
+    (3.4, 0.5): 0.2667589813638153,
+    (3.4, 0.9): 0.525063357989288,
+    (3.4, 0.9999): 0.6096799688063583,
+    (3.4, 0.99999999): 0.609773734878184,
+    (3.4, -0.99999999): -0.609773734878184,
 }
 # E[tanh(sqrt(q) z)^2], scipy quad
 TANH_SQ_ORACLE = {
@@ -153,14 +169,49 @@ class TestFRecursion:
             )
 
     def test_cross_moment_failure_names_the_real_overlap(self):
-        # the polar rule fails just below c = 1 at Q = 3.4; c must not print as 1
-        with pytest.raises(QuadratureError, match=r"at c=0\.99999999, q=3\.4: gap"):
-            _cross_moment(TANH, 3.4, np.array([1 - 1e-8]))
+        # series and polar rule both fail just below c = 1 at Q = 8; c must
+        # not print as 1
+        with pytest.raises(QuadratureError, match=r"at c=0\.99999999, q=8\.0: gap"):
+            _cross_moment(TANH, 8.0, np.array([1 - 1e-8]))
 
     def test_tanh_perfect_anticorrelation_is_preserved(self):
         # odd activation: E[tanh(u) tanh(-u)] = -E[tanh^2], so F(-1) = -1
         prof = build_profile(2.0, 0.0, 3, "tanh")
         np.testing.assert_allclose(float(prof.evaluate(-1.0)), -1.0, atol=1e-12)
+
+
+class TestHermiteSeries:
+    @pytest.mark.parametrize("q, c", sorted(TANH_SERIES_ORACLE))
+    def test_tanh_against_dblquad_oracle(self, q, c, monkeypatch):
+        def no_polar(*args):
+            raise AssertionError("the series should converge here")
+
+        monkeypatch.setattr(kernel, "_cross_moment_polar_checked", no_polar)
+        got = float(_cross_moment(TANH, q, np.array([c]))[0])
+        np.testing.assert_allclose(got, TANH_SERIES_ORACLE[q, c], rtol=0.0, atol=1e-10)
+
+    def test_kinked_twin_falls_back_to_polar(self, monkeypatch):
+        # ReLU's Hermite coefficients decay algebraically: the series fails
+        # its check, and the polar rule reproduces the closed form
+        twin = Activation("relu_series_twin", lambda x: np.maximum(x, 0.0), lambda x: x > 0)
+        polar = kernel._cross_moment_polar_checked
+        seen = []
+
+        def spy(act, q, c):
+            seen.extend(c)
+            return polar(act, q, c)
+
+        monkeypatch.setattr(kernel, "_cross_moment_polar_checked", spy)
+        c = np.array([0.5, 0.99, 1.0 - 1e-6])
+        np.testing.assert_allclose(_cross_moment(twin, 2.0, c), psi(c), rtol=0.0, atol=1e-9)
+        assert seen == list(c)
+
+    def test_tanh_reaches_the_one_dimensional_limit(self):
+        # F builds wherever Q_l and F'(1) do: up to Q_1 ~ 3.67
+        prof = build_profile(3.6, 0.0, 2, "tanh")
+        f = prof.evaluate(default_grid())
+        assert f[-1] == 1.0
+        assert np.all(np.diff(f) > 0.0)
 
 
 class TestFPrime1:

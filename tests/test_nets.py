@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bitboundary.activations import get_activation
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.nets import (
@@ -12,10 +13,12 @@ from bitboundary.nets import (
     forward_batch,
     forward_from_first_layer,
     forward_with_first_layer_cache,
+    probe_factor,
     sample_network,
     sample_outputs,
     sign_with_tie,
 )
+from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
 
 from conftest import build_constant_net, build_linear_net
 
@@ -121,7 +124,8 @@ class TestSampleOutputs:
         )
         signs = _probe_signs(n, m, seed=n)
         trials = 3000
-        direct = np.array([sample_outputs(config, t, signs) for t in range(trials)])
+        factor = probe_factor(signs, n)
+        direct = np.array([sample_outputs(config, t, factor) for t in range(trials)])
         oracle = np.array(
             [forward_batch(sample_network(config, t), signs) for t in range(trials)]
         )
@@ -133,31 +137,57 @@ class TestSampleOutputs:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_duplicate_probes_give_equal_outputs(self, activation):
         config = NetworkConfig(n=64, hidden_widths=(64, 64), sigma_b2=0.2, activation=activation)
-        signs = _probe_signs(64, 8, seed=1)
+        factor = probe_factor(_probe_signs(64, 8, seed=1), 64)
         for trial in range(20):
-            phi = sample_outputs(config, trial, signs)
+            phi = sample_outputs(config, trial, factor)
             np.testing.assert_allclose(phi[1], phi[0], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n, m", [(12, 4), (64, 8), (4, 8)])
     def test_qr_factor_reproduces_gram_matrix(self, n, m):
         h = _probe_signs(n, m, seed=3).T
-        r = np.linalg.qr(h, mode="r")
+        r = probe_factor(h.T, n)
         assert r.shape == (min(n, m), m)
+        assert not r.flags.writeable
         np.testing.assert_allclose(r.T @ r, h.T @ h, rtol=0.0, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_shared_factor_equals_per_trial_factoring(self, activation):
+        """One probe_factor for every trial draws the same outputs, bit for
+        bit, as factoring the inputs again in each trial."""
+
+        def refactoring(config, trial, signs):
+            rng = spawn_rng(config.seed, STREAM_OUTPUTS, trial)
+            dims, h = config.dims, signs.T
+            for l in range(len(dims) - 1):
+                r = np.linalg.qr(h, mode="r")
+                g = rng.standard_normal((dims[l + 1], r.shape[0]))
+                z = g @ r * np.sqrt(config.sigma_w2 / dims[l])
+                z += np.sqrt(config.sigma_b2) * rng.standard_normal((dims[l + 1], 1))
+                h = get_activation(activation)(z)
+            return z[0]
+
+        config = NetworkConfig(
+            n=64, hidden_widths=(32, 48), sigma_b2=0.3, activation=activation, seed=5
+        )
+        signs = _probe_signs(64, 8, seed=4)
+        factor = probe_factor(signs, 64)
+        for trial in range(10):
+            np.testing.assert_array_equal(
+                sample_outputs(config, trial, factor), refactoring(config, trial, signs)
+            )
 
     def test_deterministic_per_trial(self):
         config = NetworkConfig(n=16, hidden_widths=(16, 16), sigma_b2=0.1, seed=11)
-        signs = _probe_signs(16, 8, seed=2)
-        a = sample_outputs(config, 3, signs)
-        np.testing.assert_array_equal(a, sample_outputs(config, 3, signs))
-        assert not np.array_equal(a, sample_outputs(config, 4, signs))
+        factor = probe_factor(_probe_signs(16, 8, seed=2), 16)
+        a = sample_outputs(config, 3, factor)
+        np.testing.assert_array_equal(a, sample_outputs(config, 3, factor))
+        assert not np.array_equal(a, sample_outputs(config, 4, factor))
 
     def test_wrong_width_rejected(self):
-        config = NetworkConfig(n=8, hidden_widths=(8, 8))
         with pytest.raises(ConfigError):
-            sample_outputs(config, 0, np.ones((4, 9)))
+            probe_factor(np.ones((4, 9)), 8)
         with pytest.raises(ConfigError):
-            sample_outputs(config, 0, np.ones(8))
+            probe_factor(np.ones(8), 8)
 
 
 class TestForward:

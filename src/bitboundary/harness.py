@@ -513,10 +513,11 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
         trials = net_phi.shape[0]
         ensemble = build_ensemble(profile, signs, seed=derive_seed(config.seed, n))
         gp_phi = sample_block(ensemble, 0, trials)
-        for col in range(2, len(labels)):
+        ts = [1.0 - 2.0 * h / n for h in hs[2:]]
+        fs = profile.evaluate(ts)  # one call over the n's whole overlap column
+        for col, t, f in zip(range(2, len(labels)), ts, fs):
             h = hs[col]
-            t = 1.0 - 2.0 * h / n
-            qf = q * float(profile.evaluate(t))
+            qf = q * float(f)
             net_cov, net_se = mean_stderr(net_phi[:, 0] * net_phi[:, col])
             gp_cov, gp_se = mean_stderr(gp_phi[:, 0] * gp_phi[:, col])
             net_z, gp_z = _z_score(net_cov, qf, net_se), _z_score(gp_cov, qf, gp_se)

@@ -25,21 +25,54 @@ sigma_b^2, independently per unit. This is the finite network's exact law,
 at n_l * m normals per layer instead of n_l * n_{l-1}. The first layer's
 factor of H^T H depends on the inputs alone (probe_factor), so it is
 computed once per input set, not once per network.
+
+screen_tail is a cheaper, certified look at the layers above the first for
+ReLU nets (the built-in RELU object, chosen by identity): the float64 rows
+z1 go through a float32 copy of the tail, and each row comes with a rigorous
+bound eps >= |phi32 - phi64| against any float64 evaluation of that row,
+whatever its summation order. With u = 2^-24 and gamma_K = K u / (1 - K u)
+for a fan-in K, the terms are, carried to the output by the per-net vectors
+r_k = |w_out| |W_L| .. |W_{k+1}| (so each is one gemv of nonnegative float32
+numbers per layer):
+
+* the cast of z1: u * r_1 . h1, exact through ReLU, which keeps signs;
+* each matrix product, its weight cast and its bias add:
+  (gamma_K + 3u) * r_k . h_k (the add's u |z| is at most u (|W| h + |b|));
+* each cast bias and bias add: 2u * r_{k+1} . |b_k|;
+* underflow (or flush to zero) of any float32 operation: at most 2^-126
+  absolutely each, a per-net constant.
+
+Each gemv is divided by (1 - gamma_K), so that its own rounding can only
+raise the bound, and the sum is raised by 2^-20 relatively, which covers the
+float64 arithmetic of the bound and the float64 evaluation's own error (at
+most 2^-28 of the float32 bound). So two float64 evaluations of one row,
+for instance inside batches of different sizes, differ by at most
+FLOAT64_SPREAD * eps. Widths above 2^16, more than 32 hidden layers, or a
+weight or bias that float32 cannot hold to relative precision u (overflow or
+below 2^-126) leave a net without a screen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .activations import Activation, get_activation
+from .activations import RELU, Activation, get_activation
 from .bitstrings import BitString
 from .errors import ConfigError
 from .kernel import validate_variances
 from .rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
+
+_U32 = 2.0**-24  # float32 unit roundoff
+_TINY32 = 2.0**-126  # smallest normal float32: the most any underflow loses
+_SCREEN_MAX_WIDTH = 2**16
+_SCREEN_MAX_DEPTH = 32
+_SCREEN_SLACK = 1.0 + 2.0**-20
+# two float64 evaluations of one row differ by at most this times its eps
+FLOAT64_SPREAD = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -101,17 +134,73 @@ class DeepNet:
         self.biases = tuple(frozen_b)
         self._gemm_out = {}
 
-    def _rows(self, l: int, m: int) -> np.ndarray:
+    def _rows(self, l: int, m: int, dtype=np.float64) -> np.ndarray:
         """Private (m, n_{l+1}) output rows for layer l's matrix product,
         reused across calls; the buffer grows to the largest m seen."""
-        buf = self._gemm_out.get(l)
+        buf = self._gemm_out.get((l, dtype))
         if buf is None or len(buf) < m:
-            buf = self._gemm_out[l] = np.empty((m, self.weights[l].shape[0]))
+            buf = self._gemm_out[l, dtype] = np.empty((m, self.weights[l].shape[0]), dtype)
         return buf[:m]
 
     @cached_property
     def activation(self) -> Activation:
         return get_activation(self.config.activation)
+
+    @cached_property
+    def _screen(self) -> Optional["_Float32Tail"]:
+        return _float32_tail(self)
+
+
+class _Float32Tail(NamedTuple):
+    """A net's layers above the first in float32, with screen_tail's bound:
+    per layer the weights (the output layer's as a vector), the biases, the
+    rounded-up carry vector r_k and the coefficient of r_k . h_k, plus the
+    per-net constant of the bias and underflow terms."""
+
+    weights: Tuple[np.ndarray, ...]
+    biases: Tuple[np.ndarray, ...]
+    carry: Tuple[np.ndarray, ...]
+    coef: Tuple[np.float64, ...]
+    const: float
+
+
+def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
+    """net's _Float32Tail, or None when the bound does not apply to it."""
+    widths = net.config.hidden_widths
+    if (
+        net.activation is not RELU
+        or max(widths) > _SCREEN_MAX_WIDTH
+        or len(widths) > _SCREEN_MAX_DEPTH
+    ):
+        return None
+    weights, biases, carry, coef = [], [], [], []
+    r = np.ones(1)
+    const = 0.0
+    for w64, b64 in zip(net.weights[:0:-1], net.biases[:0:-1]):  # output layer first
+        w_mag, b_mag = np.abs(w64), np.abs(b64)
+        fan_in = w64.shape[1]
+        gamma = fan_in * _U32 / (1.0 - fan_in * _U32)
+        # the bias terms; then underflow (at most 2^-126 an operation) in the
+        # product, the bias add and the gemv, doubled to cover its rounding
+        const += 2.0 * _U32 * float(r @ b_mag)
+        const += (4 * fan_in + 2) * _TINY32 * (float(r.sum()) + 1.0)
+        r = r @ w_mag
+        with np.errstate(over="ignore"):  # an infinite cast is checked below
+            w, b, r32 = w64.astype(np.float32), b64.astype(np.float32), r.astype(np.float32)
+        if not all(np.isfinite(a).all() for a in (w, b, r32)) or any(
+            np.any((mag > 0.0) & (mag < _TINY32)) for mag in (w_mag, b_mag)
+        ):
+            return None
+        weights.append(w)
+        biases.append(b)
+        carry.append(np.where(r32 < r, np.nextafter(r32, np.float32(np.inf)), r32))
+        coef.append(np.float64((gamma + 3.0 * _U32) / (1.0 - gamma)))
+    coef[-1] += np.float64(_U32 / (1.0 - gamma))  # the cast of z1, in the same gemv
+    const += _TINY32 * float(r.sum())
+    weights[0] = weights[0][0]
+    return _Float32Tail(
+        tuple(weights[::-1]), tuple(biases[::-1]), tuple(carry[::-1]), tuple(coef[::-1]), const
+    )
 
 
 def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
@@ -212,6 +301,33 @@ def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     z = h @ net.weights[last].T
     z += net.biases[last]
     return z[:, 0]
+
+
+def screen_tail(net: DeepNet, z1: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The layers above the first in float32, for float64 first-layer
+    preactivations (m, n_1): (phi, eps), both float64 (m,), with
+    |phi - phi64| <= eps for any float64 evaluation phi64 of a row (see the
+    module docstring). None when net has no float32 tail or a row overflows
+    float32, so that phi or eps is not finite."""
+    tail = net._screen
+    if tail is None:
+        return None
+    m = len(z1)
+    eps = np.full(m, tail.const)
+    last = len(tail.weights) - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        h = np.maximum(z1, 0.0, out=net._rows(0, m, np.float32), casting="same_kind")
+        for l, (w, b, r, c) in enumerate(zip(tail.weights, tail.biases, tail.carry, tail.coef)):
+            eps += c * (h @ r)
+            if l < last:
+                z = np.matmul(h, w.T, out=net._rows(l + 1, m, np.float32))
+                z += b
+                h = np.maximum(z, 0.0, out=z)
+        phi = (h @ tail.weights[last] + tail.biases[last]).astype(np.float64)
+    eps *= _SCREEN_SLACK
+    if not (np.isfinite(phi).all() and np.isfinite(eps).all()):
+        return None
+    return phi, eps
 
 
 def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, np.ndarray]:

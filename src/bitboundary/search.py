@@ -7,7 +7,8 @@ Three procedures, all pure functions of (net, x, seed):
   changes. Step count equals Hamming distance from the start because bits
   are never re-flipped. Candidate evaluations reuse the first-layer
   preactivations: a flip is one add of a row of a per-trial flip table, so
-  each step costs at most n row adds plus n tail-layer passes.
+  each step costs at most n row adds plus n tail-layer passes. Each step
+  screens its candidates in float32 and decides in float64 (below).
 * exact_search: enumerate Hamming shells h = 1, 2, .. exhaustively
   (lexicographic combinations, early exit on the first hit), so the returned
   distance is guaranteed minimal. A budget caps the total enumeration.
@@ -19,6 +20,22 @@ Three procedures, all pure functions of (net, x, seed):
 ``evaluations`` counts candidate forward passes; the single evaluation of
 the starting point is excluded, which keeps "per step at most n" and
 "total at most n * steps" exact for greedy.
+
+Greedy's screen and decision: nets.screen_tail gives each candidate's phi
+through a float32 tail with a rigorous bound eps against any float64
+evaluation. Only the candidates whose interval [s0 phi - eps, s0 phi + eps]
+reaches below the smallest upper end can be the float64 argmin, and only
+these contenders are evaluated in float64 (forward_from_first_layer). The
+decision stands when it is certified against the float64 pass over the
+whole batch too: the contenders' float64 values may come out a few ulps
+apart from that pass (a BLAS may round a row differently in a smaller
+batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen candidate must
+be below every other contender and away from zero by more than that. Every
+other case takes the full float64 step, which is the decision itself: an
+exact tie, too many contenders, a float32 overflow, or a net without a
+float32 tail (any activation but the built-in RELU object, by identity).
+So the path and distance are those of the float64 pass over every
+candidate, bit for bit, on any BLAS.
 """
 
 from __future__ import annotations
@@ -33,11 +50,13 @@ import numpy as np
 from .bitstrings import BitString
 from .errors import BudgetExceededError, ConfigError
 from .nets import (
+    FLOAT64_SPREAD,
     DeepNet,
     forward,
     forward_batch,
     forward_from_first_layer,
     forward_with_first_layer_cache,
+    screen_tail,
     sign_with_tie,
 )
 from .rng import STREAM_WALK, spawn_rng
@@ -45,6 +64,7 @@ from .rng import STREAM_WALK, spawn_rng
 DEFAULT_BUDGET = 20_000_000
 _ENUM_CHUNK = 2048
 _WALK_BLOCK = 64
+_MAX_CONTENDERS = 0.25  # of the batch; above it the screen saves little
 
 
 @dataclass(frozen=True)
@@ -66,7 +86,9 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     """Greedy descent of s0 * phi over single-bit flips, for at most n steps.
 
     Ties break toward the lowest bit index; already-flipped bits are never
-    candidates again.
+    candidates again. Each step's choice is the argmin of the float64 tail
+    over all candidates, found through the float32 screen when it can be
+    certified (module docstring).
     """
     n = net.config.n
     phi0, z1 = forward_with_first_layer_cache(net, x)
@@ -83,15 +105,14 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
         # mode="clip" (cand is in range) lets take write straight into out
         z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")
         z1_cand += z1
-        phis = forward_from_first_layer(net, z1_cand)
         evaluations += cand.size
-        j = int(np.argmin(s0 * phis))
+        j, phi = _screened_choice(net, z1_cand, s0) or _float64_choice(net, z1_cand, s0)
         i = int(cand[j])
         path.append(i)
         z1 = z1 + delta[i]  # the same sum as z1_cand[j], without a view into workspace
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
-        if (phis[j] >= 0.0) != started_positive:
+        if (phi >= 0.0) != started_positive:
             distance = step
             break
     return SearchResult(
@@ -100,6 +121,39 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
         path=tuple(path),
         evaluations=evaluations,
     )
+
+
+def _float64_choice(net: DeepNet, z1_cand: np.ndarray, s0: float) -> Tuple[int, float]:
+    """(row, phi) of the argmin of s0 * phi over the rows z1_cand (the
+    lowest row of a tie), from the float64 pass over all rows."""
+    phis = forward_from_first_layer(net, z1_cand)
+    j = int(np.argmin(s0 * phis))
+    return j, phis[j]
+
+
+def _screened_choice(
+    net: DeepNet, z1_cand: np.ndarray, s0: float
+) -> Optional[Tuple[int, float]]:
+    """_float64_choice's answer through the float32 screen, or None when the
+    screen cannot certify it (module docstring)."""
+    screened = screen_tail(net, z1_cand)
+    if screened is None:
+        return None
+    phi32, eps = screened
+    key32 = s0 * phi32
+    contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
+    if contenders.size > _MAX_CONTENDERS * len(z1_cand):
+        return None
+    phis = forward_from_first_layer(net, z1_cand[contenders])
+    key = s0 * phis
+    spread = FLOAT64_SPREAD * eps[contenders]
+    k = int(np.argmin(key))
+    low = key - spread
+    low[k] = np.inf
+    phi, near = phis[k], spread[k]
+    if np.min(low) > key[k] + near and (phi - near >= 0.0 or phi + near < 0.0):
+        return int(contenders[k]), phi
+    return None
 
 
 def exact_search(

@@ -6,9 +6,18 @@ acceptance gate. Each heavy fixture returns (ExperimentResult, elapsed
 seconds) so tests can report wall time alongside the science.
 """
 
+import os
 import time
 
-import numpy as np
+# One BLAS thread per process, as CI and the benchmark pin it: the two
+# longest fixtures run their trials in two worker processes, and a
+# multithreaded BLAS in each would oversubscribe the CPUs (measured: the
+# closest fixture took 13.9 s on two workers against 10.3 s serially). It
+# must be set before numpy loads; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from bitboundary.harness import (
@@ -24,6 +33,9 @@ from bitboundary.kernel import build_profile
 from bitboundary.nets import DeepNet, NetworkConfig
 
 ACCEPTANCE_SEED = 42
+# The two longest fixtures run their trials on up to two processes; rows are
+# identical at any parallelism (test_11 and the golden pins check this).
+FIXTURE_PARALLEL = min(2, os.cpu_count() or 1)
 
 
 def acceptance_config(kind, **extra):
@@ -77,12 +89,12 @@ def default_profile():
 @pytest.fixture(scope="session")
 def closest_run():
     """Acceptance-scale nearest-boundary run (also feeds the |phi| binning)."""
-    return _timed_run(acceptance_config(KIND_CLOSEST))
+    return _timed_run(acceptance_config(KIND_CLOSEST, parallel=FIXTURE_PARALLEL))
 
 
 @pytest.fixture(scope="session")
 def flips_run():
-    return _timed_run(acceptance_config(KIND_FLIPS))
+    return _timed_run(acceptance_config(KIND_FLIPS, parallel=FIXTURE_PARALLEL))
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitboundary.activations import get_activation
+from bitboundary.activations import RELU, Activation, get_activation, register_activation
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.nets import (
+    FLOAT64_SPREAD,
     DeepNet,
     NetworkConfig,
     forward,
@@ -16,6 +19,7 @@ from bitboundary.nets import (
     probe_factor,
     sample_network,
     sample_outputs,
+    screen_tail,
     sign_with_tie,
 )
 from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
@@ -287,3 +291,88 @@ class TestFlipCache:
         for i in range(14):
             direct = forward(net, x.flip_many((i,)))
             np.testing.assert_allclose(via_cache[i], direct, rtol=1e-10, atol=1e-12)
+
+
+class TestFloat32Screen:
+    """screen_tail's float32 tail and its bound: |phi32 - phi64| <= eps for
+    any float64 evaluation of a row, with no tolerance beyond eps."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 24),
+        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        sigma_w2=st.floats(0.25, 4.0),
+        sigma_b2=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+        m=st.integers(1, 24),
+        scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3]),
+    )
+    def test_bound_holds_on_every_row(self, n, widths, sigma_w2, sigma_b2, seed, m, scale):
+        config = NetworkConfig(
+            n=n, hidden_widths=tuple(widths), sigma_w2=sigma_w2, sigma_b2=sigma_b2, seed=seed
+        )
+        net = sample_network(config, 0)
+        z1 = np.random.default_rng(seed).standard_normal((m, widths[0])) * scale
+        phi32, eps = screen_tail(net, z1)
+        assert phi32.dtype == eps.dtype == np.float64
+        assert np.all(np.abs(phi32 - forward_from_first_layer(net, z1)) <= eps)
+        for row in range(m):  # one-row batches take other BLAS kernels
+            single = forward_from_first_layer(net, z1[row : row + 1])[0]
+            assert abs(phi32[row] - single) <= eps[row]
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_row_subsets_within_float64_spread(self, n):
+        """The BLAS row-subset property greedy's decision relies on: _tail on
+        a 1-, 2-, 3- or 7-row subset of a batch gives the rows of the
+        full-batch _tail to within FLOAT64_SPREAD * eps. (Bit equality does
+        not hold on every BLAS: OpenBLAS rounds a 1- or 2-row batch, or any
+        batch of 64, in another order.)"""
+        config = NetworkConfig(n=n, hidden_widths=(n, n), sigma_b2=0.1, seed=5)
+        net = sample_network(config, 1)
+        rng = np.random.default_rng(n)
+        z1 = net.weights[0] @ rng.choice([-1.0, 1.0], n) + net.biases[0]
+        batch = z1 - 2.0 * net.weights[0].T * rng.choice([-1.0, 1.0], (n, 1))
+        full = forward_from_first_layer(net, batch)
+        _, eps = screen_tail(net, batch)
+        for k in (1, 2, 3, 7):
+            rows = np.sort(rng.choice(n, k, replace=False))
+            sub = forward_from_first_layer(net, batch[rows])
+            assert np.all(np.abs(sub - full[rows]) <= FLOAT64_SPREAD * eps[rows])
+
+    def test_exact_arithmetic_gives_exact_values(self):
+        net = build_linear_net([5.0, -3.0, 9.0, 1.0, -7.0])
+        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5))
+        z1 = signs @ net.weights[0].T
+        phi32, eps = screen_tail(net, z1)
+        np.testing.assert_array_equal(phi32, forward_from_first_layer(net, z1))
+        assert np.all(eps > 0.0)
+
+    @pytest.mark.parametrize("scale", [3e38, 1e39])
+    def test_float32_overflow_gives_none(self, scale):
+        """The tail's weights fit float32, the preactivations do not: z1
+        itself (1e39) or the second layer's (a sum of five 3e38)."""
+        config = NetworkConfig(n=6, hidden_widths=(5, 4))
+        weights = [np.ones((5, 6)), np.ones((4, 5)), np.ones((1, 4))]
+        net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
+        z1 = np.full((3, 5), scale)
+        assert net._screen is not None
+        assert screen_tail(net, z1) is None
+        assert np.all(np.isfinite(forward_from_first_layer(net, z1)))
+
+    @pytest.mark.parametrize("scale", [1e39, 1e-40])
+    def test_weights_outside_float32_have_no_screen(self, scale):
+        config = NetworkConfig(n=6, hidden_widths=(5, 4), sigma_b2=0.2)
+        net = sample_network(config, 0)
+        weights = list(net.weights)
+        weights[-1] = weights[-1] * scale
+        assert DeepNet(config, weights, net.biases)._screen is None
+
+    def test_only_the_builtin_relu_is_screened(self):
+        twin = register_activation(
+            Activation("relu_screen_twin", RELU.fn, RELU.derivative)
+        )
+        z1 = np.random.default_rng(1).standard_normal((4, 7))
+        for activation in ("relu", "tanh", twin.name):
+            config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
+            net = sample_network(config, 0)
+            assert (screen_tail(net, z1) is None) == (activation != "relu")

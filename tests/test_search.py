@@ -11,9 +11,11 @@ import itertools
 import numpy as np
 import pytest
 
+from bitboundary import search
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import BudgetExceededError, ConfigError
 from bitboundary.nets import (
+    DeepNet,
     NetworkConfig,
     forward,
     forward_batch,
@@ -83,6 +85,10 @@ class TestGreedyOnLinearNets:
             random_flip_walk(net, x, 0)
 
 
+# a linear net's weights with two exact ties: bits 1 and 3, bits 7 and 15
+TIED = [3.0, 9.0, 1.0, 9.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
 def naive_greedy(net, x):
     """Greedy by full forward passes: at each step evaluate every remaining
     single flip of the current string, take the argmin of s0 * phi (ties to
@@ -107,21 +113,98 @@ def naive_greedy(net, x):
     return start_phi, tuple(path), None, evaluations
 
 
+@pytest.fixture
+def tail_rows(monkeypatch):
+    """Row counts of greedy's float64 tail passes, in call order; a pass over
+    fewer rows than the step's batch is a screened step's contenders."""
+    rows = []
+    real = search.forward_from_first_layer
+
+    def spy(net, z1):
+        rows.append(len(z1))
+        return real(net, z1)
+
+    monkeypatch.setattr(search, "forward_from_first_layer", spy)
+    return rows
+
+
+def assert_greedy_matches_naive(net, x, tail_rows):
+    """greedy equals naive_greedy; returns how many of its steps the float32
+    screen decided (float64 passes over fewer rows than any step's batch)."""
+    del tail_rows[:]
+    res = greedy_search(net, x)
+    assert (res.start_phi, res.path, res.distance, res.evaluations) == naive_greedy(net, x)
+    smallest_batch = net.config.n - len(res.path) + 1
+    return sum(m < smallest_batch for m in tail_rows)
+
+
 class TestGreedyMatchesNaiveReference:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("n, widths", [(9, (13, 5, 7)), (40, (24, 48))])
-    def test_sampled_nets(self, n, widths, activation):
-        steps = 0
+    @pytest.mark.parametrize(
+        "n, widths", [(9, (13, 5, 7)), (40, (24, 48)), (12, (16, 10, 20)), (48, (40, 24, 56))]
+    )
+    def test_sampled_nets(self, n, widths, activation, tail_rows):
+        steps = screened = 0
         for trial in range(8):
             config = NetworkConfig(
                 n=n, hidden_widths=widths, sigma_b2=0.3, activation=activation, seed=11
             )
             net = sample_network(config, trial)
             x = BitString.random(n, np.random.default_rng(trial))
-            res = greedy_search(net, x)
-            assert (res.start_phi, res.path, res.distance, res.evaluations) == naive_greedy(net, x)
-            steps += len(res.path)
+            screened += assert_greedy_matches_naive(net, x, tail_rows)
+            steps += len(tail_rows)
         assert steps > 8  # some trials take several steps
+        # only the built-in ReLU enters the float32 screen
+        assert (screened > 0) == (activation == "relu")
+
+    def test_exact_ties_take_the_lowest_index(self, tail_rows):
+        """Columns 1 and 3 (and 7 and 15) of the first layer are equal, so
+        their flips tie exactly, in float32 and float64 alike: the screen
+        sees the tie among its contenders and leaves the step to the float64
+        pass over the whole batch."""
+        net = build_linear_net(TIED)
+        x = BitString(np.ones(16))  # phi = 75
+        assert_greedy_matches_naive(net, x, tail_rows)
+        assert greedy_search(net, x).path == (1, 3, 9, 8, 7)
+        assert tail_rows[:2] == [2, 16]  # the tied contenders, then the batch
+
+    @pytest.mark.parametrize("layer", [0, -1])
+    def test_float32_overflow_falls_back(self, layer, tail_rows):
+        """First-layer weights of 1e39 overflow the float32 cast of z1 at
+        every step; output weights of 1e39 leave the net without a float32
+        tail. Either way every step is the float64 pass."""
+        config = NetworkConfig(n=12, hidden_widths=(12, 12), sigma_b2=0.3)
+        rng = np.random.default_rng(9)
+        for trial in range(4):
+            net = sample_network(config, trial)
+            weights = list(net.weights)
+            weights[layer] = weights[layer] * 1e39
+            net = DeepNet(config, weights, net.biases)
+            assert assert_greedy_matches_naive(net, BitString.random(12, rng), tail_rows) == 0
+
+    def test_decision_does_not_need_bit_equal_row_subsets(self, monkeypatch, tail_rows):
+        """A BLAS may round a row of a small batch a few ulps away from the
+        same row in the whole batch. Nudging every pass over at most 8 rows
+        (contenders here, never a whole batch) by up to 3 ulps, up and down,
+        changes no path, not even at an exact tie: each screened decision is
+        certified against the whole batch's float64 values."""
+        real = search.forward_from_first_layer
+
+        def nudged(net, z1):
+            phis = real(net, z1)
+            if len(z1) <= 8:
+                phis = phis + np.spacing(phis) * np.resize([3.0, -3.0, 1.0, -2.0], len(z1))
+            return phis
+
+        monkeypatch.setattr(search, "forward_from_first_layer", nudged)
+        assert greedy_search(build_linear_net(TIED), BitString(np.ones(16))).path == (1, 3, 9, 8, 7)
+        screened = 0
+        config = NetworkConfig(n=40, hidden_widths=(24, 48), sigma_b2=0.3, seed=11)
+        for trial in range(8):
+            net = sample_network(config, trial)
+            x = BitString.random(40, np.random.default_rng(trial))
+            screened += assert_greedy_matches_naive(net, x, tail_rows)
+        assert screened > 8
 
 
 class TestExactSearch:

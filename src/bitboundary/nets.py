@@ -303,20 +303,24 @@ def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     return z[:, 0]
 
 
-def screen_tail(net: DeepNet, z1: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The layers above the first in float32, for float64 first-layer
-    preactivations (m, n_1): (phi, eps), both float64 (m,), with
-    |phi - phi64| <= eps for any float64 evaluation phi64 of a row (see the
-    module docstring). None when net has no float32 tail or a row overflows
-    float32, so that phi or eps is not finite."""
+def screen_tail(
+    net: DeepNet, z1: np.ndarray, flips: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The layers above the first in float32, for the float64 first-layer
+    preactivations z1 + flips[k] (flips (m, n_1), z1 broadcast to it; each
+    sum is rounded once to float32, not stored): (phi, eps), both float64
+    (m,), with |phi - phi64| <= eps for any float64 evaluation phi64 of a
+    row (see the module docstring). None when net has no float32 tail or a
+    row overflows float32, so that phi or eps is not finite."""
     tail = net._screen
     if tail is None:
         return None
-    m = len(z1)
+    m = len(flips)
     eps = np.full(m, tail.const)
     last = len(tail.weights) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        h = np.maximum(z1, 0.0, out=net._rows(0, m, np.float32), casting="same_kind")
+        h = np.add(flips, z1, out=net._rows(0, m, np.float32), casting="same_kind")
+        h = np.maximum(h, 0.0, out=h)
         for l, (w, b, r, c) in enumerate(zip(tail.weights, tail.biases, tail.carry, tail.coef)):
             eps += c * (h @ r)
             if l < last:

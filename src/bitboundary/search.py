@@ -102,14 +102,12 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     distance = None
     for step in range(1, n + 1):
         cand = np.flatnonzero(remaining)
-        # mode="clip" (cand is in range) lets take write straight into out
-        z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")
-        z1_cand += z1
         evaluations += cand.size
-        j, phi = _screened_choice(net, z1_cand, s0) or _float64_choice(net, z1_cand, s0)
-        i = int(cand[j])
+        i, phi = _screened_choice(net, z1, delta, remaining, s0) or _float64_choice(
+            net, z1, delta, cand, workspace, s0
+        )
         path.append(i)
-        z1 = z1 + delta[i]  # the same sum as z1_cand[j], without a view into workspace
+        z1 = z1 + delta[i]  # the same sum as candidate i's row
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phi >= 0.0) != started_positive:
@@ -123,28 +121,37 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     )
 
 
-def _float64_choice(net: DeepNet, z1_cand: np.ndarray, s0: float) -> Tuple[int, float]:
-    """(row, phi) of the argmin of s0 * phi over the rows z1_cand (the
-    lowest row of a tie), from the float64 pass over all rows."""
+def _float64_choice(
+    net: DeepNet, z1: np.ndarray, delta: np.ndarray, cand: np.ndarray, workspace, s0: float
+) -> Tuple[int, float]:
+    """(bit, phi) of the argmin of s0 * phi over the flips of the bits cand
+    (the lowest bit of a tie), from the float64 pass over all of them."""
+    # mode="clip" (cand is in range) lets take write straight into out
+    z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")
+    z1_cand += z1
     phis = forward_from_first_layer(net, z1_cand)
     j = int(np.argmin(s0 * phis))
-    return j, phis[j]
+    return int(cand[j]), phis[j]
 
 
 def _screened_choice(
-    net: DeepNet, z1_cand: np.ndarray, s0: float
+    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Optional[Tuple[int, float]]:
     """_float64_choice's answer through the float32 screen, or None when the
-    screen cannot certify it (module docstring)."""
-    screened = screen_tail(net, z1_cand)
+    screen cannot certify it (module docstring). The screen runs over every
+    flip, the flipped bits included, which spares the gather of the rows."""
+    screened = screen_tail(net, z1, delta)
     if screened is None:
         return None
     phi32, eps = screened
     key32 = s0 * phi32
+    key32[~remaining] = np.inf
     contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
-    if contenders.size > _MAX_CONTENDERS * len(z1_cand):
+    if contenders.size > _MAX_CONTENDERS * np.count_nonzero(remaining):
         return None
-    phis = forward_from_first_layer(net, z1_cand[contenders])
+    rows = delta[contenders]
+    rows += z1  # the same sums as the float64 pass's rows
+    phis = forward_from_first_layer(net, rows)
     key = s0 * phis
     spread = FLOAT64_SPREAD * eps[contenders]
     k = int(np.argmin(key))

@@ -313,7 +313,7 @@ class TestFloat32Screen:
         )
         net = sample_network(config, 0)
         z1 = np.random.default_rng(seed).standard_normal((m, widths[0])) * scale
-        phi32, eps = screen_tail(net, z1)
+        phi32, eps = screen_tail(net, 0.0, z1)
         assert phi32.dtype == eps.dtype == np.float64
         assert np.all(np.abs(phi32 - forward_from_first_layer(net, z1)) <= eps)
         for row in range(m):  # one-row batches take other BLAS kernels
@@ -333,7 +333,7 @@ class TestFloat32Screen:
         z1 = net.weights[0] @ rng.choice([-1.0, 1.0], n) + net.biases[0]
         batch = z1 - 2.0 * net.weights[0].T * rng.choice([-1.0, 1.0], (n, 1))
         full = forward_from_first_layer(net, batch)
-        _, eps = screen_tail(net, batch)
+        _, eps = screen_tail(net, 0.0, batch)
         for k in (1, 2, 3, 7):
             rows = np.sort(rng.choice(n, k, replace=False))
             sub = forward_from_first_layer(net, batch[rows])
@@ -343,7 +343,7 @@ class TestFloat32Screen:
         net = build_linear_net([5.0, -3.0, 9.0, 1.0, -7.0])
         signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5))
         z1 = signs @ net.weights[0].T
-        phi32, eps = screen_tail(net, z1)
+        phi32, eps = screen_tail(net, 0.0, z1)
         np.testing.assert_array_equal(phi32, forward_from_first_layer(net, z1))
         assert np.all(eps > 0.0)
 
@@ -356,7 +356,7 @@ class TestFloat32Screen:
         net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
         z1 = np.full((3, 5), scale)
         assert net._screen is not None
-        assert screen_tail(net, z1) is None
+        assert screen_tail(net, 0.0, z1) is None
         assert np.all(np.isfinite(forward_from_first_layer(net, z1)))
 
     @pytest.mark.parametrize("scale", [1e39, 1e-40])
@@ -375,4 +375,4 @@ class TestFloat32Screen:
         for activation in ("relu", "tanh", twin.name):
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
-            assert (screen_tail(net, z1) is None) == (activation != "relu")
+            assert (screen_tail(net, 0.0, z1) is None) == (activation != "relu")

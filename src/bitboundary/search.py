@@ -35,7 +35,8 @@ other case takes the full float64 step, which is the decision itself: an
 exact tie, too many contenders, a float32 overflow, or a net without a
 float32 tail (any activation but the built-in RELU object, by identity).
 So the path and distance are those of the float64 pass over every
-candidate, bit for bit, on any BLAS.
+candidate, bit for bit, on any BLAS. Small nets skip the screen: below 2^23
+tail multiply-adds a step, its fixed costs outweigh its saving.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ DEFAULT_BUDGET = 20_000_000
 _ENUM_CHUNK = 2048
 _WALK_BLOCK = 64
 _MAX_CONTENDERS = 0.25  # of the batch; above it the screen saves little
+# Tail multiply-adds of a step's n rows below which the screen's fixed costs
+# (its float32 copy of the net, a dozen numpy calls a step) outweigh what it
+# saves: measured break-even at about n = 192 for two hidden layers of n.
+_SCREEN_MIN_WORK = 2**23
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,7 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     s0 = 1.0 if started_positive else -1.0
     delta = _flip_rows(net, x, slice(None))
     workspace = np.empty_like(delta)
+    screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
@@ -103,9 +109,8 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     for step in range(1, n + 1):
         cand = np.flatnonzero(remaining)
         evaluations += cand.size
-        i, phi = _screened_choice(net, z1, delta, remaining, s0) or _float64_choice(
-            net, z1, delta, cand, workspace, s0
-        )
+        choice = screen and _screened_choice(net, z1, delta, remaining, s0)
+        i, phi = choice or _float64_choice(net, z1, delta, cand, workspace, s0)
         path.append(i)
         z1 = z1 + delta[i]  # the same sum as candidate i's row
         remaining[i] = False
@@ -122,7 +127,12 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
 
 
 def _float64_choice(
-    net: DeepNet, z1: np.ndarray, delta: np.ndarray, cand: np.ndarray, workspace, s0: float
+    net: DeepNet,
+    z1: np.ndarray,
+    delta: np.ndarray,
+    cand: np.ndarray,
+    workspace: np.ndarray,
+    s0: float,
 ) -> Tuple[int, float]:
     """(bit, phi) of the argmin of s0 * phi over the flips of the bits cand
     (the lowest bit of a tie), from the float64 pass over all of them."""

@@ -116,7 +116,9 @@ def naive_greedy(net, x):
 @pytest.fixture
 def tail_rows(monkeypatch):
     """Row counts of greedy's float64 tail passes, in call order; a pass over
-    fewer rows than the step's batch is a screened step's contenders."""
+    fewer rows than the step's batch is a screened step's contenders. The
+    screen runs at any size, so that small nets exercise it."""
+    monkeypatch.setattr(search, "_SCREEN_MIN_WORK", 0)
     rows = []
     real = search.forward_from_first_layer
 
@@ -156,6 +158,20 @@ class TestGreedyMatchesNaiveReference:
         assert steps > 8  # some trials take several steps
         # only the built-in ReLU enters the float32 screen
         assert (screened > 0) == (activation == "relu")
+
+    def test_screen_only_where_it_pays(self, monkeypatch):
+        """At the default size threshold a net of two hidden layers of n
+        enters the float32 screen from n = 256 on, not at n = 128."""
+        rows = []
+        real = search.forward_from_first_layer
+        monkeypatch.setattr(
+            search, "forward_from_first_layer", lambda net, z1: rows.append(len(z1)) or real(net, z1)
+        )
+        for n in (128, 256):
+            del rows[:]
+            net = sample_network(NetworkConfig(n=n, hidden_widths=(n, n), seed=2), 0)
+            res = greedy_search(net, BitString.random(n, np.random.default_rng(n)))
+            assert (min(rows) < n - len(res.path) + 1) == (n == 256)
 
     def test_exact_ties_take_the_lowest_index(self, tail_rows):
         """Columns 1 and 3 (and 7 and 15) of the first layer are equal, so

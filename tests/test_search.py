@@ -131,13 +131,14 @@ def tail_rows(monkeypatch):
 
 
 def assert_greedy_matches_naive(net, x, tail_rows):
-    """greedy equals naive_greedy; returns how many of its steps the float32
-    screen decided (float64 passes over fewer rows than any step's batch)."""
+    """greedy equals naive_greedy; returns its step count and how many of
+    them the float32 screen decided (float64 passes over fewer rows than any
+    step's batch)."""
     del tail_rows[:]
     res = greedy_search(net, x)
     assert (res.start_phi, res.path, res.distance, res.evaluations) == naive_greedy(net, x)
     smallest_batch = net.config.n - len(res.path) + 1
-    return sum(m < smallest_batch for m in tail_rows)
+    return len(res.path), sum(m < smallest_batch for m in tail_rows)
 
 
 class TestGreedyMatchesNaiveReference:
@@ -153,8 +154,9 @@ class TestGreedyMatchesNaiveReference:
             )
             net = sample_network(config, trial)
             x = BitString.random(n, np.random.default_rng(trial))
-            screened += assert_greedy_matches_naive(net, x, tail_rows)
-            steps += len(tail_rows)
+            trial_steps, trial_screened = assert_greedy_matches_naive(net, x, tail_rows)
+            steps += trial_steps
+            screened += trial_screened
         assert steps > 8  # some trials take several steps
         # only the built-in ReLU enters the float32 screen
         assert (screened > 0) == (activation == "relu")
@@ -196,7 +198,7 @@ class TestGreedyMatchesNaiveReference:
             weights = list(net.weights)
             weights[layer] = weights[layer] * 1e39
             net = DeepNet(config, weights, net.biases)
-            assert assert_greedy_matches_naive(net, BitString.random(12, rng), tail_rows) == 0
+            assert assert_greedy_matches_naive(net, BitString.random(12, rng), tail_rows)[1] == 0
 
     def test_decision_does_not_need_bit_equal_row_subsets(self, monkeypatch, tail_rows):
         """A BLAS may round a row of a small batch a few ulps away from the
@@ -219,7 +221,7 @@ class TestGreedyMatchesNaiveReference:
         for trial in range(8):
             net = sample_network(config, trial)
             x = BitString.random(40, np.random.default_rng(trial))
-            screened += assert_greedy_matches_naive(net, x, tail_rows)
+            screened += assert_greedy_matches_naive(net, x, tail_rows)[1]
         assert screened > 8
 
 

@@ -53,11 +53,10 @@ def build_ensemble(profile: KernelProfile, signs: np.ndarray, seed: int = 0) -> 
     m, n = signs.shape
     if m > MAX_POINTS:
         raise ConfigError(f"point set of {m} exceeds the dense factorization cap {MAX_POINTS}")
-    overlaps = (signs @ signs.T) / n
-    cov = profile.q * np.asarray(profile.evaluate(overlaps.ravel())).reshape(
-        overlaps.shape
-    )
-    cov = 0.5 * (cov + cov.T)
+    # overlaps t = 1 - 2h / n from exact integer Hamming distances h; F once per h
+    dist, index = np.unique((n - signs @ signs.T).astype(np.int64) // 2, return_inverse=True)
+    f = np.asarray(profile.evaluate(1.0 - 2.0 * dist / n))
+    cov = profile.q * f[index].reshape(m, m)
     jitter = JITTER_START * profile.q
     chol = None
     while jitter <= JITTER_STOP * profile.q * (1.0 + 1e-12):

@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"method must be greedy or exact, got {self.method!r}")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if self.max_h is not None and not 1 <= self.max_h <= self.n_values[0]:
+            raise ConfigError(f"max_h must be in [1, {self.n_values[0]}], got {self.max_h}")
         if self.widths is not None and len(self.widths) != self.layers:
             raise ConfigError(f"{len(self.widths)} widths given for {self.layers} layers")
         if self.plot_csv is not None:
@@ -513,11 +515,10 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
         trials = net_phi.shape[0]
         ensemble = build_ensemble(profile, signs, seed=derive_seed(config.seed, n))
         gp_phi = sample_block(ensemble, 0, trials)
-        ts = [1.0 - 2.0 * h / n for h in hs[2:]]
-        fs = profile.evaluate(ts)  # one call over the n's whole overlap column
-        for col, t, f in zip(range(2, len(labels)), ts, fs):
+        for col in range(2, len(labels)):
             h = hs[col]
-            qf = q * float(f)
+            t = 1.0 - 2.0 * h / n  # as build_ensemble's overlap lattice
+            qf = float(ensemble.cov[0, col])
             net_cov, net_se = mean_stderr(net_phi[:, 0] * net_phi[:, col])
             gp_cov, gp_se = mean_stderr(gp_phi[:, 0] * gp_phi[:, col])
             net_z, gp_z = _z_score(net_cov, qf, net_se), _z_score(gp_cov, qf, gp_se)

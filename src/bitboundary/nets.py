@@ -11,12 +11,13 @@ with the deterministic tie rule sign(0) = +1. The batch paths take float64
 BitString.
 
 All math is float64 with a fixed summation order (row-major matrix products),
-so a given (config, trial_index) reproduces phi bit for bit. Single-bit flips
-reuse the first-layer preactivations: flipping bit i changes W^(1) x by
--2 x_i W^(1)[:, i]: a flip is one add of a row precomputed per trial, and
-only the layers above the first are recomputed. Their hidden products go
-into rows owned by the DeepNet (grown to the largest batch, never returned),
-so one net must not run forward passes from several threads at once.
+so a given (config, trial_index) reproduces phi bit for bit. Flipping bit i
+changes W^(1) x by -2 x_i W^(1)[:, i], so the searches' one flip update is
+the start's z1 plus a row per flipped bit, summed left to right, through
+the layers above the first; forward and forward_batch, from sign rows, are
+the independent reference. The hidden products go into rows owned by the
+DeepNet (grown to the largest batch, never returned), so one net must not
+run forward passes from several threads at once.
 
 sample_outputs draws phi at a few fixed inputs without drawing any weight
 matrix: given the layer below, the preactivations of layer l at m inputs
@@ -338,8 +339,8 @@ def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, n
     """phi(x) and the first-layer preactivations z1 = W^(1) x + b^(1).
 
     Flipping bit i turns z1 into z1 - 2 x_i W^(1)[:, i] (row i of
-    W^(1).T * -2 x[:, None]), so any single-bit flip costs one row add plus
-    the layers above the first through forward_from_first_layer.
+    W^(1).T * -2 x[:, None]), so a set of flips costs one row add per bit
+    plus the layers above the first through forward_from_first_layer.
     """
     if x.n != net.config.n:
         raise ConfigError(f"input length {x.n} != network input_dim {net.config.n}")

@@ -5,38 +5,41 @@ Three procedures, all pure functions of (net, x, seed):
 * greedy_search: repeatedly flip the not-yet-flipped bit whose flip moves
   s0 * phi furthest down (s0 = sign of the starting output), until the sign
   changes. Step count equals Hamming distance from the start because bits
-  are never re-flipped. Candidate evaluations reuse the first-layer
-  preactivations: a flip is one add of a row of a per-trial flip table, so
-  each step costs at most n row adds plus n tail-layer passes. Each step
-  screens its candidates in float32 and decides in float64 (below).
+  are never re-flipped. Each step screens the flips in float32 and decides
+  in float64 (below).
 * exact_search: enumerate Hamming shells h = 1, 2, .. exhaustively
   (lexicographic combinations, early exit on the first hit), so the returned
   distance is guaranteed minimal. A budget caps the total enumeration.
 * random_flip_walk: flip bits in a uniformly random order (a geodesic, no
-  bit twice) until the classification changes, capped at n steps. The walk
-  reuses the first-layer preactivations too: a block of steps is a running
-  sum of flip rows, and only the layers above the first are evaluated.
+  bit twice) until the classification changes, capped at n steps.
 
-``evaluations`` counts candidate forward passes; the single evaluation of
-the starting point is excluded, which keeps "per step at most n" and
-"total at most n * steps" exact for greedy.
+All three evaluate a flip set one way, the flip update: the starting
+first-layer preactivations z1 (nets.forward_with_first_layer_cache) plus
+the flip rows of its bits (_flip_rows), summed left to right, through the
+layers above the first (nets.forward_from_first_layer). The sign-row
+recursion (nets.forward_batch) is the independent reference for tests.
 
-Greedy's screen and decision: nets.screen_tail gives each candidate's phi
-through a float32 tail with a rigorous bound eps against any float64
-evaluation. Only the candidates whose interval [s0 phi - eps, s0 phi + eps]
-reaches below the smallest upper end can be the float64 argmin, and only
-these contenders are evaluated in float64 (forward_from_first_layer). The
-decision stands when it is certified against the float64 pass over the
-whole batch too: the contenders' float64 values may come out a few ulps
-apart from that pass (a BLAS may round a row differently in a smaller
-batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen candidate must
-be below every other contender and away from zero by more than that. Every
-other case takes the full float64 step, which is the decision itself: an
+``evaluations`` counts candidate forward passes of unflipped bits; the
+single evaluation of the starting point is excluded, which keeps "per step
+at most n" and "total at most n * steps" exact for greedy.
+
+Greedy's screen and decision: a step's choice is the argmin of s0 * phi
+from the float64 pass over every flip of the table, the flipped bits' keys
+set to +inf. nets.screen_tail gives each flip's phi through a float32 tail
+with a rigorous bound eps against any float64 evaluation. Only the flips
+whose interval [s0 phi - eps, s0 phi + eps] reaches below the smallest
+upper end can be the float64 argmin, and only these contenders are
+evaluated in float64. The decision stands when it is certified against the
+float64 pass over every flip too: the contenders' float64 values may come
+out a few ulps apart from that pass (a BLAS may round a row differently in
+a smaller batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen flip
+must be below every other contender and away from zero by more than that.
+Every other case takes the float64 pass, which is the decision itself: an
 exact tie, too many contenders, a float32 overflow, or a net without a
 float32 tail (any activation but the built-in RELU object, by identity).
-So the path and distance are those of the float64 pass over every
-candidate, bit for bit, on any BLAS. Small nets skip the screen: below 2^23
-tail multiply-adds a step, its fixed costs outweigh its saving.
+So the path and distance are those of the float64 pass, bit for bit, on
+any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
+its fixed costs outweigh its saving.
 """
 
 from __future__ import annotations
@@ -53,13 +56,12 @@ from .errors import BudgetExceededError, ConfigError
 from .nets import (
     FLOAT64_SPREAD,
     DeepNet,
-    forward,
-    forward_batch,
     forward_from_first_layer,
     forward_with_first_layer_cache,
     screen_tail,
     sign_with_tie,
 )
+from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces search.forward_batch
 from .rng import STREAM_WALK, spawn_rng
 
 DEFAULT_BUDGET = 20_000_000
@@ -91,8 +93,8 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     """Greedy descent of s0 * phi over single-bit flips, for at most n steps.
 
     Ties break toward the lowest bit index; already-flipped bits are never
-    candidates again. Each step's choice is the argmin of the float64 tail
-    over all candidates, found through the float32 screen when it can be
+    candidates again. Each step's choice is the argmin of the float64 pass
+    over every flip, found through the float32 screen when it can be
     certified (module docstring).
     """
     n = net.config.n
@@ -100,17 +102,15 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
     delta = _flip_rows(net, x, slice(None))
-    workspace = np.empty_like(delta)
     screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
     distance = None
     for step in range(1, n + 1):
-        cand = np.flatnonzero(remaining)
-        evaluations += cand.size
+        evaluations += n - step + 1  # the flips of the bits not yet flipped
         choice = screen and _screened_choice(net, z1, delta, remaining, s0)
-        i, phi = choice or _float64_choice(net, z1, delta, cand, workspace, s0)
+        i, phi = choice or _float64_choice(net, z1, delta, remaining, s0)
         path.append(i)
         z1 = z1 + delta[i]  # the same sum as candidate i's row
         remaining[i] = False
@@ -127,29 +127,22 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
 
 
 def _float64_choice(
-    net: DeepNet,
-    z1: np.ndarray,
-    delta: np.ndarray,
-    cand: np.ndarray,
-    workspace: np.ndarray,
-    s0: float,
+    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Tuple[int, float]:
-    """(bit, phi) of the argmin of s0 * phi over the flips of the bits cand
-    (the lowest bit of a tie), from the float64 pass over all of them."""
-    # mode="clip" (cand is in range) lets take write straight into out
-    z1_cand = np.take(delta, cand, axis=0, out=workspace[: cand.size], mode="clip")
-    z1_cand += z1
-    phis = forward_from_first_layer(net, z1_cand)
-    j = int(np.argmin(s0 * phis))
-    return int(cand[j]), phis[j]
+    """(bit, phi) of the argmin of s0 * phi over the flips of the remaining
+    bits (the lowest bit of a tie), from the float64 pass over every flip."""
+    phis = forward_from_first_layer(net, delta + z1)
+    key = s0 * phis
+    key[~remaining] = np.inf
+    i = int(np.argmin(key))
+    return i, phis[i]
 
 
 def _screened_choice(
     net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Optional[Tuple[int, float]]:
     """_float64_choice's answer through the float32 screen, or None when the
-    screen cannot certify it (module docstring). The screen runs over every
-    flip, the flipped bits included, which spares the gather of the rows."""
+    screen cannot certify it (module docstring)."""
     screened = screen_tail(net, z1, delta)
     if screened is None:
         return None
@@ -191,9 +184,9 @@ def exact_search(
         max_h = n
     if not 1 <= max_h <= n:
         raise ConfigError(f"max_h must be in [1, {n}], got {max_h}")
-    phi0 = forward(net, x)
+    phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
-    signs0 = x.signs
+    delta = _flip_rows(net, x, slice(None))
     planned = 0
     evaluations = 0
     for h in range(1, max_h + 1):
@@ -210,9 +203,10 @@ def exact_search(
             if not chunk:
                 break
             idx = np.asarray(chunk, dtype=np.intp)
-            block = np.repeat(signs0[None, :], len(chunk), axis=0)
-            block[np.arange(len(chunk))[:, None], idx] *= -1.0
-            phis = forward_batch(net, block)
+            block = z1 + delta[idx[:, 0]]
+            for j in range(1, h):  # left to right, as the walk's running sum
+                block += delta[idx[:, j]]
+            phis = forward_from_first_layer(net, block)
             evaluations += len(chunk)
             hits = np.flatnonzero((phis >= 0.0) != started_positive)
             if hits.size:
@@ -235,17 +229,14 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     """Geodesic walk in a uniformly random flip order, capped at n.
 
     The permutation derives from (net.config.seed, trial_index), so a fixed
-    net and trial reproduce the walk exactly. Each 64-step block's
-    first-layer preactivations are a running sum of flip rows from the
-    current z1, so only the layers above the first are evaluated.
+    net and trial reproduce the walk exactly. Each 64-step block is one
+    running sum of flip rows from the current z1.
     """
     n = net.config.n
     rng = spawn_rng(net.config.seed, STREAM_WALK, trial_index)
     perm = rng.permutation(n)
-    phi0 = forward(net, x)
+    phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
-    z1 = x.signs @ net.weights[0].T
-    z1 += net.biases[0]
     evaluations = 0
     steps = n  # the cap, when no flip crosses the boundary
     pos = 0
@@ -273,5 +264,5 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
 def _flip_rows(net: DeepNet, x: BitString, bits) -> np.ndarray:
     """Row k is the change of z1 = W^(1) x + b^(1) when bit bits[k] flips,
     -2 x_i W^(1)[:, i], exactly (x_i = +-1, factor 2), as a fresh C-ordered
-    array. Both searches never re-flip a bit, so x's signs stay valid."""
+    array. No search re-flips a bit, so x's signs stay valid."""
     return np.multiply(net.weights[0].T[bits], -2.0 * x.signs[bits, None], order="C")

@@ -58,6 +58,13 @@ class TestExperimentConfig:
             tiny_config(kind=KIND_GP_CHECK, n_values=(16,), plot_csv="p.csv")
         with pytest.raises(ConfigError):
             tiny_config(activation="swish")
+        # every shell up to max_h must exist at the smallest n, whatever the method
+        for max_h in (0, -1, 17):
+            with pytest.raises(ConfigError):
+                tiny_config(max_h=max_h)
+            with pytest.raises(ConfigError):
+                tiny_config(kind=KIND_GREEDY_VS_EXACT, max_h=max_h)
+        assert tiny_config(method="exact", max_h=16).max_h == 16
 
     def test_network_config_per_n(self):
         config = tiny_config(layers=3)
@@ -397,6 +404,18 @@ class TestMalformedInput:
             with pytest.raises(ConfigError):
                 refit_rows(KIND_CLOSEST, [good, bad])
 
+    def test_max_h_beyond_the_shells_exits_2_before_any_trial(self, monkeypatch, capsys):
+        """closest --max-h 0 used to run and exit 0 (greedy ignores max_h,
+        the config hash does not), and greedy-vs-exact --max-h 99 failed
+        only inside its first trial."""
+
+        def never(config, n, trial):
+            raise AssertionError("a trial ran")
+
+        for kind, max_h in ((KIND_CLOSEST, "0"), (KIND_GREEDY_VS_EXACT, "99")):
+            patch_row_worker(monkeypatch, kind, never)
+            assert cli.main([kind, "--n", "8", "--trials", "1", "--max-h", max_h]) == 2
+            assert "max_h" in capsys.readouterr().err
 
     def test_widths_must_match_layers(self):
         """Used to build 2-layer nets while reporting and hashing layers=5."""

@@ -225,6 +225,66 @@ class TestGreedyMatchesNaiveReference:
         assert screened > 8
 
 
+class TestOneFlipUpdate:
+    """Every search evaluates a flip set as z1 plus its flip rows, through
+    forward_from_first_layer, so the searches agree bit for bit where they
+    evaluate the same flips."""
+
+    @pytest.fixture
+    def tail_calls(self, monkeypatch):
+        """(rows, phis) of every forward_from_first_layer call, in order."""
+        calls = []
+        real = search.forward_from_first_layer
+
+        def spy(net, z1):
+            phis = real(net, z1)
+            calls.append((z1.copy(), phis))
+            return phis
+
+        monkeypatch.setattr(search, "forward_from_first_layer", spy)
+        return calls
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_exact_shell_one_is_greedys_first_pass(self, activation, tail_calls):
+        """Below the screen's size gate, greedy's first call is its float64
+        pass over every flip; exact search's shell 1 hands the tail the same
+        rows and gets the same phis, and all three searches start alike."""
+        for n, widths in [(9, (13, 5, 7)), (40, (24, 48)), (12, (16, 10, 20))]:
+            config = NetworkConfig(
+                n=n, hidden_widths=widths, sigma_b2=0.3, activation=activation, seed=5
+            )
+            for trial in range(4):
+                net = sample_network(config, trial)
+                x = BitString.random(n, np.random.default_rng(trial))
+                del tail_calls[:]
+                g = greedy_search(net, x)
+                greedy_rows, greedy_phis = tail_calls[0]
+                del tail_calls[:]
+                e = exact_search(net, x, max_h=1)
+                ((exact_rows, exact_phis),) = tail_calls
+                assert greedy_rows.tobytes() == exact_rows.tobytes()
+                assert greedy_phis.tobytes() == exact_phis.tobytes()
+                w = random_flip_walk(net, x, trial)
+                assert g.start_phi == e.start_phi == w.start_phi
+
+    def test_greedy_takes_one_step_exactly_when_exact_finds_shell_one(self):
+        """On ReLU nets, n = 256 among them, where greedy's first step goes
+        through the float32 screen: from a random string and from the last
+        string before greedy's crossing."""
+        seen = set()
+        for n, trials in ((10, 12), (24, 8), (256, 3)):
+            config = NetworkConfig(n=n, hidden_widths=(n, n), sigma_b2=0.3, seed=3)
+            for trial in range(trials):
+                net = sample_network(config, trial)
+                x = BitString.random(n, np.random.default_rng(trial))
+                path = greedy_search(net, x).path
+                for start in (x, x.flip_many(path[:-1])):
+                    one_step = greedy_search(net, start).distance == 1
+                    assert one_step == (exact_search(net, start, max_h=1).distance == 1)
+                    seen.add((n, one_step))
+        assert {(256, True), (10, False), (256, False)} <= seen
+
+
 class TestExactSearch:
     def test_full_cube_oracle(self):
         """Against brute-force enumeration of all 2^10 strings on sampled

@@ -300,7 +300,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    check_output_paths(args.out_json)
+    check_output_paths(args.out_json, source=args.csv)
     _emit_json(refit_csv(args.csv), args.out_json, "fit")
     return 0
 

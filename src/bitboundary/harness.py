@@ -165,6 +165,13 @@ class ExperimentConfig:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.method not in ("greedy", "exact"):
             raise ConfigError(f"method must be greedy or exact, got {self.method!r}")
+        if self.method != "greedy" and self.kind != KIND_CLOSEST:
+            raise ConfigError(f"method applies to closest runs only, not {self.kind}")
+        # only exact search reads max_h and budget, but config_hash covers them
+        exact = self.method == "exact" or self.kind == KIND_GREEDY_VS_EXACT
+        for name, unset in (("max_h", None), ("budget", DEFAULT_BUDGET)):
+            if not exact and getattr(self, name) != unset:
+                raise ConfigError(f"{name} applies to exact search, which this run does not do")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if self.max_h is not None and not 1 <= self.max_h <= self.n_values[0]:
@@ -457,23 +464,21 @@ def refit_csv(path: Union[str, Path]) -> dict:
     }
 
 
-def _scaling_summary(config: ExperimentConfig, rows: List[tuple]):
-    """per_n, fit and the details closest and flips share, plus the kernel
-    profile their own details need."""
+def _scaling_summary(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
+    """per_n, fit and the details closest and flips share."""
     law = EXPERIMENTS[config.kind].law
     per_n, censored = _aggregate_distances(config.n_values, rows)
     details: dict = {"censored": censored}
     if len(per_n) >= 2:
         xs = [law.x(e["n"]) for e in per_n]
         details["free_intercept_fit"] = fit_line(xs, [e["mean"] for e in per_n])
-    profile = profile_for_config(network_config_for(config, config.n_values[0]))
     details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
-    return per_n, law.fit(per_n), details, profile
+    return per_n, law.fit(per_n), details
 
 
-def _summarize_closest(config: ExperimentConfig, rows: List[tuple]):
+def _summarize_closest(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Nearest-boundary distances and the sqrt(n / ln n) prefactor fit."""
-    per_n, fit, details, profile = _scaling_summary(config, rows)
+    per_n, fit, details = _scaling_summary(config, rows, profile)
     details["method"] = config.method
     if len(per_n) >= 2:
         ns, ys = [e["n"] for e in per_n], [e["mean"] for e in per_n]
@@ -484,9 +489,9 @@ def _summarize_closest(config: ExperimentConfig, rows: List[tuple]):
     return rows, per_n, fit, details
 
 
-def _summarize_flips(config: ExperimentConfig, rows: List[tuple]):
+def _summarize_flips(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Random-walk flip counts and the linear slope fit."""
-    per_n, fit, details, profile = _scaling_summary(config, rows)
+    per_n, fit, details = _scaling_summary(config, rows, profile)
     details["heuristic_slope_lower_bound"] = heuristic_flip_bound(
         1, profile.f_prime_1
     )
@@ -498,10 +503,9 @@ def _z_score(x: float, target: float, stderr: float) -> float:
     return 0.0 if stderr == 0.0 else (x - target) / stderr
 
 
-def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
+def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Network covariance vs Q*F(t) vs GP sampling at the overlap menu; the
     rows written are one summary row per (n, overlap target)."""
-    profile = profile_for_config(network_config_for(config, config.n_values[0]))
     q = profile.q
     summary_rows: List[tuple] = []
     details: dict = {"per_n": {}, "jitter": {}}
@@ -570,7 +574,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple]):
     return summary_rows, [], None, details
 
 
-def _summarize_paired(config: ExperimentConfig, rows: List[tuple]):
+def _summarize_paired(config: ExperimentConfig, rows: List[tuple], profile: None):
     """Paired greedy and exact distances on identical instances."""
     per_n: List[dict] = []
     violations: Dict[int, int] = {}
@@ -605,12 +609,14 @@ Summary = Tuple[List[tuple], List[dict], Optional[FitResult], dict]
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """Everything kind-specific about an experiment."""
+    """Everything kind-specific about an experiment. `kernel` says whether
+    the summarizer reads the run's kernel profile (else it gets None)."""
 
     columns: Tuple[str, ...]
     row: Callable[[ExperimentConfig, int, int], tuple]
-    summarize: Callable[[ExperimentConfig, List[tuple]], Summary]
+    summarize: Callable[[ExperimentConfig, List[tuple], Optional[KernelProfile]], Summary]
     law: Optional[ScalingLaw] = None
+    kernel: bool = True
 
 
 EXPERIMENTS: Dict[str, ExperimentKind] = {
@@ -624,7 +630,9 @@ EXPERIMENTS: Dict[str, ExperimentKind] = {
         SCALING_COLUMNS, _flips_row, _summarize_flips, ScalingLaw("mean_steps=s*n", float)
     ),
     KIND_GP_CHECK: ExperimentKind(GP_COLUMNS, _gp_row, _summarize_gp),
-    KIND_GREEDY_VS_EXACT: ExperimentKind(PAIRED_COLUMNS, _paired_row, _summarize_paired),
+    KIND_GREEDY_VS_EXACT: ExperimentKind(
+        PAIRED_COLUMNS, _paired_row, _summarize_paired, kernel=False
+    ),
 }
 
 
@@ -677,10 +685,13 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (n, trial) row, summarize them, and write the outputs the
-    config names. The config validated itself on construction."""
+    config names. The config validated itself on construction; the kernel
+    profile is built before the first trial, so a faulty kernel costs none."""
     kind = EXPERIMENTS[config.kind]
+    first = network_config_for(config, config.n_values[0])
+    profile = profile_for_config(first) if kind.kernel else None
     rows, truncated = _execute(config)
-    rows, per_n, fit, details = kind.summarize(config, rows)
+    rows, per_n, fit, details = kind.summarize(config, rows, profile)
     result = ExperimentResult(config, kind.columns, rows, per_n, fit, details, truncated)
     _persist(result)
     return result
@@ -736,9 +747,11 @@ def write_json(path: Union[str, Path], obj) -> None:
     Path(path).write_text(json_text(obj), encoding="utf-8", newline="\n")
 
 
-def check_output_paths(*paths: Optional[str]) -> None:
-    """ConfigError for an output path that names a directory or lies in a
-    missing one, so that a run fails before its first trial, not after."""
+def check_output_paths(*paths: Optional[str], source: Optional[str] = None) -> None:
+    """ConfigError for an output path that names a directory, lies in a
+    missing one, or names the same file as another output or as the input
+    file `source`, so that a run fails before its first trial, not after."""
+    named = {Path(source).resolve(): f"the input {source}"} if source else {}
     for path in paths:
         if not path:
             continue
@@ -747,6 +760,10 @@ def check_output_paths(*paths: Optional[str]) -> None:
             raise ConfigError(f"output path {path} is a directory")
         if not target.parent.is_dir():
             raise ConfigError(f"output path {path}: no directory {target.parent}")
+        resolved = target.resolve()
+        if resolved in named:
+            raise ConfigError(f"output path {path} is also {named[resolved]}")
+        named[resolved] = f"output path {path}"
 
 
 def _run_header(result: ExperimentResult) -> List[Tuple[str, object]]:

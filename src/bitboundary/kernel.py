@@ -46,11 +46,11 @@ Mehler's formula (the dual activation of Daniely et al. 2016),
 
 with h_k the normalized Hermite polynomials, h_{k+1} = (z h_k - sqrt(k)
 h_{k-1}) / sqrt(k + 1). The a_k come from the Gauss-Hermite nodes, 160 terms
-at order 256 and 220 at order 320, cached per (activation, Q, order); an
-entry takes the series where the two agree. For smooth activations such as
-tanh the a_k decay fast and the series holds at every overlap, with an
-error uniform in c. A kink makes them decay only algebraically (ReLU:
-a_k^2 ~ k^(-5/2)), so such entries fail the check and go to the polar rule:
+at order 256 and 220 at order 320; an entry takes the series where the two
+agree. For smooth activations such as tanh the a_k decay fast and the series
+holds at every overlap, with an error uniform in c. A kink makes them decay
+only algebraically (ReLU: a_k^2 ~ k^(-5/2)), so such entries fail the check
+and go to the polar rule:
 with (z, w) standard normal and u = sqrt(Q) z, v = sqrt(Q)(c z + s w),
 
     E[tau(u) tau(v)] = (1/2pi) Int_0^2pi dtheta Int_0^inf dr r e^{-r^2/2}
@@ -144,6 +144,7 @@ def psi(t: ArrayLike) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 
+# hermegauss is O(order^3), and one tanh profile asks for its nodes ~20 times
 @lru_cache(maxsize=None)
 def _herme_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     z, w = hermegauss(order)
@@ -173,10 +174,9 @@ def _gh_moment(what: str, g, q: float) -> float:
     return hi
 
 
-@lru_cache(maxsize=256)
 def _hermite_power(act: Activation, q: float, order: int, terms: int) -> np.ndarray:
     """Squared normalized Hermite coefficients a_k^2, k < terms, of
-    tau(sqrt(q) z), from Gauss-Hermite at `order` (read-only)."""
+    tau(sqrt(q) z), from Gauss-Hermite at `order`."""
     z, w = _herme_nodes(order)
     fw = w * act(math.sqrt(q) * z)
     a = np.empty(terms)
@@ -184,9 +184,7 @@ def _hermite_power(act: Activation, q: float, order: int, terms: int) -> np.ndar
     for k in range(terms):
         a[k] = fw @ h
         h_prev, h = h, (z * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1)
-    power = a * a
-    power.flags.writeable = False
-    return power
+    return a * a
 
 
 def _cross_moment_polar(

@@ -15,9 +15,8 @@ so a given (config, trial_index) reproduces phi bit for bit. Flipping bit i
 changes W^(1) x by -2 x_i W^(1)[:, i], so the searches' one flip update is
 the start's z1 plus a row per flipped bit, summed left to right, through
 the layers above the first; forward and forward_batch, from sign rows, are
-the independent reference. The hidden products go into rows owned by the
-DeepNet (grown to the largest batch, never returned), so one net must not
-run forward passes from several threads at once.
+the independent reference. A DeepNet is a read-only value: every forward
+pass allocates its own products, so threads may share one net.
 
 sample_outputs draws phi at a few fixed inputs without drawing any weight
 matrix: given the layer below, the preactivations of layer l at m inputs
@@ -133,15 +132,6 @@ class DeepNet:
         self.config = config
         self.weights = tuple(frozen_w)
         self.biases = tuple(frozen_b)
-        self._gemm_out = {}
-
-    def _rows(self, l: int, m: int, dtype=np.float64) -> np.ndarray:
-        """Private (m, n_{l+1}) output rows for layer l's matrix product,
-        reused across calls; the buffer grows to the largest m seen."""
-        buf = self._gemm_out.get((l, dtype))
-        if buf is None or len(buf) < m:
-            buf = self._gemm_out[l, dtype] = np.empty((m, self.weights[l].shape[0]), dtype)
-        return buf[:m]
 
     @cached_property
     def activation(self) -> Activation:
@@ -289,14 +279,12 @@ def forward_from_first_layer(net: DeepNet, z1: np.ndarray) -> np.ndarray:
 
 def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     """The layers above the first, for both forward paths (a name of its own
-    keeps forward_batch's calls out of forward_from_first_layer's trace).
-    Hidden products go into net's reused rows; the output layer's is fresh,
-    so the result never aliases a buffer."""
+    keeps forward_batch's calls out of forward_from_first_layer's trace)."""
     act = net.activation
     h = act(z1)
     last = len(net.weights) - 1
     for l in range(1, last):
-        z = np.matmul(h, net.weights[l].T, out=net._rows(l, len(h)))
+        z = h @ net.weights[l].T
         z += net.biases[l]
         h = act(z)
     z = h @ net.weights[last].T
@@ -316,16 +304,15 @@ def screen_tail(
     tail = net._screen
     if tail is None:
         return None
-    m = len(flips)
-    eps = np.full(m, tail.const)
+    eps = np.full(len(flips), tail.const)
     last = len(tail.weights) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        h = np.add(flips, z1, out=net._rows(0, m, np.float32), casting="same_kind")
+        h = np.add(flips, z1, out=np.empty(flips.shape, np.float32), casting="same_kind")
         h = np.maximum(h, 0.0, out=h)
         for l, (w, b, r, c) in enumerate(zip(tail.weights, tail.biases, tail.carry, tail.coef)):
             eps += c * (h @ r)
             if l < last:
-                z = np.matmul(h, w.T, out=net._rows(l + 1, m, np.float32))
+                z = h @ w.T
                 z += b
                 h = np.maximum(z, 0.0, out=z)
         phi = (h @ tail.weights[last] + tail.biases[last]).astype(np.float64)

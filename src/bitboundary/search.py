@@ -35,8 +35,8 @@ out a few ulps apart from that pass (a BLAS may round a row differently in
 a smaller batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen flip
 must be below every other contender and away from zero by more than that.
 Every other case takes the float64 pass, which is the decision itself: an
-exact tie, too many contenders, a float32 overflow, or a net without a
-float32 tail (any activation but the built-in RELU object, by identity).
+exact tie, a float32 overflow, or a net without a float32 tail (any
+activation but the built-in RELU object, by identity).
 So the path and distance are those of the float64 pass, bit for bit, on
 any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
 its fixed costs outweigh its saving.
@@ -67,7 +67,6 @@ from .rng import STREAM_WALK, spawn_rng
 DEFAULT_BUDGET = 20_000_000
 _ENUM_CHUNK = 2048
 _WALK_BLOCK = 64
-_MAX_CONTENDERS = 0.25  # of the batch; above it the screen saves little
 # Tail multiply-adds of a step's n rows below which the screen's fixed costs
 # (its float32 copy of the net, a dozen numpy calls a step) outweigh what it
 # saves: measured break-even at about n = 192 for two hidden layers of n.
@@ -150,8 +149,6 @@ def _screened_choice(
     key32 = s0 * phi32
     key32[~remaining] = np.inf
     contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
-    if contenders.size > _MAX_CONTENDERS * np.count_nonzero(remaining):
-        return None
     rows = delta[contenders]
     rows += z1  # the same sums as the float64 pass's rows
     phis = forward_from_first_layer(net, rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bitboundary import cli, harness
-from bitboundary.errors import ConfigError
+from bitboundary.errors import ConfigError, NumericalFaultError
 from bitboundary.harness import (
     GP_TARGETS,
     KIND_CLOSEST,
@@ -26,6 +26,7 @@ from bitboundary.harness import (
     sqrt_n_over_ln_n,
 )
 from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
+from bitboundary.search import DEFAULT_BUDGET
 
 from conftest import build_linear_net
 
@@ -258,6 +259,11 @@ def patch_row_worker(monkeypatch, kind, row):
     monkeypatch.setitem(harness.EXPERIMENTS, kind, spec)
 
 
+def never(config, n, trial):
+    """A row worker for runs that must stop before their first trial."""
+    raise AssertionError("a trial ran")
+
+
 class TestCensoring:
     def test_boundary_free_nets_are_censored(self, monkeypatch):
         patch_row_worker(
@@ -313,6 +319,18 @@ class TestGpRun:
         by_label = {r[1]: r for r in result.rows}
         assert by_label["-1.0"][2] == 8
         assert by_label["1-2/n"][2] == 1
+
+
+def test_one_kernel_profile_per_run(monkeypatch):
+    """The summaries of closest, flips and gp-check share one profile, built
+    before the trials; greedy-vs-exact builds none."""
+    calls = []
+    real = harness.profile_for_config
+    monkeypatch.setattr(harness, "profile_for_config", lambda c: calls.append(c) or real(c))
+    for kind in (KIND_CLOSEST, KIND_FLIPS, KIND_GP_CHECK, KIND_GREEDY_VS_EXACT):
+        del calls[:]
+        run_experiment(tiny_config(kind=kind, n_values=(8, 10), trials=2))
+        assert len(calls) == (kind != KIND_GREEDY_VS_EXACT)
 
 
 class TestGveRun:
@@ -408,14 +426,78 @@ class TestMalformedInput:
         """closest --max-h 0 used to run and exit 0 (greedy ignores max_h,
         the config hash does not), and greedy-vs-exact --max-h 99 failed
         only inside its first trial."""
-
-        def never(config, n, trial):
-            raise AssertionError("a trial ran")
-
         for kind, max_h in ((KIND_CLOSEST, "0"), (KIND_GREEDY_VS_EXACT, "99")):
             patch_row_worker(monkeypatch, kind, never)
             assert cli.main([kind, "--n", "8", "--trials", "1", "--max-h", max_h]) == 2
             assert "max_h" in capsys.readouterr().err
+
+    def test_exact_search_settings_without_exact_search_exit_2(self, monkeypatch, capsys):
+        """closest --max-h 3 --budget 5 used to write the plain greedy run's
+        rows under another config_sha256."""
+        patch_row_worker(monkeypatch, KIND_CLOSEST, never)
+        for extra, name in (
+            (["--max-h", "3", "--budget", "5"], "max_h"),
+            (["--budget", "5"], "budget"),
+        ):
+            assert cli.main(["closest", "--n", "8", "--trials", "3", *extra]) == 2
+            assert name in capsys.readouterr().err
+        for kind, setting in (
+            (KIND_CLOSEST, {"max_h": 3}),
+            (KIND_CLOSEST, {"budget": 5}),
+            (KIND_FLIPS, {"max_h": 3}),
+            (KIND_GP_CHECK, {"budget": 5}),
+            (KIND_FLIPS, {"method": "exact"}),
+            (KIND_GREEDY_VS_EXACT, {"method": "exact"}),
+        ):
+            with pytest.raises(ConfigError, match=next(iter(setting))):
+                tiny_config(kind=kind, **setting)
+        assert tiny_config(method="exact", max_h=3, budget=5).budget == 5
+        assert tiny_config(kind=KIND_GREEDY_VS_EXACT, max_h=3, budget=5).max_h == 3
+        assert config_hash(tiny_config(budget=DEFAULT_BUDGET)) == config_hash(tiny_config())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closest", "--n", "8", "--trials", "2", "--out-csv", "d.out", "--out-json", "d.out"],
+            ["closest", "--n", "8", "--trials", "2", "--out-csv", "a", "--emit-plot-data", "./a"],
+            ["kernel", "--out-csv", "k", "--out-json", "k"],
+        ],
+        ids=["csv-json", "csv-plot", "kernel"],
+    )
+    def test_two_outputs_naming_one_file_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        """Each used to exit 0 and leave only the file written last."""
+        patch_row_worker(monkeypatch, KIND_CLOSEST, never)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        self.assert_one_line_error(capsys, argv[-1])
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigError):
+            tiny_config(out_csv="rows.csv", out_json=str(tmp_path / "rows.csv"))
+
+    def test_fit_out_json_naming_its_input_exits_2(self, tmp_path, capsys):
+        """fit used to overwrite its input rows CSV with the report."""
+        rows = tmp_path / "rows.csv"
+        run_experiment(tiny_config(trials=2, out_csv=str(rows)))
+        before = rows.read_bytes()
+        assert cli.main(["fit", str(rows), "--out-json", str(rows)]) == 2
+        self.assert_one_line_error(capsys, rows)
+        assert rows.read_bytes() == before
+
+    def test_kernel_fault_stops_the_run_before_any_trial(self, monkeypatch, capsys):
+        """flips with a tanh kernel past its range used to run every trial,
+        then exit 4 from the summary with nothing written. greedy-vs-exact
+        reads no kernel, so it still runs."""
+        argv = ["--n", "64", "--trials", "3", "--activation", "tanh", "--sigma-w2", "4"]
+        for kind in (KIND_CLOSEST, KIND_FLIPS, KIND_GP_CHECK):
+            patch_row_worker(monkeypatch, kind, never)
+            assert cli.main([kind, *argv]) == 4
+            assert "tanh" in capsys.readouterr().err
+            with pytest.raises(NumericalFaultError):
+                run_experiment(tiny_config(kind=kind, activation="tanh", sigma_w2=4.0))
+        paired = tiny_config(
+            kind=KIND_GREEDY_VS_EXACT, n_values=(6,), trials=2, activation="tanh", sigma_w2=4.0
+        )
+        assert len(run_experiment(paired).rows) == 2
 
     def test_widths_must_match_layers(self):
         """Used to build 2-layer nets while reporting and hashing layers=5."""
@@ -429,10 +511,6 @@ class TestMalformedInput:
     def test_bad_output_path_exits_2_before_any_trial(self, flag, tmp_path, monkeypatch, capsys):
         """A directory used to fail with exit 1, and a missing directory with
         exit 2, only after every trial had run."""
-
-        def never(config, n, trial):
-            raise AssertionError("a trial ran")
-
         patch_row_worker(monkeypatch, KIND_CLOSEST, never)
         for path in (tmp_path, tmp_path / "missing" / "out"):
             assert cli.main(["closest", "--n", "12", "--trials", "2", flag, str(path)]) == 2
@@ -456,10 +534,6 @@ class TestMalformedInput:
     ):
         """A NaN variance used to run every trial and then exit 4 without a
         CSV; theory died on --a inf and printed invalid JSON for --z nan."""
-
-        def never(config, n, trial):
-            raise AssertionError("a trial ran")
-
         patch_row_worker(monkeypatch, KIND_CLOSEST, never)
         *head, flag = argv
         assert cli.main([*head, f"{flag}={value}"]) == 2

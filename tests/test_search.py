@@ -7,6 +7,7 @@ exceeding s0 phi, and greedy flips exactly those bits in that order.
 """
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +88,8 @@ class TestGreedyOnLinearNets:
 
 # a linear net's weights with two exact ties: bits 1 and 3, bits 7 and 15
 TIED = [3.0, 9.0, 1.0, 9.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+# a linear net's weights whose five largest, bits 1, 3, 5, 7 and 9, are equal
+FIVE_EQUAL = [3.0, 9.0, 1.0, 9.0, 2.0, 9.0, 5.0, 9.0, 7.0, 9.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 def naive_greedy(net, x):
@@ -186,6 +189,30 @@ class TestGreedyMatchesNaiveReference:
         assert greedy_search(net, x).path == (1, 3, 9, 8, 7)
         assert tail_rows[:2] == [2, 16]  # the tied contenders, then the batch
 
+    @pytest.mark.parametrize(
+        "gaps, path, passes",
+        [
+            ((0.0,) * 5, (1, 3, 5, 7, 9), [5, 16, 4, 16, 3, 16, 2, 16, 1]),
+            ((4e-9, 1e-9, 3e-9, 0.0, 2e-9), (1, 5, 9, 3, 7), [5, 4, 3, 2, 1]),
+        ],
+        ids=["equal", "apart-in-float64"],
+    )
+    def test_many_contenders(self, gaps, path, passes, tail_rows):
+        """Five of sixteen first-layer columns round to one float32 value,
+        so every step's contenders are all of them not yet flipped: 5 of 16
+        rows at the first step. Exactly equal columns tie, so each step goes
+        on from its contenders to the float64 pass over the batch; columns a
+        few 1e-9 apart are told apart in float64 and decided among the
+        contenders, however large a share of the batch they are."""
+        weights = list(FIVE_EQUAL)
+        for bit, gap in zip((1, 3, 5, 7, 9), gaps):
+            weights[bit] += gap
+        net = build_linear_net(weights)
+        x = BitString(np.ones(16))
+        assert_greedy_matches_naive(net, x, tail_rows)
+        assert greedy_search(net, x).path == path
+        assert tail_rows[: len(passes)] == passes
+
     @pytest.mark.parametrize("layer", [0, -1])
     def test_float32_overflow_falls_back(self, layer, tail_rows):
         """First-layer weights of 1e39 overflow the float32 cast of z1 at
@@ -283,6 +310,25 @@ class TestOneFlipUpdate:
                     assert one_step == (exact_search(net, start, max_h=1).distance == 1)
                     seen.add((n, one_step))
         assert {(256, True), (10, False), (256, False)} <= seen
+
+
+class TestSharedNet:
+    def test_threads_share_one_net(self):
+        """A DeepNet holds no scratch arrays, so two threads searching one
+        net get the serial results bit for bit; at n = 256 greedy's steps
+        go through the float32 screen, whose tail the threads also build."""
+        n = 256
+        config = NetworkConfig(n=n, hidden_widths=(n, n), sigma_b2=0.3, seed=4)
+        xs = [BitString.random(n, np.random.default_rng(k)) for k in range(12)]
+
+        def searches(net, k):
+            return greedy_search(net, xs[k]), random_flip_walk(net, xs[k], k)
+
+        serial_net, shared = sample_network(config, 0), sample_network(config, 0)
+        serial = [searches(serial_net, k) for k in range(len(xs))]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda k: searches(shared, k), range(len(xs))))
+        assert threaded == serial
 
 
 class TestExactSearch:

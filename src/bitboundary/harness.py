@@ -688,8 +688,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config names. The config validated itself on construction; the kernel
     profile is built before the first trial, so a faulty kernel costs none."""
     kind = EXPERIMENTS[config.kind]
-    first = network_config_for(config, config.n_values[0])
-    profile = profile_for_config(first) if kind.kernel else None
+    network = network_config_for(config, config.n_values[0])
+    profile = profile_for_config(network) if kind.kernel else None
     rows, truncated = _execute(config)
     rows, per_n, fit, details = kind.summarize(config, rows, profile)
     result = ExperimentResult(config, kind.columns, rows, per_n, fit, details, truncated)

@@ -7,6 +7,7 @@ exceeding s0 phi, and greedy flips exactly those bits in that order.
 """
 
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -326,8 +327,14 @@ class TestSharedNet:
 
         serial_net, shared = sample_network(config, 0), sample_network(config, 0)
         serial = [searches(serial_net, k) for k in range(len(xs))]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(lambda k: searches(shared, k), range(len(xs))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                jobs = pool.map(lambda k: searches(shared, k), range(len(xs)), timeout=120)
+                threaded = list(jobs)
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
 
 

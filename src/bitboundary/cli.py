@@ -270,6 +270,8 @@ def _print_run_summary(result: ExperimentResult) -> None:
 def _cmd_experiment(args) -> int:
     values = dict(DESK_DEFAULTS[args.command])
     values.update(_settings(args.command, args))
+    outputs = (values.get(field) for field in ("out_csv", "out_json", "plot_csv"))
+    check_output_paths(*outputs, source=args.config)
     result = run_experiment(ExperimentConfig(kind=args.command, **values))
     _print_run_summary(result)
     return 130 if result.truncated else 0
@@ -278,7 +280,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_kernel(args) -> int:
     values = _settings("kernel", args)
     out_csv, out_json = values.pop("out_csv", None), values.pop("out_json", None)
-    check_output_paths(out_csv, out_json)
+    check_output_paths(out_csv, out_json, source=args.config)
     profile = build_profile(**values)
     if out_csv:
         write_kernel_csv(out_csv, profile)
@@ -290,7 +292,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_theory(args) -> int:
     values = _settings("theory", args)
     out_json = values.pop("out_json", None)
-    check_output_paths(out_json)
+    check_output_paths(out_json, source=args.config)
     query = {key: values.pop(key) for key in ("n", "a", "z") if key in values}
     if "n" not in query:
         raise ConfigError("theory requires --n")

@@ -50,6 +50,14 @@ for instance inside batches of different sizes, differ by at most
 FLOAT64_SPREAD * eps. Widths above 2^16, more than 32 hidden layers, or a
 weight or bias that float32 cannot hold to relative precision u (overflow or
 below 2^-126) leave a net without a screen.
+
+The screen multiplies only the first-layer units that some row may turn on.
+The rows are z1 + f with f[u] <= hi[u] for each unit u, and a unit with
+z1[u] + hi[u] <= 0 in float64 is dropped. Rounded addition and the float32
+cast are monotone, so every row's h1[u] is then exactly 0 after ReLU. Each
+float32 sum of the first product thus loses only zero terms: its value is
+that of the full sum over k <= K live terms, and gamma_k <= gamma_K, so the
+bound above, which charges the full fan-in K, holds unchanged.
 """
 
 from __future__ import annotations
@@ -176,11 +184,11 @@ def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
         const += 2.0 * _U32 * float(r @ b_mag)
         const += (4 * fan_in + 2) * _TINY32 * (float(r.sum()) + 1.0)
         r = r @ w_mag
-        with np.errstate(over="ignore"):  # an infinite cast is checked below
+        if not all(map(_fits_float32, (w_mag, b_mag))):
+            return None
+        with np.errstate(over="ignore"):  # an infinite carry is checked below
             w, b, r32 = w64.astype(np.float32), b64.astype(np.float32), r.astype(np.float32)
-        if not all(np.isfinite(a).all() for a in (w, b, r32)) or any(
-            np.any((mag > 0.0) & (mag < _TINY32)) for mag in (w_mag, b_mag)
-        ):
+        if not np.isfinite(r32).all():
             return None
         weights.append(w)
         biases.append(b)
@@ -194,6 +202,17 @@ def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
     )
 
 
+def _fits_float32(mag: np.ndarray) -> bool:
+    """Whether float32 holds every magnitude in mag to relative precision u:
+    none is NaN, rounds to infinity, or lies in (0, 2^-126). The extremes
+    settle it; only a minimum below 2^-126 (a zero, say) needs a scan."""
+    lo, hi = mag.min(), mag.max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(hi)):
+            return False
+    return lo >= _TINY32 or not np.any((mag > 0.0) & (mag < _TINY32))
+
+
 def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
     """Draw a network from the stream derived from (config.seed, trial_index).
 
@@ -205,8 +224,10 @@ def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
     weights, biases = [], []
     for l in range(len(dims) - 1):
         fan_in = dims[l]
-        w = rng.standard_normal((dims[l + 1], fan_in)) * np.sqrt(config.sigma_w2 / fan_in)
-        b = rng.standard_normal(dims[l + 1]) * np.sqrt(config.sigma_b2)
+        w = rng.standard_normal((dims[l + 1], fan_in))
+        w *= np.sqrt(config.sigma_w2 / fan_in)
+        b = rng.standard_normal(dims[l + 1])
+        b *= np.sqrt(config.sigma_b2)
         weights.append(w)
         biases.append(b)
     return DeepNet(config, weights, biases)
@@ -292,30 +313,42 @@ def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     return z[:, 0]
 
 
+def _live_units(z1: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The first-layer units that some row z1 + f, f <= hi unit by unit, may
+    turn on: all but those with z1 + hi <= 0 (a NaN is kept)."""
+    return np.flatnonzero(~(z1 + hi <= 0.0))
+
+
 def screen_tail(
-    net: DeepNet, z1: np.ndarray, flips: np.ndarray
+    net: DeepNet, z1: np.ndarray, flips: np.ndarray, hi: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The layers above the first in float32, for the float64 first-layer
-    preactivations z1 + flips[k] (flips (m, n_1), z1 broadcast to it; each
-    sum is rounded once to float32, not stored): (phi, eps), both float64
-    (m,), with |phi - phi64| <= eps for any float64 evaluation phi64 of a
-    row (see the module docstring). None when net has no float32 tail or a
-    row overflows float32, so that phi or eps is not finite."""
+    preactivations z1 + flips[:, k] (z1 (n_1,), flips (n_1, m) unit-major,
+    hi (n_1,) with hi[u] >= flips[u, k] for every k; each sum is rounded
+    once to float32, not stored): (phi, eps), both float64 (m,), with
+    |phi - phi64| <= eps for any float64 evaluation phi64 of a row (see the
+    module docstring). Only the units that hi lets some row turn on are
+    multiplied. None when net has no float32 tail or a row overflows
+    float32, so that phi or eps is not finite."""
     tail = net._screen
     if tail is None:
         return None
-    eps = np.full(len(flips), tail.const)
-    last = len(tail.weights) - 1
+    live = _live_units(z1, hi)
+    weights = (tail.weights[0][..., live], *tail.weights[1:])
+    carry = (tail.carry[0][live], *tail.carry[1:])
+    eps = np.full(flips.shape[1], tail.const)
+    last = len(weights) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        h = np.add(flips, z1, out=np.empty(flips.shape, np.float32), casting="same_kind")
-        h = np.maximum(h, 0.0, out=h)
-        for l, (w, b, r, c) in enumerate(zip(tail.weights, tail.biases, tail.carry, tail.coef)):
-            eps += c * (h @ r)
+        h = np.empty((len(live), flips.shape[1]), np.float32)
+        np.add(flips[live], z1[live, None], out=h, casting="same_kind")
+        np.maximum(h, 0.0, out=h)
+        for l, (w, b, r, c) in enumerate(zip(weights, tail.biases, carry, tail.coef)):
+            eps += c * (r @ h)
             if l < last:
-                z = h @ w.T
-                z += b
+                z = w @ h
+                z += b[:, None]
                 h = np.maximum(z, 0.0, out=z)
-        phi = (h @ tail.weights[last] + tail.biases[last]).astype(np.float64)
+        phi = (w @ h + b).astype(np.float64)
     eps *= _SCREEN_SLACK
     if not (np.isfinite(phi).all() and np.isfinite(eps).all()):
         return None

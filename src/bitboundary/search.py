@@ -40,6 +40,14 @@ activation but the built-in RELU object, by identity).
 So the path and distance are those of the float64 pass, bit for bit, on
 any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
 its fixed costs outweigh its saving.
+
+Greedy keeps its flip table unit-major, (n_1, n): column i is bit i's flip
+row, the values of _flip_rows (a product by +-2 is exact), built without a
+transpose. The screen then takes the first-layer units that some flip may
+turn on as a row gather, from the per-unit maximum of the table, which is
+taken once per trial. The float64 passes transpose their rows back into the
+C-ordered (rows, n_1) batches that every search hands
+forward_from_first_layer.
 """
 
 from __future__ import annotations
@@ -100,18 +108,20 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
-    delta = _flip_rows(net, x, slice(None))
+    # unit-major flip table: column i is bit i's flip row (_flip_rows' values)
+    table = np.multiply(net.weights[0], -2.0 * x.signs)
     screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
+    hi = table.max(axis=1) if screen else None
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
     distance = None
     for step in range(1, n + 1):
         evaluations += n - step + 1  # the flips of the bits not yet flipped
-        choice = screen and _screened_choice(net, z1, delta, remaining, s0)
-        i, phi = choice or _float64_choice(net, z1, delta, remaining, s0)
+        choice = screen and _screened_choice(net, z1, table, hi, remaining, s0)
+        i, phi = choice or _float64_choice(net, z1, table, remaining, s0)
         path.append(i)
-        z1 = z1 + delta[i]  # the same sum as candidate i's row
+        z1 = z1 + table[:, i]  # the same sum as candidate i's row
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phi >= 0.0) != started_positive:
@@ -126,11 +136,11 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
 
 
 def _float64_choice(
-    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
+    net: DeepNet, z1: np.ndarray, table: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Tuple[int, float]:
     """(bit, phi) of the argmin of s0 * phi over the flips of the remaining
     bits (the lowest bit of a tie), from the float64 pass over every flip."""
-    phis = forward_from_first_layer(net, delta + z1)
+    phis = forward_from_first_layer(net, np.add(table.T, z1, order="C"))
     key = s0 * phis
     key[~remaining] = np.inf
     i = int(np.argmin(key))
@@ -138,20 +148,24 @@ def _float64_choice(
 
 
 def _screened_choice(
-    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
+    net: DeepNet,
+    z1: np.ndarray,
+    table: np.ndarray,
+    hi: np.ndarray,
+    remaining: np.ndarray,
+    s0: float,
 ) -> Optional[Tuple[int, float]]:
     """_float64_choice's answer through the float32 screen, or None when the
     screen cannot certify it (module docstring)."""
-    screened = screen_tail(net, z1, delta)
+    screened = screen_tail(net, z1, table, hi)
     if screened is None:
         return None
     phi32, eps = screened
     key32 = s0 * phi32
     key32[~remaining] = np.inf
     contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
-    rows = delta[contenders]
-    rows += z1  # the same sums as the float64 pass's rows
-    phis = forward_from_first_layer(net, rows)
+    # the same sums as the float64 pass's rows
+    phis = forward_from_first_layer(net, np.add(table[:, contenders].T, z1, order="C"))
     key = s0 * phis
     spread = FLOAT64_SPREAD * eps[contenders]
     k = int(np.argmin(key))

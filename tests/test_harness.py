@@ -483,6 +483,29 @@ class TestMalformedInput:
         self.assert_one_line_error(capsys, rows)
         assert rows.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closest", "--n", "8", "--trials", "2", "--out-csv", "run.cfg"],
+            ["flips", "--n", "8", "--trials", "2", "--out-json", "./run.cfg"],
+            ["closest", "--n", "8", "--trials", "2", "--emit-plot-data", "run.cfg"],
+            ["kernel", "--out-csv", "run.cfg"],
+            ["theory", "--n", "784", "--out-json", "run.cfg"],
+        ],
+        ids=["closest-csv", "flips-json", "closest-plot", "kernel", "theory"],
+    )
+    def test_output_naming_the_config_file_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        """Each used to exit 0 and overwrite its own config file."""
+        for kind in (KIND_CLOSEST, KIND_FLIPS):
+            patch_row_worker(monkeypatch, kind, never)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma_w2=2\n", encoding="utf-8")
+        assert cli.main([*argv, "--config", "run.cfg"]) == 2
+        self.assert_one_line_error(capsys, argv[-1])
+        assert list(tmp_path.iterdir()) == [config]
+        assert config.read_text(encoding="utf-8") == "sigma_w2=2\n"
+
     def test_kernel_fault_stops_the_run_before_any_trial(self, monkeypatch, capsys):
         """flips with a tanh kernel past its range used to run every trial,
         then exit 4 from the summary with nothing written. greedy-vs-exact

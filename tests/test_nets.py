@@ -10,6 +10,7 @@ from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.nets import (
     FLOAT64_SPREAD,
+    _live_units,
     DeepNet,
     NetworkConfig,
     forward,
@@ -293,6 +294,29 @@ class TestFlipCache:
             np.testing.assert_allclose(via_cache[i], direct, rtol=1e-10, atol=1e-12)
 
 
+def screen_rows(net, rows, z1=None):
+    """screen_tail on the first-layer rows z1 + rows[k] (z1 zero unless
+    given), hi the rows' own per-unit maximum."""
+    z1 = np.zeros(rows.shape[1]) if z1 is None else z1
+    return screen_tail(net, z1, rows.T, rows.max(axis=0))
+
+
+def assert_bound_holds(net, z1, flips):
+    """|phi32 - phi64| <= eps on every row z1 + flips[k], against the
+    float64 pass over the whole batch and over each row alone, with the
+    screen run on the whole batch and on each row alone."""
+    rows = flips + z1
+    hi = flips.max(axis=0)
+    phi32, eps = screen_tail(net, z1, flips.T, hi)
+    assert phi32.dtype == eps.dtype == np.float64
+    assert np.all(np.abs(phi32 - forward_from_first_layer(net, rows)) <= eps)
+    for k in range(len(rows)):  # one-row batches take other BLAS kernels
+        single = forward_from_first_layer(net, rows[k : k + 1])[0]
+        assert abs(phi32[k] - single) <= eps[k]
+        phi32_k, eps_k = screen_tail(net, z1, flips[k : k + 1].T, hi)
+        assert abs(phi32_k[0] - single) <= eps_k[0]
+
+
 class TestFloat32Screen:
     """screen_tail's float32 tail and its bound: |phi32 - phi64| <= eps for
     any float64 evaluation of a row, with no tolerance beyond eps."""
@@ -312,13 +336,58 @@ class TestFloat32Screen:
             n=n, hidden_widths=tuple(widths), sigma_w2=sigma_w2, sigma_b2=sigma_b2, seed=seed
         )
         net = sample_network(config, 0)
-        z1 = np.random.default_rng(seed).standard_normal((m, widths[0])) * scale
-        phi32, eps = screen_tail(net, 0.0, z1)
-        assert phi32.dtype == eps.dtype == np.float64
-        assert np.all(np.abs(phi32 - forward_from_first_layer(net, z1)) <= eps)
-        for row in range(m):  # one-row batches take other BLAS kernels
-            single = forward_from_first_layer(net, z1[row : row + 1])[0]
-            assert abs(phi32[row] - single) <= eps[row]
+        flips = np.random.default_rng(seed).standard_normal((m, widths[0])) * scale
+        assert_bound_holds(net, np.zeros(widths[0]), flips)
+
+    @pytest.mark.parametrize("dead", ["none", "most", "all"])
+    @pytest.mark.parametrize("n, widths", [(64, (64, 64)), (40, (96, 24, 32)), (24, (48,))])
+    def test_bound_holds_with_dead_units(self, n, widths, dead):
+        """Every flip row of a net, with z1 chosen so that no first-layer
+        unit, all but one in eight, or every unit is off in every row."""
+        config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=0.3, seed=3)
+        net = sample_network(config, 1)
+        x = BitString.random(n, np.random.default_rng(n))
+        flips = np.multiply(net.weights[0], -2.0 * x.signs).T
+        lo, hi = flips.min(axis=0), flips.max(axis=0)
+        z1 = 1.0 - lo  # on in every row
+        if dead != "none":
+            off = slice(None) if dead == "all" else np.arange(widths[0]) % 8 != 0
+            z1[off] = -0.5 - hi[off]
+        live = len(_live_units(z1, hi))
+        assert live == {"none": widths[0], "most": (widths[0] + 7) // 8, "all": 0}[dead]
+        assert_bound_holds(net, z1, flips)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.data(),
+        units=st.integers(1, 12),
+        m=st.integers(1, 6),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+    )
+    def test_live_units_keep_every_unit_some_row_turns_on(self, data, units, m, scale):
+        """A unit whose float64 preactivation z1 + f is positive in some
+        row, or whose float32 rounding screen_tail feeds to ReLU is, stays
+        live. z1 sits at -hi, one ulp either side of it, or anywhere."""
+        finite = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
+        flips = np.array(data.draw(st.lists(finite, min_size=units * m, max_size=units * m)))
+        flips = flips.reshape(m, units)
+        hi = flips.max(axis=0)
+        offsets = st.sampled_from([0.0, -1.0, 1.0, None])
+        z1 = np.empty(units)
+        for u in range(units):
+            offset = data.draw(offsets)
+            if offset is None:
+                z1[u] = data.draw(finite)
+            else:
+                z1[u] = np.nextafter(-hi[u], offset * np.inf) if offset else -hi[u]
+        rows = flips + z1
+        turned_on = np.any(rows > 0.0, axis=0) | np.any(rows.astype(np.float32) > 0.0, axis=0)
+        assert set(np.flatnonzero(turned_on)) <= set(_live_units(z1, hi))
+
+    def test_nan_units_stay_live(self):
+        z1 = np.array([np.nan, -1.0, 1.0, -1.0])
+        hi = np.array([0.0, 0.5, 0.0, np.nan])
+        np.testing.assert_array_equal(_live_units(z1, hi), [0, 2, 3])
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_row_subsets_within_float64_spread(self, n):
@@ -333,7 +402,7 @@ class TestFloat32Screen:
         z1 = net.weights[0] @ rng.choice([-1.0, 1.0], n) + net.biases[0]
         batch = z1 - 2.0 * net.weights[0].T * rng.choice([-1.0, 1.0], (n, 1))
         full = forward_from_first_layer(net, batch)
-        _, eps = screen_tail(net, 0.0, batch)
+        _, eps = screen_rows(net, batch)
         for k in (1, 2, 3, 7):
             rows = np.sort(rng.choice(n, k, replace=False))
             sub = forward_from_first_layer(net, batch[rows])
@@ -343,7 +412,7 @@ class TestFloat32Screen:
         net = build_linear_net([5.0, -3.0, 9.0, 1.0, -7.0])
         signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5))
         z1 = signs @ net.weights[0].T
-        phi32, eps = screen_tail(net, 0.0, z1)
+        phi32, eps = screen_rows(net, z1)
         np.testing.assert_array_equal(phi32, forward_from_first_layer(net, z1))
         assert np.all(eps > 0.0)
 
@@ -356,7 +425,7 @@ class TestFloat32Screen:
         net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
         z1 = np.full((3, 5), scale)
         assert net._screen is not None
-        assert screen_tail(net, 0.0, z1) is None
+        assert screen_rows(net, z1) is None
         assert np.all(np.isfinite(forward_from_first_layer(net, z1)))
 
     @pytest.mark.parametrize("scale", [1e39, 1e-40])
@@ -367,6 +436,17 @@ class TestFloat32Screen:
         weights[-1] = weights[-1] * scale
         assert DeepNet(config, weights, net.biases)._screen is None
 
+    @pytest.mark.parametrize("big, screened", [(3.3e38, True), (3.5e38, False)])
+    def test_one_hidden_weight_past_float32_leaves_no_screen(self, big, screened):
+        """float32's largest value is about 3.403e38: a hidden weight above it
+        rounds to infinity, though the carry vectors stay finite."""
+        config = NetworkConfig(n=6, hidden_widths=(5, 4))
+        hidden = np.ones((4, 5))
+        hidden[0, 0] = big
+        weights = [np.ones((5, 6)), hidden, np.full((1, 4), 0.25)]
+        net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
+        assert (net._screen is not None) == screened
+
     def test_only_the_builtin_relu_is_screened(self):
         twin = register_activation(
             Activation("relu_screen_twin", RELU.fn, RELU.derivative)
@@ -375,4 +455,4 @@ class TestFloat32Screen:
         for activation in ("relu", "tanh", twin.name):
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
-            assert (screen_tail(net, 0.0, z1) is None) == (activation != "relu")
+            assert (screen_rows(net, z1) is None) == (activation != "relu")

@@ -41,13 +41,15 @@ So the path and distance are those of the float64 pass, bit for bit, on
 any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
 its fixed costs outweigh its saving.
 
-Greedy keeps its flip table unit-major, (n_1, n): column i is bit i's flip
-row, the values of _flip_rows (a product by +-2 is exact), built without a
-transpose. The screen then takes the first-layer units that some flip may
-turn on as a row gather, from the per-unit maximum of the table, which is
-taken once per trial. The float64 passes transpose their rows back into the
-C-ordered (rows, n_1) batches that every search hands
-forward_from_first_layer.
+Greedy indexes its flip table unit-major, (n_1, n): column i is bit i's
+flip row, the values of _flip_rows (a product by +-2 is exact). A screened
+search stores it unit-major too, built without a transpose, so that the
+screen takes the first-layer units that some flip may turn on as a row
+gather, from the per-unit maximum of the table, which is taken once per
+trial; its float64 passes transpose their rows back into the C-ordered
+(rows, n_1) batches that every search hands forward_from_first_layer. An
+unscreened search, which makes a float64 pass at every step, keeps
+_flip_rows' C-ordered rows and reads them through a transposed view.
 """
 
 from __future__ import annotations
@@ -108,10 +110,12 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
-    # unit-major flip table: column i is bit i's flip row (_flip_rows' values)
-    table = np.multiply(net.weights[0], -2.0 * x.signs)
     screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
-    hi = table.max(axis=1) if screen else None
+    if screen:
+        table = np.multiply(net.weights[0], -2.0 * x.signs)
+        hi = table.max(axis=1)
+    else:  # the same table, laid out for the float64 passes' C-ordered rows
+        table, hi = _flip_rows(net, x, slice(None)).T, None
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0

@@ -320,27 +320,30 @@ def _live_units(z1: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def screen_tail(
-    net: DeepNet, z1: np.ndarray, flips: np.ndarray, hi: np.ndarray
+    net: DeepNet, z1: np.ndarray, flips: np.ndarray, scale: np.ndarray, hi: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The layers above the first in float32, for the float64 first-layer
-    preactivations z1 + flips[:, k] (z1 (n_1,), flips (n_1, m) unit-major,
-    hi (n_1,) with hi[u] >= flips[u, k] for every k; each sum is rounded
-    once to float32, not stored): (phi, eps), both float64 (m,), with
-    |phi - phi64| <= eps for any float64 evaluation phi64 of a row (see the
-    module docstring). Only the units that hi lets some row turn on are
-    multiplied. None when net has no float32 tail or a row overflows
-    float32, so that phi or eps is not finite."""
+    preactivations z1 + scale[k] * flips[:, k] (z1 (n_1,), flips (n_1, m)
+    unit-major, scale (m,), hi (n_1,) with hi[u] >= scale[k] * flips[u, k]
+    for every k; each sum is rounded once to float32, not stored): (phi,
+    eps), both float64 (m,), with |phi - phi64| <= eps for any float64
+    evaluation phi64 of a row (see the module docstring). Only the units
+    that hi lets some row turn on are multiplied. None when net has no
+    float32 tail or a row overflows float32, so that phi or eps is not
+    finite."""
     tail = net._screen
     if tail is None:
         return None
     live = _live_units(z1, hi)
     weights = (tail.weights[0][..., live], *tail.weights[1:])
     carry = (tail.carry[0][live], *tail.carry[1:])
-    eps = np.full(flips.shape[1], tail.const)
+    eps = np.full(len(scale), tail.const)
     last = len(weights) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        h = np.empty((len(live), flips.shape[1]), np.float32)
-        np.add(flips[live], z1[live, None], out=h, casting="same_kind")
+        rows = flips[live]
+        rows *= scale
+        h = np.empty(rows.shape, np.float32)
+        np.add(rows, z1[live, None], out=h, casting="same_kind")
         np.maximum(h, 0.0, out=h)
         for l, (w, b, r, c) in enumerate(zip(weights, tail.biases, carry, tail.coef)):
             eps += c * (r @ h)

@@ -41,15 +41,15 @@ So the path and distance are those of the float64 pass, bit for bit, on
 any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
 its fixed costs outweigh its saving.
 
-Greedy indexes its flip table unit-major, (n_1, n): column i is bit i's
-flip row, the values of _flip_rows (a product by +-2 is exact). A screened
-search stores it unit-major too, built without a transpose, so that the
-screen takes the first-layer units that some flip may turn on as a row
-gather, from the per-unit maximum of the table, which is taken once per
-trial; its float64 passes transpose their rows back into the C-ordered
-(rows, n_1) batches that every search hands forward_from_first_layer. An
-unscreened search, which makes a float64 pass at every step, keeps
-_flip_rows' C-ordered rows and reads them through a transposed view.
+A screened search builds no flip table. W^(1) is already unit-major, so
+the screen gathers the rows of the first-layer units that some flip may
+turn on and scales them by -2 x, which gives the flip rows' values exactly
+(a product by +-2 is exact). Which units those are follows from
+hi = 2 max_i |W^(1)[u, i]|, a bound of every flip's change of unit u that
+needs no scaled copy of W^(1). The float64 passes take the C-ordered flip
+rows of _flip_rows, as every search does: the contenders' rows at each
+screened step, and the whole table only at a fallback or below the size
+gate.
 """
 
 from __future__ import annotations
@@ -111,21 +111,22 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
     screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
-    if screen:
-        table = np.multiply(net.weights[0], -2.0 * x.signs)
-        hi = table.max(axis=1)
-    else:  # the same table, laid out for the float64 passes' C-ordered rows
-        table, hi = _flip_rows(net, x, slice(None)).T, None
+    hi = _flip_bound(net) if screen else None
+    delta = None  # every flip row, built for the first float64 pass over them
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
     distance = None
     for step in range(1, n + 1):
         evaluations += n - step + 1  # the flips of the bits not yet flipped
-        choice = screen and _screened_choice(net, z1, table, hi, remaining, s0)
-        i, phi = choice or _float64_choice(net, z1, table, remaining, s0)
+        choice = screen and _screened_choice(net, x, z1, hi, remaining, s0)
+        if not choice:
+            if delta is None:
+                delta = _flip_rows(net, x, slice(None))
+            choice = _float64_choice(net, z1, delta, remaining, s0)
+        i, phi = choice
         path.append(i)
-        z1 = z1 + table[:, i]  # the same sum as candidate i's row
+        z1 = z1 + _flip_rows(net, x, i)  # the same sum as candidate i's row
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phi >= 0.0) != started_positive:
@@ -140,11 +141,11 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
 
 
 def _float64_choice(
-    net: DeepNet, z1: np.ndarray, table: np.ndarray, remaining: np.ndarray, s0: float
+    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Tuple[int, float]:
     """(bit, phi) of the argmin of s0 * phi over the flips of the remaining
     bits (the lowest bit of a tie), from the float64 pass over every flip."""
-    phis = forward_from_first_layer(net, np.add(table.T, z1, order="C"))
+    phis = forward_from_first_layer(net, delta + z1)
     key = s0 * phis
     key[~remaining] = np.inf
     i = int(np.argmin(key))
@@ -153,23 +154,24 @@ def _float64_choice(
 
 def _screened_choice(
     net: DeepNet,
+    x: BitString,
     z1: np.ndarray,
-    table: np.ndarray,
     hi: np.ndarray,
     remaining: np.ndarray,
     s0: float,
 ) -> Optional[Tuple[int, float]]:
     """_float64_choice's answer through the float32 screen, or None when the
     screen cannot certify it (module docstring)."""
-    screened = screen_tail(net, z1, table, hi)
+    screened = screen_tail(net, z1, net.weights[0], -2.0 * x.signs, hi)
     if screened is None:
         return None
     phi32, eps = screened
     key32 = s0 * phi32
     key32[~remaining] = np.inf
     contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
-    # the same sums as the float64 pass's rows
-    phis = forward_from_first_layer(net, np.add(table[:, contenders].T, z1, order="C"))
+    rows = _flip_rows(net, x, contenders)
+    rows += z1  # the same sums as the float64 pass's rows
+    phis = forward_from_first_layer(net, rows)
     key = s0 * phis
     spread = FLOAT64_SPREAD * eps[contenders]
     k = int(np.argmin(key))
@@ -274,6 +276,13 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
         path=tuple(int(v) for v in perm[:steps]),
         evaluations=evaluations,
     )
+
+
+def _flip_bound(net: DeepNet) -> np.ndarray:
+    """Per first-layer unit u, 2 max_i |W^(1)[u, i]|: no flip of any input
+    changes z1[u] by more (2 |w| is exact)."""
+    w = net.weights[0]
+    return 2.0 * np.maximum(w.max(axis=1), -w.min(axis=1))
 
 
 def _flip_rows(net: DeepNet, x: BitString, bits) -> np.ndarray:

@@ -294,26 +294,26 @@ class TestFlipCache:
             np.testing.assert_allclose(via_cache[i], direct, rtol=1e-10, atol=1e-12)
 
 
-def screen_rows(net, rows, z1=None):
-    """screen_tail on the first-layer rows z1 + rows[k] (z1 zero unless
-    given), hi the rows' own per-unit maximum."""
-    z1 = np.zeros(rows.shape[1]) if z1 is None else z1
-    return screen_tail(net, z1, rows.T, rows.max(axis=0))
+def screen_rows(net, rows):
+    """screen_tail on the first-layer rows 0 + rows[k], hi the rows' own
+    per-unit maximum."""
+    return screen_tail(net, np.zeros(rows.shape[1]), rows.T, np.ones(len(rows)), rows.max(axis=0))
 
 
-def assert_bound_holds(net, z1, flips):
-    """|phi32 - phi64| <= eps on every row z1 + flips[k], against the
-    float64 pass over the whole batch and over each row alone, with the
-    screen run on the whole batch and on each row alone."""
-    rows = flips + z1
-    hi = flips.max(axis=0)
-    phi32, eps = screen_tail(net, z1, flips.T, hi)
+def assert_bound_holds(net, z1, flips, scale):
+    """|phi32 - phi64| <= eps on every row z1 + scale[k] * flips[:, k],
+    against the float64 pass over the whole batch and over each row alone,
+    with the screen run on the whole batch and on each row alone."""
+    changes = (flips * scale).T
+    rows = changes + z1
+    hi = changes.max(axis=0)
+    phi32, eps = screen_tail(net, z1, flips, scale, hi)
     assert phi32.dtype == eps.dtype == np.float64
     assert np.all(np.abs(phi32 - forward_from_first_layer(net, rows)) <= eps)
     for k in range(len(rows)):  # one-row batches take other BLAS kernels
         single = forward_from_first_layer(net, rows[k : k + 1])[0]
         assert abs(phi32[k] - single) <= eps[k]
-        phi32_k, eps_k = screen_tail(net, z1, flips[k : k + 1].T, hi)
+        phi32_k, eps_k = screen_tail(net, z1, flips[:, k : k + 1], scale[k : k + 1], hi)
         assert abs(phi32_k[0] - single) <= eps_k[0]
 
 
@@ -336,26 +336,27 @@ class TestFloat32Screen:
             n=n, hidden_widths=tuple(widths), sigma_w2=sigma_w2, sigma_b2=sigma_b2, seed=seed
         )
         net = sample_network(config, 0)
-        flips = np.random.default_rng(seed).standard_normal((m, widths[0])) * scale
-        assert_bound_holds(net, np.zeros(widths[0]), flips)
+        flips = np.random.default_rng(seed).standard_normal((widths[0], m)) * scale
+        assert_bound_holds(net, np.zeros(widths[0]), flips, np.ones(m))
 
     @pytest.mark.parametrize("dead", ["none", "most", "all"])
     @pytest.mark.parametrize("n, widths", [(64, (64, 64)), (40, (96, 24, 32)), (24, (48,))])
     def test_bound_holds_with_dead_units(self, n, widths, dead):
-        """Every flip row of a net, with z1 chosen so that no first-layer
-        unit, all but one in eight, or every unit is off in every row."""
+        """Every flip of a net, as greedy screens them (W^(1) scaled by -2 x),
+        with z1 chosen so that no first-layer unit, all but one in eight, or
+        every unit is off in every row."""
         config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=0.3, seed=3)
         net = sample_network(config, 1)
-        x = BitString.random(n, np.random.default_rng(n))
-        flips = np.multiply(net.weights[0], -2.0 * x.signs).T
-        lo, hi = flips.min(axis=0), flips.max(axis=0)
+        scale = -2.0 * BitString.random(n, np.random.default_rng(n)).signs
+        changes = net.weights[0] * scale
+        lo, hi = changes.min(axis=1), changes.max(axis=1)
         z1 = 1.0 - lo  # on in every row
         if dead != "none":
             off = slice(None) if dead == "all" else np.arange(widths[0]) % 8 != 0
             z1[off] = -0.5 - hi[off]
         live = len(_live_units(z1, hi))
         assert live == {"none": widths[0], "most": (widths[0] + 7) // 8, "all": 0}[dead]
-        assert_bound_holds(net, z1, flips)
+        assert_bound_holds(net, z1, net.weights[0], scale)
 
     @settings(deadline=None, max_examples=200)
     @given(

@@ -52,12 +52,13 @@ weight or bias that float32 cannot hold to relative precision u (overflow or
 below 2^-126) leave a net without a screen.
 
 The screen multiplies only the first-layer units that some row may turn on.
-The rows are z1 + f with f[u] <= hi[u] for each unit u, and a unit with
-z1[u] + hi[u] <= 0 in float64 is dropped. Rounded addition and the float32
-cast are monotone, so every row's h1[u] is then exactly 0 after ReLU. Each
-float32 sum of the first product thus loses only zero terms: its value is
-that of the full sum over k <= K live terms, and gamma_k <= gamma_K, so the
-bound above, which charges the full fan-in K, holds unchanged.
+Each row adds to z1[u] a float64 change f <= hi[u] (a bound of the exact
+change bounds its rounding too), and a unit with z1[u] + hi[u] <= 0 in
+float64 is dropped. Rounded addition and the float32 cast are monotone, so
+every row's h1[u] is then exactly 0 after ReLU. Each float32 sum of the
+first product thus loses only zero terms: its value is that of the full
+sum over k <= K live terms, and gamma_k <= gamma_K, so the bound above,
+which charges the full fan-in K, holds unchanged.
 """
 
 from __future__ import annotations

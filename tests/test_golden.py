@@ -10,6 +10,11 @@ moved to a per-trial flip table and reused GEMM output rows: the small pins
 finish greedy in a step or two on tiny batches, this one takes several steps
 on batches wider than the BLAS blocking.
 
+The closest pin at n = 256, 512 is the only one above greedy's float32
+screen size gate: its 30 greedy steps are decided by the screen, with no
+float64 fallback. It was computed before the flip rows and the screen's
+decisions moved into nets.
+
 The gp-check rows pin is the one exception: it was recomputed when gp-check
 moved from drawing whole networks to sampling each layer's preactivations
 at the probe points (nets.sample_outputs), which draws from its own stream.
@@ -68,6 +73,11 @@ GOLDEN = {
         dict(kind=KIND_CLOSEST, n_values=(64, 128), trials=6),
         "db1214030ce6932a46160966544026701942987a4ddf6003635bbf3df448d200",
         "9deb436cfe4f36c792e3a9d8c613ee39f21a774fedc098450e7314e1178ca7b5",
+    ),
+    "closest-n256-512": (
+        dict(kind=KIND_CLOSEST, n_values=(256, 512), trials=6),
+        "32e57e6a214c9fc1aa65c3f6f357fbb92878e0850b91a48572b9c6ee5fff7085",
+        "27ed1596b3d1e73f3313063650d1d6ed8f63ee69153d1c2fcfc0272b521bc4c9",
     ),
 }
 

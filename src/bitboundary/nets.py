@@ -12,11 +12,11 @@ BitString.
 
 All math is float64 with a fixed summation order (row-major matrix products),
 so a given (config, trial_index) reproduces phi bit for bit. Flipping bit i
-changes W^(1) x by -2 x_i W^(1)[:, i], so the searches' one flip update is
-the start's z1 plus a row per flipped bit, summed left to right, through
-the layers above the first; forward and forward_batch, from sign rows, are
-the independent reference. A DeepNet is a read-only value: every forward
-pass allocates its own products, so threads may share one net.
+changes W^(1) x by -2 x_i W^(1)[:, i] (flip_rows), so the searches' one flip
+update is the start's z1 plus a row per flipped bit, summed left to right,
+through the layers above the first; forward and forward_batch, from sign
+rows, are the independent reference. A DeepNet is a read-only value: every
+forward pass allocates its own products, so threads may share one net.
 
 sample_outputs draws phi at a few fixed inputs without drawing any weight
 matrix: given the layer below, the preactivations of layer l at m inputs
@@ -26,11 +26,11 @@ at n_l * m normals per layer instead of n_l * n_{l-1}. The first layer's
 factor of H^T H depends on the inputs alone (probe_factor), so it is
 computed once per input set, not once per network.
 
-screen_tail is a cheaper, certified look at the layers above the first for
+screen_flips is a cheaper, certified look at every single flip of x for
 ReLU nets (the built-in RELU object, chosen by identity): the float64 rows
-z1 go through a float32 copy of the tail, and each row comes with a rigorous
-bound eps >= |phi32 - phi64| against any float64 evaluation of that row,
-whatever its summation order. With u = 2^-24 and gamma_K = K u / (1 - K u)
+z1 + flip row go through a float32 copy of the tail, and each row comes with
+a rigorous bound eps >= |phi32 - phi64| against any float64 evaluation of
+that row, whatever its summation order. With u = 2^-24 and gamma_K = K u / (1 - K u)
 for a fan-in K, the terms are, carried to the output by the per-net vectors
 r_k = |w_out| |W_L| .. |W_{k+1}| (so each is one gemv of nonnegative float32
 numbers per layer):
@@ -47,18 +47,28 @@ raise the bound, and the sum is raised by 2^-20 relatively, which covers the
 float64 arithmetic of the bound and the float64 evaluation's own error (at
 most 2^-28 of the float32 bound). So two float64 evaluations of one row,
 for instance inside batches of different sizes, differ by at most
-FLOAT64_SPREAD * eps. Widths above 2^16, more than 32 hidden layers, or a
-weight or bias that float32 cannot hold to relative precision u (overflow or
-below 2^-126) leave a net without a screen.
+FLOAT64_SPREAD * eps.
 
-The screen multiplies only the first-layer units that some row may turn on.
-Each row adds to z1[u] a float64 change f <= hi[u] (a bound of the exact
-change bounds its rounding too), and a unit with z1[u] + hi[u] <= 0 in
-float64 is dropped. Rounded addition and the float32 cast are monotone, so
-every row's h1[u] is then exactly 0 after ReLU. Each float32 sum of the
-first product thus loses only zero terms: its value is that of the full
-sum over k <= K live terms, and gamma_k <= gamma_K, so the bound above,
-which charges the full fan-in K, holds unchanged.
+A net has a screen (its _Float32Tail) unless one of these holds: its
+activation is not the built-in RELU object; a width is above 2^16 or there
+are more than 32 hidden layers; a weight or bias is one that float32 cannot
+hold to relative precision u (overflow or below 2^-126); or a screen of its
+n flips costs fewer than 2^23 tail multiply-adds, where the screen's fixed
+costs (its float32 copy of the net, a dozen numpy calls) outweigh what it
+saves (measured break-even at about n = 192 for two hidden layers of n).
+
+The screen multiplies only the first-layer units that some flip may turn
+on. No flip changes z1[u] by more than hi[u] = 2 max_i |W^(1)[u, i]|,
+computed once per net with the float32 tail (2 |w| is exact, and a bound of
+the exact change bounds its rounding too), and a unit with
+z1[u] + hi[u] <= 0 in float64 is dropped. Rounded addition and the float32
+cast are monotone, so every row's h1[u] is then exactly 0 after ReLU. Each
+float32 sum of the first product thus loses only zero terms: its value is
+that of the full sum over k <= K live terms, and gamma_k <= gamma_K, so the
+bound above, which charges the full fan-in K, holds unchanged. W^(1) is
+unit-major, so the live units' flip rows are its live rows scaled by -2 x,
+the values of flip_rows exactly (a product by +-2 is exact), and a screen
+builds no n x n flip table.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ _TINY32 = 2.0**-126  # smallest normal float32: the most any underflow loses
 _SCREEN_MAX_WIDTH = 2**16
 _SCREEN_MAX_DEPTH = 32
 _SCREEN_SLACK = 1.0 + 2.0**-20
+_SCREEN_MIN_WORK = 2**23  # tail multiply-adds of a screen of n flips
 # two float64 evaluations of one row differ by at most this times its eps
 FLOAT64_SPREAD = 2.0**-20
 
@@ -152,25 +163,28 @@ class DeepNet:
 
 
 class _Float32Tail(NamedTuple):
-    """A net's layers above the first in float32, with screen_tail's bound:
+    """A net's layers above the first in float32, with screen_flips' bound:
     per layer the weights (the output layer's as a vector), the biases, the
     rounded-up carry vector r_k and the coefficient of r_k . h_k, plus the
-    per-net constant of the bias and underflow terms."""
+    per-net constant of the bias and underflow terms and the per-unit flip
+    bound hi of the unit selection."""
 
     weights: Tuple[np.ndarray, ...]
     biases: Tuple[np.ndarray, ...]
     carry: Tuple[np.ndarray, ...]
     coef: Tuple[np.float64, ...]
     const: float
+    hi: np.ndarray
 
 
 def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
-    """net's _Float32Tail, or None when the bound does not apply to it."""
+    """net's _Float32Tail, or None when it has no screen (module docstring)."""
     widths = net.config.hidden_widths
     if (
         net.activation is not RELU
         or max(widths) > _SCREEN_MAX_WIDTH
         or len(widths) > _SCREEN_MAX_DEPTH
+        or net.config.n * sum(w.size for w in net.weights[1:]) < _SCREEN_MIN_WORK
     ):
         return None
     weights, biases, carry, coef = [], [], [], []
@@ -198,8 +212,10 @@ def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
     coef[-1] += np.float64(_U32 / (1.0 - gamma))  # the cast of z1, in the same gemv
     const += _TINY32 * float(r.sum())
     weights[0] = weights[0][0]
+    w1 = net.weights[0]
+    hi = 2.0 * np.maximum(w1.max(axis=1), -w1.min(axis=1))
     return _Float32Tail(
-        tuple(weights[::-1]), tuple(biases[::-1]), tuple(carry[::-1]), tuple(coef[::-1]), const
+        tuple(weights[::-1]), tuple(biases[::-1]), tuple(carry[::-1]), tuple(coef[::-1]), const, hi
     )
 
 
@@ -314,35 +330,40 @@ def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
     return z[:, 0]
 
 
+def flip_rows(net: DeepNet, x: BitString, bits) -> np.ndarray:
+    """Row k is the change of z1 = W^(1) x + b^(1) when bit bits[k] flips,
+    -2 x_i W^(1)[:, i], exactly (x_i = +-1, factor 2), as a fresh C-ordered
+    array. No search re-flips a bit, so x's signs stay valid."""
+    return np.multiply(net.weights[0].T[bits], -2.0 * x.signs[bits, None], order="C")
+
+
 def _live_units(z1: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The first-layer units that some row z1 + f, f <= hi unit by unit, may
     turn on: all but those with z1 + hi <= 0 (a NaN is kept)."""
     return np.flatnonzero(~(z1 + hi <= 0.0))
 
 
-def screen_tail(
-    net: DeepNet, z1: np.ndarray, flips: np.ndarray, scale: np.ndarray, hi: np.ndarray
+def screen_flips(
+    net: DeepNet, z1: np.ndarray, x: BitString
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The layers above the first in float32, for the float64 first-layer
-    preactivations z1 + scale[k] * flips[:, k] (z1 (n_1,), flips (n_1, m)
-    unit-major, scale (m,), hi (n_1,) with hi[u] >= scale[k] * flips[u, k]
-    for every k; each sum is rounded once to float32, not stored): (phi,
-    eps), both float64 (m,), with |phi - phi64| <= eps for any float64
-    evaluation phi64 of a row (see the module docstring). Only the units
-    that hi lets some row turn on are multiplied. None when net has no
-    float32 tail or a row overflows float32, so that phi or eps is not
-    finite."""
+    preactivations z1 + flip_rows(net, x, i) of every bit i (each sum is
+    rounded once to float32, not stored): (phi, eps), both float64 (n,),
+    with |phi - phi64| <= eps for any float64 evaluation phi64 of a row.
+    Only the units that some flip may turn on are multiplied (module
+    docstring). None when net has no screen or a row overflows float32, so
+    that phi or eps is not finite."""
     tail = net._screen
     if tail is None:
         return None
-    live = _live_units(z1, hi)
+    live = _live_units(z1, tail.hi)
     weights = (tail.weights[0][..., live], *tail.weights[1:])
     carry = (tail.carry[0][live], *tail.carry[1:])
-    eps = np.full(len(scale), tail.const)
+    eps = np.full(x.n, tail.const)
     last = len(weights) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        rows = flips[live]
-        rows *= scale
+        rows = net.weights[0][live]
+        rows *= -2.0 * x.signs
         h = np.empty(rows.shape, np.float32)
         np.add(rows, z1[live, None], out=h, casting="same_kind")
         np.maximum(h, 0.0, out=h)
@@ -362,9 +383,9 @@ def screen_tail(
 def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, np.ndarray]:
     """phi(x) and the first-layer preactivations z1 = W^(1) x + b^(1).
 
-    Flipping bit i turns z1 into z1 - 2 x_i W^(1)[:, i] (row i of
-    W^(1).T * -2 x[:, None]), so a set of flips costs one row add per bit
-    plus the layers above the first through forward_from_first_layer.
+    Flipping bit i adds flip_rows(net, x, i) to z1, so a set of flips
+    costs one row add per bit plus the layers above the first through
+    forward_from_first_layer.
     """
     if x.n != net.config.n:
         raise ConfigError(f"input length {x.n} != network input_dim {net.config.n}")

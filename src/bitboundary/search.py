@@ -15,8 +15,8 @@ Three procedures, all pure functions of (net, x, seed):
 
 All three evaluate a flip set one way, the flip update: the starting
 first-layer preactivations z1 (nets.forward_with_first_layer_cache) plus
-the flip rows of its bits (_flip_rows), summed left to right, through the
-layers above the first (nets.forward_from_first_layer). The sign-row
+the flip rows of its bits (nets.flip_rows), summed left to right, through
+the layers above the first (nets.forward_from_first_layer). The sign-row
 recursion (nets.forward_batch) is the independent reference for tests.
 
 ``evaluations`` counts candidate forward passes of unflipped bits; the
@@ -25,7 +25,7 @@ at most n" and "total at most n * steps" exact for greedy.
 
 Greedy's screen and decision: a step's choice is the argmin of s0 * phi
 from the float64 pass over every flip of the table, the flipped bits' keys
-set to +inf. nets.screen_tail gives each flip's phi through a float32 tail
+set to +inf. nets.screen_flips gives each flip's phi through a float32 tail
 with a rigorous bound eps against any float64 evaluation. Only the flips
 whose interval [s0 phi - eps, s0 phi + eps] reaches below the smallest
 upper end can be the float64 argmin, and only these contenders are
@@ -35,21 +35,10 @@ out a few ulps apart from that pass (a BLAS may round a row differently in
 a smaller batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen flip
 must be below every other contender and away from zero by more than that.
 Every other case takes the float64 pass, which is the decision itself: an
-exact tie, a float32 overflow, or a net without a float32 tail (any
-activation but the built-in RELU object, by identity).
-So the path and distance are those of the float64 pass, bit for bit, on
-any BLAS. Small nets skip the screen: below 2^23 tail multiply-adds a step,
-its fixed costs outweigh its saving.
-
-A screened search builds no flip table. W^(1) is already unit-major, so
-the screen gathers the rows of the first-layer units that some flip may
-turn on and scales them by -2 x, which gives the flip rows' values exactly
-(a product by +-2 is exact). Which units those are follows from
-hi = 2 max_i |W^(1)[u, i]|, a bound of every flip's change of unit u that
-needs no scaled copy of W^(1). The float64 passes take the C-ordered flip
-rows of _flip_rows, as every search does: the contenders' rows at each
-screened step, and the whole table only at a fallback or below the size
-gate.
+exact tie, a float32 overflow, or a net without a screen (nets says which
+nets have one). So the path and distance are those of the float64 pass, bit
+for bit, on any BLAS. The float64 pass over every flip uses a table of all
+flip rows, built at a search's first such pass and kept for the rest.
 """
 
 from __future__ import annotations
@@ -67,8 +56,9 @@ from .nets import (
     FLOAT64_SPREAD,
     DeepNet,
     forward_from_first_layer,
+    flip_rows,
     forward_with_first_layer_cache,
-    screen_tail,
+    screen_flips,
     sign_with_tie,
 )
 from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces search.forward_batch
@@ -77,10 +67,6 @@ from .rng import STREAM_WALK, spawn_rng
 DEFAULT_BUDGET = 20_000_000
 _ENUM_CHUNK = 2048
 _WALK_BLOCK = 64
-# Tail multiply-adds of a step's n rows below which the screen's fixed costs
-# (its float32 copy of the net, a dozen numpy calls a step) outweigh what it
-# saves: measured break-even at about n = 192 for two hidden layers of n.
-_SCREEN_MIN_WORK = 2**23
 
 
 @dataclass(frozen=True)
@@ -110,8 +96,6 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
     s0 = 1.0 if started_positive else -1.0
-    screen = n * sum(w.size for w in net.weights[1:]) >= _SCREEN_MIN_WORK
-    hi = _flip_bound(net) if screen else None
     delta = None  # every flip row, built for the first float64 pass over them
     remaining = np.ones(n, dtype=bool)
     path = []
@@ -119,14 +103,14 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     distance = None
     for step in range(1, n + 1):
         evaluations += n - step + 1  # the flips of the bits not yet flipped
-        choice = screen and _screened_choice(net, x, z1, hi, remaining, s0)
+        choice = _screened_choice(net, x, z1, remaining, s0)
         if not choice:
             if delta is None:
-                delta = _flip_rows(net, x, slice(None))
+                delta = flip_rows(net, x, slice(None))
             choice = _float64_choice(net, z1, delta, remaining, s0)
         i, phi = choice
         path.append(i)
-        z1 = z1 + _flip_rows(net, x, i)  # the same sum as candidate i's row
+        z1 = z1 + flip_rows(net, x, i)  # the same sum as candidate i's row
         remaining[i] = False
         # same flip predicate as exact_search and the walk (sign(0) = +1)
         if (phi >= 0.0) != started_positive:
@@ -153,23 +137,18 @@ def _float64_choice(
 
 
 def _screened_choice(
-    net: DeepNet,
-    x: BitString,
-    z1: np.ndarray,
-    hi: np.ndarray,
-    remaining: np.ndarray,
-    s0: float,
+    net: DeepNet, x: BitString, z1: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Optional[Tuple[int, float]]:
     """_float64_choice's answer through the float32 screen, or None when the
     screen cannot certify it (module docstring)."""
-    screened = screen_tail(net, z1, net.weights[0], -2.0 * x.signs, hi)
+    screened = screen_flips(net, z1, x)
     if screened is None:
         return None
     phi32, eps = screened
     key32 = s0 * phi32
     key32[~remaining] = np.inf
     contenders = np.flatnonzero(key32 - eps <= np.min(key32 + eps))
-    rows = _flip_rows(net, x, contenders)
+    rows = flip_rows(net, x, contenders)
     rows += z1  # the same sums as the float64 pass's rows
     phis = forward_from_first_layer(net, rows)
     key = s0 * phis
@@ -203,7 +182,7 @@ def exact_search(
         raise ConfigError(f"max_h must be in [1, {n}], got {max_h}")
     phi0, z1 = forward_with_first_layer_cache(net, x)
     started_positive = sign_with_tie(phi0) == 1
-    delta = _flip_rows(net, x, slice(None))
+    delta = flip_rows(net, x, slice(None))
     planned = 0
     evaluations = 0
     for h in range(1, max_h + 1):
@@ -259,7 +238,7 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     pos = 0
     while pos < n:
         b = min(_WALK_BLOCK, n - pos)
-        block = _flip_rows(net, x, perm[pos : pos + b])
+        block = flip_rows(net, x, perm[pos : pos + b])
         block[0] += z1
         np.cumsum(block, axis=0, out=block)  # row j: z1 after flips pos..pos+j
         phis = forward_from_first_layer(net, block)
@@ -277,16 +256,3 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
         evaluations=evaluations,
     )
 
-
-def _flip_bound(net: DeepNet) -> np.ndarray:
-    """Per first-layer unit u, 2 max_i |W^(1)[u, i]|: no flip of any input
-    changes z1[u] by more (2 |w| is exact)."""
-    w = net.weights[0]
-    return 2.0 * np.maximum(w.max(axis=1), -w.min(axis=1))
-
-
-def _flip_rows(net: DeepNet, x: BitString, bits) -> np.ndarray:
-    """Row k is the change of z1 = W^(1) x + b^(1) when bit bits[k] flips,
-    -2 x_i W^(1)[:, i], exactly (x_i = +-1, factor 2), as a fresh C-ordered
-    array. No search re-flips a bit, so x's signs stay valid."""
-    return np.multiply(net.weights[0].T[bits], -2.0 * x.signs[bits, None], order="C")

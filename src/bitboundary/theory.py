@@ -141,8 +141,8 @@ def expected_h_star(n: int, f_prime_1: float) -> float:
 
 def heuristic_flip_bound(n: int, f_prime_1: float) -> float:
     """Heuristic mean number of random flips to change classification."""
-    if n < 1 or f_prime_1 <= 0:
-        raise ConfigError(f"need n >= 1 and F'(1) > 0, got n={n}, F'(1)={f_prime_1}")
+    if n < 1 or not (math.isfinite(f_prime_1) and f_prime_1 > 0):
+        raise ConfigError(f"need n >= 1 and finite F'(1) > 0, got n={n}, F'(1)={f_prime_1}")
     return n / (4.0 * f_prime_1)
 
 

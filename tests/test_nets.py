@@ -1,10 +1,13 @@
 """Network sampling, forward paths and first-layer reuse."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitboundary import nets
 from bitboundary.activations import RELU, Activation, get_activation, register_activation
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
@@ -13,6 +16,7 @@ from bitboundary.nets import (
     _live_units,
     DeepNet,
     NetworkConfig,
+    flip_rows,
     forward,
     forward_batch,
     forward_from_first_layer,
@@ -20,7 +24,7 @@ from bitboundary.nets import (
     probe_factor,
     sample_network,
     sample_outputs,
-    screen_tail,
+    screen_flips,
     sign_with_tie,
 )
 from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
@@ -294,31 +298,46 @@ class TestFlipCache:
             np.testing.assert_allclose(via_cache[i], direct, rtol=1e-10, atol=1e-12)
 
 
-def screen_rows(net, rows):
-    """screen_tail on the first-layer rows 0 + rows[k], hi the rows' own
-    per-unit maximum."""
-    return screen_tail(net, np.zeros(rows.shape[1]), rows.T, np.ones(len(rows)), rows.max(axis=0))
+@pytest.fixture(scope="class")
+def screen_at_any_size():
+    """Nets of any size get a screen, so that small nets exercise it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_SCREEN_MIN_WORK", 0)
+        yield
 
 
-def assert_bound_holds(net, z1, flips, scale):
-    """|phi32 - phi64| <= eps on every row z1 + scale[k] * flips[:, k],
-    against the float64 pass over the whole batch and over each row alone,
-    with the screen run on the whole batch and on each row alone."""
-    changes = (flips * scale).T
-    rows = changes + z1
-    hi = changes.max(axis=0)
-    phi32, eps = screen_tail(net, z1, flips, scale, hi)
+def with_flips(net, flips, x):
+    """net with W^(1) = flips * (-x / 2), so that flipping bit i of x changes
+    z1 by flips[:, i] exactly (halving and doubling are exact)."""
+    w1 = flips * (-0.5 * x.signs)
+    return DeepNet(net.config, (w1, *net.weights[1:]), net.biases)
+
+
+def one_input_net(net, i):
+    """The net with W^(1)'s column i alone, whose one flip is net's flip of
+    bit i: a one-row screen."""
+    config = dataclasses.replace(net.config, n=1)
+    return DeepNet(config, (net.weights[0][:, i : i + 1], *net.weights[1:]), net.biases)
+
+
+def assert_bound_holds(net, z1, x):
+    """|phi32 - phi64| <= eps on every flip z1 + flip_rows(net, x, i), against
+    the float64 pass over the whole batch and over each row alone, with the
+    screen run on every flip and on each flip alone."""
+    rows = flip_rows(net, x, slice(None)) + z1
+    phi32, eps = screen_flips(net, z1, x)
     assert phi32.dtype == eps.dtype == np.float64
     assert np.all(np.abs(phi32 - forward_from_first_layer(net, rows)) <= eps)
-    for k in range(len(rows)):  # one-row batches take other BLAS kernels
-        single = forward_from_first_layer(net, rows[k : k + 1])[0]
-        assert abs(phi32[k] - single) <= eps[k]
-        phi32_k, eps_k = screen_tail(net, z1, flips[:, k : k + 1], scale[k : k + 1], hi)
-        assert abs(phi32_k[0] - single) <= eps_k[0]
+    for i in range(len(rows)):  # one-row batches take other BLAS kernels
+        single = forward_from_first_layer(net, rows[i : i + 1])[0]
+        assert abs(phi32[i] - single) <= eps[i]
+        phi32_i, eps_i = screen_flips(one_input_net(net, i), z1, BitString(x.signs[i : i + 1]))
+        assert abs(phi32_i[0] - single) <= eps_i[0]
 
 
+@pytest.mark.usefixtures("screen_at_any_size")
 class TestFloat32Screen:
-    """screen_tail's float32 tail and its bound: |phi32 - phi64| <= eps for
+    """screen_flips' float32 tail and its bound: |phi32 - phi64| <= eps for
     any float64 evaluation of a row, with no tolerance beyond eps."""
 
     @settings(deadline=None, max_examples=80)
@@ -328,35 +347,51 @@ class TestFloat32Screen:
         sigma_w2=st.floats(0.25, 4.0),
         sigma_b2=st.floats(0.01, 2.0),
         seed=st.integers(0, 2**31 - 1),
-        m=st.integers(1, 24),
         scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3]),
     )
-    def test_bound_holds_on_every_row(self, n, widths, sigma_w2, sigma_b2, seed, m, scale):
+    def test_bound_holds_on_every_row(self, n, widths, sigma_w2, sigma_b2, seed, scale):
         config = NetworkConfig(
             n=n, hidden_widths=tuple(widths), sigma_w2=sigma_w2, sigma_b2=sigma_b2, seed=seed
         )
-        net = sample_network(config, 0)
-        flips = np.random.default_rng(seed).standard_normal((widths[0], m)) * scale
-        assert_bound_holds(net, np.zeros(widths[0]), flips, np.ones(m))
+        rng = np.random.default_rng(seed)
+        flips = rng.standard_normal((widths[0], n)) * scale
+        x = BitString.random(n, rng)
+        net = with_flips(sample_network(config, 0), flips, x)
+        assert_bound_holds(net, np.zeros(widths[0]), x)
 
     @pytest.mark.parametrize("dead", ["none", "most", "all"])
     @pytest.mark.parametrize("n, widths", [(64, (64, 64)), (40, (96, 24, 32)), (24, (48,))])
     def test_bound_holds_with_dead_units(self, n, widths, dead):
-        """Every flip of a net, as greedy screens them (W^(1) scaled by -2 x),
-        with z1 chosen so that no first-layer unit, all but one in eight, or
-        every unit is off in every row."""
+        """Every flip of a sampled net, with z1 chosen so that no first-layer
+        unit, all but one in eight, or every unit is off in every row."""
         config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=0.3, seed=3)
         net = sample_network(config, 1)
-        scale = -2.0 * BitString.random(n, np.random.default_rng(n)).signs
-        changes = net.weights[0] * scale
-        lo, hi = changes.min(axis=1), changes.max(axis=1)
-        z1 = 1.0 - lo  # on in every row
+        x = BitString.random(n, np.random.default_rng(n))
+        z1 = 1.0 - flip_rows(net, x, slice(None)).min(axis=0)  # on in every row
         if dead != "none":
             off = slice(None) if dead == "all" else np.arange(widths[0]) % 8 != 0
-            z1[off] = -0.5 - hi[off]
-        live = len(_live_units(z1, hi))
+            z1[off] = -0.5 - 2.0 * np.abs(net.weights[0][off]).max(axis=1)
+        live = len(_live_units(z1, net._screen.hi))
         assert live == {"none": widths[0], "most": (widths[0] + 7) // 8, "all": 0}[dead]
-        assert_bound_holds(net, z1, net.weights[0], scale)
+        assert_bound_holds(net, z1, x)
+
+    @pytest.mark.parametrize("signs", ["random", "all-plus", "all-minus"])
+    def test_flip_bound_covers_every_flip_row(self, signs):
+        """The per-unit bound that the screen's unit selection starts from,
+        taken from W^(1) alone, is at least every flip row's entry, for any
+        input, and equal to the largest one when x_i = -sign W[u, i]."""
+        n = 24
+        net = sample_network(NetworkConfig(n=n, hidden_widths=(40, 8), seed=6), 0)
+        x = {
+            "random": BitString.random(n, np.random.default_rng(1)),
+            "all-plus": BitString(np.ones(n)),
+            "all-minus": BitString(-np.ones(n)),
+        }[signs]
+        bound = net._screen.hi
+        assert np.all(bound >= flip_rows(net, x, slice(None)).max(axis=0))
+        for u in (0, 17, 39):
+            x = BitString(-np.sign(net.weights[0][u]))
+            assert flip_rows(net, x, slice(None))[:, u].max() == bound[u]
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -367,7 +402,7 @@ class TestFloat32Screen:
     )
     def test_live_units_keep_every_unit_some_row_turns_on(self, data, units, m, scale):
         """A unit whose float64 preactivation z1 + f is positive in some
-        row, or whose float32 rounding screen_tail feeds to ReLU is, stays
+        row, or whose float32 rounding screen_flips feeds to ReLU is, stays
         live. z1 sits at -hi, one ulp either side of it, or anywhere."""
         finite = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
         flips = np.array(data.draw(st.lists(finite, min_size=units * m, max_size=units * m)))
@@ -394,17 +429,18 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_row_subsets_within_float64_spread(self, n):
         """The BLAS row-subset property greedy's decision relies on: _tail on
-        a 1-, 2-, 3- or 7-row subset of a batch gives the rows of the
-        full-batch _tail to within FLOAT64_SPREAD * eps. (Bit equality does
-        not hold on every BLAS: OpenBLAS rounds a 1- or 2-row batch, or any
-        batch of 64, in another order.)"""
+        a 1-, 2-, 3- or 7-row subset of a batch of flips gives the rows of
+        the full-batch _tail to within FLOAT64_SPREAD * eps. (Bit equality
+        does not hold on every BLAS: OpenBLAS rounds a 1- or 2-row batch, or
+        any batch of 64, in another order.)"""
         config = NetworkConfig(n=n, hidden_widths=(n, n), sigma_b2=0.1, seed=5)
         net = sample_network(config, 1)
         rng = np.random.default_rng(n)
         z1 = net.weights[0] @ rng.choice([-1.0, 1.0], n) + net.biases[0]
-        batch = z1 - 2.0 * net.weights[0].T * rng.choice([-1.0, 1.0], (n, 1))
+        x = BitString(rng.choice([-1.0, 1.0], n))
+        batch = flip_rows(net, x, slice(None)) + z1
         full = forward_from_first_layer(net, batch)
-        _, eps = screen_rows(net, batch)
+        _, eps = screen_flips(net, z1, x)
         for k in (1, 2, 3, 7):
             rows = np.sort(rng.choice(n, k, replace=False))
             sub = forward_from_first_layer(net, batch[rows])
@@ -412,11 +448,13 @@ class TestFloat32Screen:
 
     def test_exact_arithmetic_gives_exact_values(self):
         net = build_linear_net([5.0, -3.0, 9.0, 1.0, -7.0])
-        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5))
-        z1 = signs @ net.weights[0].T
-        phi32, eps = screen_rows(net, z1)
-        np.testing.assert_array_equal(phi32, forward_from_first_layer(net, z1))
-        assert np.all(eps > 0.0)
+        for signs in np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5)):
+            x = BitString(signs)
+            _, z1 = forward_with_first_layer_cache(net, x)
+            phi32, eps = screen_flips(net, z1, x)
+            rows = flip_rows(net, x, slice(None)) + z1
+            np.testing.assert_array_equal(phi32, forward_from_first_layer(net, rows))
+            assert np.all(eps > 0.0)
 
     @pytest.mark.parametrize("scale", [3e38, 1e39])
     def test_float32_overflow_gives_none(self, scale):
@@ -425,10 +463,11 @@ class TestFloat32Screen:
         config = NetworkConfig(n=6, hidden_widths=(5, 4))
         weights = [np.ones((5, 6)), np.ones((4, 5)), np.ones((1, 4))]
         net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
-        z1 = np.full((3, 5), scale)
+        z1, x = np.full(5, scale), BitString(np.ones(6))
         assert net._screen is not None
-        assert screen_rows(net, z1) is None
-        assert np.all(np.isfinite(forward_from_first_layer(net, z1)))
+        assert screen_flips(net, z1, x) is None
+        rows = flip_rows(net, x, slice(None)) + z1
+        assert np.all(np.isfinite(forward_from_first_layer(net, rows)))
 
     @pytest.mark.parametrize("scale", [1e39, 1e-40])
     def test_weights_outside_float32_have_no_screen(self, scale):
@@ -453,8 +492,9 @@ class TestFloat32Screen:
         twin = register_activation(
             Activation("relu_screen_twin", RELU.fn, RELU.derivative)
         )
-        z1 = np.random.default_rng(1).standard_normal((4, 7))
+        rng = np.random.default_rng(1)
+        z1, x = rng.standard_normal(7), BitString.random(5, rng)
         for activation in ("relu", "tanh", twin.name):
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
-            assert (screen_rows(net, z1) is None) == (activation != "relu")
+            assert (screen_flips(net, z1, x) is None) == (activation != "relu")

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bitboundary import search
+from bitboundary import nets, search
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import BudgetExceededError, ConfigError
 from bitboundary.nets import (
@@ -122,7 +122,7 @@ def tail_rows(monkeypatch):
     """Row counts of greedy's float64 tail passes, in call order; a pass over
     fewer rows than the step's batch is a screened step's contenders. The
     screen runs at any size, so that small nets exercise it."""
-    monkeypatch.setattr(search, "_SCREEN_MIN_WORK", 0)
+    monkeypatch.setattr(nets, "_SCREEN_MIN_WORK", 0)
     rows = []
     real = search.forward_from_first_layer
 
@@ -257,24 +257,6 @@ class TestOneFlipUpdate:
     """Every search evaluates a flip set as z1 plus its flip rows, through
     forward_from_first_layer, so the searches agree bit for bit where they
     evaluate the same flips."""
-
-    @pytest.mark.parametrize("signs", ["random", "all-plus", "all-minus"])
-    def test_flip_bound_covers_every_flip_row(self, signs):
-        """The per-unit bound that the screen's unit selection starts from,
-        taken from W^(1) alone, is at least every flip row's entry, for any
-        input, and equal to the largest one when x_i = -sign W[u, i]."""
-        n = 24
-        net = sample_network(NetworkConfig(n=n, hidden_widths=(40, 8), seed=6), 0)
-        x = {
-            "random": BitString.random(n, np.random.default_rng(1)),
-            "all-plus": BitString(np.ones(n)),
-            "all-minus": BitString(-np.ones(n)),
-        }[signs]
-        bound = search._flip_bound(net)
-        assert np.all(bound >= search._flip_rows(net, x, slice(None)).max(axis=0))
-        for u in (0, 17, 39):
-            x = BitString(-np.sign(net.weights[0][u]))
-            assert search._flip_rows(net, x, slice(None))[:, u].max() == bound[u]
 
     @pytest.fixture
     def tail_calls(self, monkeypatch):

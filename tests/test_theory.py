@@ -231,6 +231,9 @@ class TestHeuristics:
     def test_validation(self):
         with pytest.raises(ConfigError):
             heuristic_flip_bound(0, 1.0)
+        for f_prime_1 in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ConfigError):
+                heuristic_flip_bound(10, f_prime_1)
         with pytest.raises(ConfigError):
             heuristic_closest_bound(512, 0.0)
 

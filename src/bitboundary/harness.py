@@ -182,6 +182,8 @@ class ExperimentConfig:
             scaling_law(self.kind, "plot data")
         if self.kind == KIND_GP_CHECK and min(self.n_values) < 4:
             raise ConfigError("gp-check needs n >= 4 for its overlap menu")
+        if self.kind == KIND_GP_CHECK and self.trials < 2:
+            raise ConfigError(f"gp-check needs trials >= 2 for standard errors, got {self.trials}")
         if EXPERIMENTS[self.kind].law is not None:
             validate_n(min(self.n_values))
         # Validate the network parameters once up front.
@@ -654,32 +656,24 @@ def _pool_task(payload: Tuple[ExperimentConfig, int, int]) -> tuple:
 def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     """Run all (n, trial) tasks and return rows in (n, trial) order.
 
-    Results are collected into a preallocated slot list indexed by task rank,
-    so output order is schedule independent. On interrupt the rows computed
-    so far are kept and the result is marked truncated.
+    Both paths yield rows in task order, whatever the schedule. On interrupt
+    the rows computed so far are kept and the result is marked truncated.
     """
-    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    slots: List[Optional[tuple]] = [None] * len(tasks)
+    tasks = [(config, n, t) for n in config.n_values for t in range(config.trials)]
+    rows: List[tuple] = []
     truncated = False
-    worker = EXPERIMENTS[config.kind].row
     try:
         if config.parallel == 1:
-            for rank, (n, t) in enumerate(tasks):
-                slots[rank] = worker(config, n, t)
+            rows.extend(map(_pool_task, tasks))
         else:
-            payloads = [(config, n, t) for n, t in tasks]
             # the fork start method starts every worker at once: never more
             # than there are tasks or CPUs
             workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
             chunk = max(1, len(tasks) // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rank, row in enumerate(
-                    pool.map(_pool_task, payloads, chunksize=chunk)
-                ):
-                    slots[rank] = row
+                rows.extend(pool.map(_pool_task, tasks, chunksize=chunk))
     except KeyboardInterrupt:
         truncated = True
-    rows = [r for r in slots if r is not None]
     return rows, truncated
 
 

@@ -5,8 +5,9 @@ A network with hidden widths (n_1, .., n_L) maps x in {-1,+1}^n to the scalar
     phi(x) = W^(L+1) tau(... tau(W^(1) x + b^(1)) ...) + b^(L+1),
 
 with independent Gaussian entries, weight variance sigma_w^2 / n_{l-1} and
-bias variance sigma_b^2. The classifier is psi(x) = sign_with_tie(phi(x)),
-with the deterministic tie rule sign(0) = +1. The batch paths take float64
+bias variance sigma_b^2. The classifier is psi(x) = sign(phi(x)), with the
+deterministic tie rule sign(0) = +1: phi(x) = 0 classifies x as positive
+(the searches apply it, search._crosses). The batch paths take float64
 (m, n) sign rows; forward and forward_with_first_layer_cache take one
 BitString.
 
@@ -392,8 +393,3 @@ def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, n
     z1 = net.weights[0] @ x.signs + net.biases[0]
     phi = float(forward_from_first_layer(net, z1[None, :])[0])
     return phi, z1
-
-
-def sign_with_tie(phi: float) -> int:
-    """Classifier sign with the documented tie rule sign(0) = +1."""
-    return 1 if phi >= 0.0 else -1

@@ -19,6 +19,9 @@ the flip rows of its bits (nets.flip_rows), summed left to right, through
 the layers above the first (nets.forward_from_first_layer). The sign-row
 recursion (nets.forward_batch) is the independent reference for tests.
 
+Exact search and the walk stream flip-set batches through one loop,
+_first_crossing; greedy applies the same crossing rule, _crosses, per step.
+
 ``evaluations`` counts candidate forward passes of unflipped bits; the
 single evaluation of the starting point is excluded, which keeps "per step
 at most n" and "total at most n * steps" exact for greedy.
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from .nets import (
     flip_rows,
     forward_with_first_layer_cache,
     screen_flips,
-    sign_with_tie,
 )
 from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces search.forward_batch
 from .rng import STREAM_WALK, spawn_rng
@@ -94,8 +96,7 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     """
     n = net.config.n
     phi0, z1 = forward_with_first_layer_cache(net, x)
-    started_positive = sign_with_tie(phi0) == 1
-    s0 = 1.0 if started_positive else -1.0
+    s0 = 1.0 if phi0 >= 0.0 else -1.0
     delta = None  # every flip row, built for the first float64 pass over them
     remaining = np.ones(n, dtype=bool)
     path = []
@@ -112,16 +113,10 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
         path.append(i)
         z1 = z1 + flip_rows(net, x, i)  # the same sum as candidate i's row
         remaining[i] = False
-        # same flip predicate as exact_search and the walk (sign(0) = +1)
-        if (phi >= 0.0) != started_positive:
+        if _crosses(phi, phi0):
             distance = step
             break
-    return SearchResult(
-        start_phi=phi0,
-        distance=distance,
-        path=tuple(path),
-        evaluations=evaluations,
-    )
+    return SearchResult(phi0, distance, tuple(path), evaluations)
 
 
 def _float64_choice(
@@ -162,6 +157,26 @@ def _screened_choice(
     return None
 
 
+def _crosses(phi, phi0: float):
+    """Whether phi (a float or an array) is classified apart from phi0: the
+    classifier is sign(phi), with the tie rule sign(0) = +1."""
+    return (phi >= 0.0) != (phi0 >= 0.0)
+
+
+def _first_crossing(net: DeepNet, phi0: float, batches: Iterable) -> Tuple[Optional[tuple], int]:
+    """Evaluate ``batches`` of (rows, tag), rows being the first-layer
+    preactivations of flip sets, in order. Returns ((tag, k), evaluations) for
+    the first row k classified apart from phi0, else (None, evaluations)."""
+    evaluations = 0
+    for rows, tag in batches:
+        phis = forward_from_first_layer(net, rows)
+        evaluations += len(rows)
+        hits = np.flatnonzero(_crosses(phis, phi0))
+        if hits.size:
+            return (tag, int(hits[0])), evaluations
+    return None, evaluations
+
+
 def exact_search(
     net: DeepNet,
     x: BitString,
@@ -181,44 +196,31 @@ def exact_search(
     if not 1 <= max_h <= n:
         raise ConfigError(f"max_h must be in [1, {n}], got {max_h}")
     phi0, z1 = forward_with_first_layer_cache(net, x)
-    started_positive = sign_with_tie(phi0) == 1
     delta = flip_rows(net, x, slice(None))
-    planned = 0
-    evaluations = 0
-    for h in range(1, max_h + 1):
-        planned += math.comb(n, h)
-        if planned > budget:
-            raise BudgetExceededError(
-                f"enumerating shells 1..{h} needs {planned} evaluations "
-                f"(budget {budget}); largest fully searched h is {h - 1}",
-                largest_searched_h=h - 1,
-            )
-        combos = combinations(range(n), h)
-        while True:
-            chunk = list(islice(combos, _ENUM_CHUNK))
-            if not chunk:
-                break
-            idx = np.asarray(chunk, dtype=np.intp)
-            block = z1 + delta[idx[:, 0]]
-            for j in range(1, h):  # left to right, as the walk's running sum
-                block += delta[idx[:, j]]
-            phis = forward_from_first_layer(net, block)
-            evaluations += len(chunk)
-            hits = np.flatnonzero((phis >= 0.0) != started_positive)
-            if hits.size:
-                k = int(hits[0])
-                return SearchResult(
-                    start_phi=phi0,
-                    distance=h,
-                    path=tuple(chunk[k]),
-                    evaluations=evaluations,
+
+    def shells():
+        planned = 0
+        for h in range(1, max_h + 1):
+            planned += math.comb(n, h)
+            if planned > budget:
+                raise BudgetExceededError(
+                    f"enumerating shells 1..{h} needs {planned} evaluations "
+                    f"(budget {budget}); largest fully searched h is {h - 1}",
+                    largest_searched_h=h - 1,
                 )
-    return SearchResult(
-        start_phi=phi0,
-        distance=None,
-        path=None,
-        evaluations=evaluations,
-    )
+            combos = combinations(range(n), h)
+            while chunk := list(islice(combos, _ENUM_CHUNK)):
+                idx = np.asarray(chunk, dtype=np.intp)
+                rows = z1 + delta[idx[:, 0]]
+                for j in range(1, h):  # left to right, as the walk's running sum
+                    rows += delta[idx[:, j]]
+                yield rows, chunk
+
+    hit, evaluations = _first_crossing(net, phi0, shells())
+    if hit is None:
+        return SearchResult(phi0, None, None, evaluations)
+    chunk, k = hit
+    return SearchResult(phi0, len(chunk[k]), chunk[k], evaluations)
 
 
 def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResult:
@@ -232,27 +234,15 @@ def random_flip_walk(net: DeepNet, x: BitString, trial_index: int) -> SearchResu
     rng = spawn_rng(net.config.seed, STREAM_WALK, trial_index)
     perm = rng.permutation(n)
     phi0, z1 = forward_with_first_layer_cache(net, x)
-    started_positive = sign_with_tie(phi0) == 1
-    evaluations = 0
-    steps = n  # the cap, when no flip crosses the boundary
-    pos = 0
-    while pos < n:
-        b = min(_WALK_BLOCK, n - pos)
-        block = flip_rows(net, x, perm[pos : pos + b])
-        block[0] += z1
-        np.cumsum(block, axis=0, out=block)  # row j: z1 after flips pos..pos+j
-        phis = forward_from_first_layer(net, block)
-        evaluations += b
-        hits = np.flatnonzero((phis >= 0.0) != started_positive)
-        if hits.size:
-            steps = pos + int(hits[0]) + 1
-            break
-        z1 = block[-1]
-        pos += b
-    return SearchResult(
-        start_phi=phi0,
-        distance=steps,
-        path=tuple(int(v) for v in perm[:steps]),
-        evaluations=evaluations,
-    )
 
+    def blocks(z1):
+        for pos in range(0, n, _WALK_BLOCK):
+            block = flip_rows(net, x, perm[pos : pos + _WALK_BLOCK])
+            block[0] += z1
+            np.cumsum(block, axis=0, out=block)  # row j: z1 after flips pos..pos+j
+            yield block, pos
+            z1 = block[-1]
+
+    hit, evaluations = _first_crossing(net, phi0, blocks(z1))
+    steps = n if hit is None else hit[0] + hit[1] + 1  # block start + row + 1, or the cap n
+    return SearchResult(phi0, steps, tuple(int(v) for v in perm[:steps]), evaluations)

@@ -32,7 +32,9 @@ def phi_log_cdf(t):
 
 
 def log_binomial(n: int, h: int) -> float:
-    """ln C(n, h) via log-gamma; exact to float precision, no overflow."""
+    """ln C(n, h) via log-gamma, without overflow. The error is at most
+    4 * 2^-52 * lgamma(n + 1): three log-gamma values, each within one ulp of
+    at most lgamma(n + 1), and two rounded subtractions (7.3e-11 at n = 10^4)."""
     if h < 0 or h > n:
         raise ValueError(f"require 0 <= h <= n, got n={n}, h={h}")
     return float(gammaln(n + 1) - gammaln(h + 1) - gammaln(n - h + 1))

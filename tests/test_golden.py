@@ -1,5 +1,12 @@
 """Golden bytes: the rows CSV and config hash of small seed-42 runs.
 
+Every pin was computed with numpy 2.4.6 on OpenBLAS 0.3.31 with its
+SkylakeX kernels (`OPENBLAS_VERBOSE=2` prints `Core: SkylakeX`). The float
+columns' last bits depend on the BLAS kernel: under OpenBLAS's Haswell,
+Zen, Sandybridge, Nehalem or Prescott kernels (`OPENBLAS_CORETYPE`), 10 of
+these 16 tests fail, while the rows compared there differ only in the last
+bits of float columns (ROADMAP item 8).
+
 The menu is the one of the parallel-determinism gate (test_11), run
 serially. The pinned SHA-256 values are the bytes these configs produced
 before the per-trial `micros` column left the CSV, with that column removed,

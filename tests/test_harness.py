@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,19 @@ class TestMalformedInput:
             patch_row_worker(monkeypatch, kind, never)
             assert cli.main([kind, "--n", "8", "--trials", "1", "--max-h", max_h]) == 2
             assert "max_h" in capsys.readouterr().err
+
+    def test_gp_check_with_one_trial_exits_2_before_any_trial(self, monkeypatch, capsys):
+        """gp-check --trials 1 used to exit 0 after numpy RuntimeWarnings,
+        with every z reported as 0 (a zero stderr) and null moments."""
+        patch_row_worker(monkeypatch, KIND_GP_CHECK, never)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["gp-check", "--n", "8", "--trials", "1"]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("bitboundary: error:") and "trials >= 2" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert tiny_config(kind=KIND_GP_CHECK, trials=2).trials == 2
 
     def test_exact_search_settings_without_exact_search_exit_2(self, monkeypatch, capsys):
         """closest --max-h 3 --budget 5 used to write the plain greedy run's

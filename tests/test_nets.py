@@ -25,11 +25,10 @@ from bitboundary.nets import (
     sample_network,
     sample_outputs,
     screen_flips,
-    sign_with_tie,
 )
 from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
 
-from conftest import build_constant_net, build_linear_net
+from conftest import build_linear_net
 
 
 class TestNetworkConfig:
@@ -260,15 +259,6 @@ class TestForward:
             forward(net, BitString(np.ones(7)))
         with pytest.raises(ConfigError):
             forward_batch(net, np.ones((2, 7)))
-
-    def test_classify_and_tie_rule(self):
-        assert sign_with_tie(0.0) == 1
-        assert sign_with_tie(1e-300) == 1
-        assert sign_with_tie(-1e-300) == -1
-        net = build_constant_net(4, -2.5)
-        x = BitString(np.ones(4))
-        assert sign_with_tie(forward(net, x)) == -1
-        assert sign_with_tie(forward(build_constant_net(4, 0.0), x)) == 1
 
 
 class TestFlipCache:

@@ -22,7 +22,6 @@ from bitboundary.nets import (
     forward,
     forward_batch,
     sample_network,
-    sign_with_tie,
 )
 from bitboundary.rng import STREAM_WALK, spawn_rng
 from bitboundary.search import (
@@ -432,12 +431,12 @@ class TestRandomFlipWalk:
             x = BitString.random(n, rng)
             res = random_flip_walk(net, x, trial)
             perm = spawn_rng(config.seed, STREAM_WALK, trial).permutation(n)
-            start = sign_with_tie(forward(net, x))
+            start = forward(net, x) >= 0.0  # the tie rule sign(0) = +1
             cur = x
             naive = None
             for step, bit in enumerate(perm, start=1):
                 cur = cur.flip_many((int(bit),))
-                if sign_with_tie(forward(net, cur)) != start:
+                if (forward(net, cur) >= 0.0) != start:
                     naive = step
                     break
             assert res.distance == (naive if naive is not None else n)
@@ -460,6 +459,28 @@ class TestRandomFlipWalk:
         assert a.distance == b.distance and a.path == b.path
         c = random_flip_walk(net, x, 6)
         assert a.path != c.path
+
+
+class TestTieRule:
+    def test_zero_counts_as_positive_in_every_search(self):
+        """The classifier is sign(phi) with sign(0) = +1 in all three searches:
+        for phi(x) = x_0 - x_1, a start or a flip set at phi = 0 is positive."""
+        net = build_linear_net([1.0, -1.0])
+        zero = BitString([1, 1])  # phi = 0; only flipping bit 0 (phi = -2) crosses
+        res = greedy_search(net, zero)
+        assert res.start_phi == 0.0 and res.path == (0,)
+        assert exact_search(net, zero).path == (0,)
+        first_bits = set()
+        for trial in range(8):
+            perm = spawn_rng(net.config.seed, STREAM_WALK, trial).permutation(2)
+            first_bits.add(int(perm[0]))
+            # bit 1 first gives phi = 2, then phi = 0 again: no crossing, capped at 2
+            assert random_flip_walk(net, zero, trial).distance == (1 if perm[0] == 0 else 2)
+        assert first_bits == {0, 1}
+        below = BitString([-1, 1])  # phi = -2; either single flip reaches phi = 0
+        assert greedy_search(net, below).path == (0,)
+        assert exact_search(net, below).path == (0,)
+        assert all(random_flip_walk(net, below, t).distance == 1 for t in range(4))
 
 
 class TestGreedyNeverBeatsExact:

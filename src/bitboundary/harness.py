@@ -26,10 +26,14 @@ This module alone lays out output files, all checked before any trial runs.
 Every CSV, the kernel table included, carries a provenance header: a hash
 over the scientific config fields (execution details like parallelism and
 output paths are excluded), the seed, and the package version.
+
+On glibc a run keeps freed memory in the process (_keep_freed_memory), so a
+trial reuses the pages the previous trial's arrays freed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -37,7 +41,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -507,7 +511,8 @@ def _z_score(x: float, target: float, stderr: float) -> float:
 
 def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Network covariance vs Q*F(t) vs GP sampling at the overlap menu; the
-    rows written are one summary row per (n, overlap target)."""
+    rows written are one summary row per (n, overlap target). An n with fewer
+    than 2 rows (an interrupted run) is left out, as one with none."""
     q = profile.q
     summary_rows: List[tuple] = []
     details: dict = {"per_n": {}, "jitter": {}}
@@ -516,7 +521,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
     for n in config.n_values:
         labels, hs, signs, _ = _gp_points(config.seed, n)
         net_phi = np.array([r[2:] for r in rows if r[0] == n])
-        if net_phi.size == 0:
+        if len(net_phi) < 2:  # an interrupted run: no standard errors at this n
             continue
         trials = net_phi.shape[0]
         ensemble = build_ensemble(profile, signs, seed=derive_seed(config.seed, n))
@@ -653,6 +658,30 @@ def _pool_task(payload: Tuple[ExperimentConfig, int, int]) -> tuple:
     return EXPERIMENTS[config.kind].row(config, n, trial)
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Keep the pages a trial frees for the next trial (glibc; once a process).
+
+    Every trial allocates arrays of a few MB (an n = 512 net's weights are
+    2 MB a layer) and frees them when it ends. By default glibc serves such
+    arrays by mmap and unmaps them on free, or trims them off the heap top,
+    so the next trial page-faults every page in again. Both thresholds are
+    needed: setting either one freezes glibc's dynamic mmap threshold, so
+    the trim threshold alone leaves every array above 128 KiB mmapped, and
+    the mmap threshold alone lets the heap top be trimmed. Arrays above
+    32 MiB are still mmapped. The setting is process-wide; a libc without
+    mallopt leaves the allocator as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling glibc's own rule reaches on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, the ratio glibc's rule keeps
+
+
 def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     """Run all (n, trial) tasks and return rows in (n, trial) order.
 
@@ -670,7 +699,11 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
             # than there are tasks or CPUs
             workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
             chunk = max(1, len(tasks) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # forked workers inherit the allocator setting; the initializer
+            # covers any other start method
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_keep_freed_memory
+            ) as pool:
                 rows.extend(pool.map(_pool_task, tasks, chunksize=chunk))
     except KeyboardInterrupt:
         truncated = True
@@ -681,6 +714,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (n, trial) row, summarize them, and write the outputs the
     config names. The config validated itself on construction; the kernel
     profile is built before the first trial, so a faulty kernel costs none."""
+    _keep_freed_memory()
     kind = EXPERIMENTS[config.kind]
     network = network_config_for(config, config.n_values[0])
     profile = profile_for_config(network) if kind.kernel else None

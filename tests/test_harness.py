@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import platform
 import warnings
 
 import numpy as np
@@ -192,7 +193,8 @@ class TestDeterminism:
         seen = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is harness._keep_freed_memory
                 seen.append(max_workers)
 
             def __enter__(self):
@@ -314,12 +316,84 @@ class TestGpRun:
         assert result.details["max_abs_net_z"] >= 0
         assert set(pn["net_gp_corr_gap"]) == {label for label, _ in GP_TARGETS}
 
+    def test_truncation_leaves_out_an_n_with_one_row(self, monkeypatch):
+        """An interrupt right after an n's first trial used to summarize that
+        n from one row: zero-stderr z's of 0, NaN moments and numpy
+        RuntimeWarnings."""
+        real = harness.EXPERIMENTS[KIND_GP_CHECK].row
+
+        def exploding(config, n, trial):
+            if (n, trial) == (10, 1):
+                raise KeyboardInterrupt
+            return real(config, n, trial)
+
+        patch_row_worker(monkeypatch, KIND_GP_CHECK, exploding)
+        config = ExperimentConfig(kind=KIND_GP_CHECK, n_values=(8, 10), trials=5, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_experiment(config)
+        assert caught == []
+        assert result.truncated
+        assert list(result.details["per_n"]) == ["8"]
+        assert {r[0] for r in result.rows} == {8}
+
     def test_antipodal_target_reaches_h_equals_n(self):
         config = ExperimentConfig(kind=KIND_GP_CHECK, n_values=(8,), trials=4, seed=1)
         result = run_experiment(config)
         by_label = {r[1]: r for r in result.rows}
         assert by_label["-1.0"][2] == 8
         assert by_label["1-2/n"][2] == 1
+
+
+@pytest.fixture
+def fresh_allocator_setting():
+    """Let the test call _keep_freed_memory afresh; the next run sets it again."""
+    harness._keep_freed_memory.cache_clear()
+    yield
+    harness._keep_freed_memory.cache_clear()
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_trials_reuse_freed_pages(self):
+        """At n = 512 a trial under glibc's default thresholds page-faulted
+        about 2400 (closest) and 1300 (flips) fresh 4 KB pages, the arrays
+        the previous trial freed; kept in the process, they fault a few."""
+        import resource  # Unix only, as glibc
+
+        run_experiment(ExperimentConfig(kind=KIND_CLOSEST, n_values=(512,), trials=2))
+        for kind in (KIND_CLOSEST, KIND_FLIPS):
+            config = ExperimentConfig(kind=kind, n_values=(512,), trials=10, seed=3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_experiment(config)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults < 64 * config.trials, kind
+
+    def test_sets_both_thresholds_once(self, monkeypatch, fresh_allocator_setting):
+        calls = []
+
+        class FakeLibc:
+            mallopt = staticmethod(lambda param, value: calls.append((param, value)) or 1)
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: FakeLibc())
+        harness._keep_freed_memory()
+        harness._keep_freed_memory()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError])
+    def test_libc_without_mallopt_is_left_alone(
+        self, error, monkeypatch, fresh_allocator_setting
+    ):
+        def no_mallopt(name):
+            if error is OSError:
+                raise OSError("no libc")
+            return object()
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_mallopt)
+        assert harness._keep_freed_memory() is None
+        assert harness._keep_freed_memory() is None
+        result = run_experiment(tiny_config(n_values=(12,), trials=2))
+        assert len(result.rows) == 2
 
 
 def test_one_kernel_profile_per_run(monkeypatch):

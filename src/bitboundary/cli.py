@@ -239,6 +239,10 @@ def _print_run_summary(result: ExperimentResult) -> None:
             f"  n={entry['n']}: mean={entry['mean']:.6g} "
             f"stderr={entry['stderr']:.3g} count={entry['count']}"
         )
+    found = {entry["n"]: entry["count"] for entry in result.per_n}
+    for n, censored in result.details.get("censored", {}).items():
+        if censored:
+            print(f"  n={n}: {censored} of {censored + found.get(n, 0)} trials censored")
     if result.fit is not None:
         f = result.fit
         print(

@@ -54,7 +54,9 @@ from .errors import ConfigError
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, default_grid, f_recursion, profile_for_config
 from .nets import DeepNet, NetworkConfig, probe_factor, sample_network, sample_outputs
-from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces harness.forward_batch
+# unused: kept only because perfbench/test_perfbench.py's CALLER_SIDE lists
+# harness.forward_batch; the tracer itself runs without it
+from .nets import forward_batch  # noqa: F401
 from .rng import STREAM_INPUT, derive_seed, spawn_rng
 from .search import (
     DEFAULT_BUDGET,

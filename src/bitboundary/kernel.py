@@ -33,11 +33,12 @@ at whatever overlaps it is asked for. Only `bitboundary kernel --out-csv`
 tabulates F_1 .. F_{L+1} on default_grid().
 
 Generic activations are handled by quadrature, and every rule is evaluated
-at two orders that must agree to 1e-8 relative (scaled by max(|value|, Q))
-or a QuadratureError is raised. The one-dimensional moments (E[tau^2],
-E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use Gauss-Hermite at orders
-256 and 320; for tanh they agree while every Q_l stays below about 3.67,
-which bounds the tanh kernel: Q_l, F'(1) and F all build up to Q_1 ~ 3.67.
+at two orders that must agree to 1e-8 relative (scaled by max(|value|, Q);
+NaN never agrees) or a QuadratureError is raised. The one-dimensional
+moments (E[tau^2], E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use
+Gauss-Hermite at orders 256 and 320; for tanh they agree while every Q_l
+stays below about 3.67, which bounds the tanh kernel: Q_l, F'(1) and F all
+build up to Q_1 ~ 3.67.
 
 The cross moment at |c| < 1 is first taken from the Hermite series of
 Mehler's formula (the dual activation of Daniely et al. 2016),
@@ -87,17 +88,13 @@ from .errors import ConfigError, NumericalFaultError, QuadratureError
 # Orders 128/192 stop agreeing for tanh^2 at q ~ 2.73; 256/320 reach
 # q ~ 3.67, where sech^4 fails first. hermegauss returns NaN weights from
 # order ~376.
-GH_ORDER = 256
-GH_ORDER_CHECK = 320
-# Hermite-series terms at orders 256 and 320. The series' error is largest at
+GH_ORDERS = (256, 320)
+# Hermite-series terms at each of GH_ORDERS. The series' error is largest at
 # c -> +-1, where it is the tail sum of a_k^2: for tanh at q = 3.67 the terms
 # from 160 on sum to 1.1e-9, inside QUAD_RTOL * q, and from 220 on to 3e-11.
-HERMITE_TERMS = 160
-HERMITE_TERMS_CHECK = 220
-POLAR_RADIAL_ORDER = 64
-POLAR_RADIAL_ORDER_CHECK = 96
-POLAR_ANGULAR_ORDER = 48
-POLAR_ANGULAR_ORDER_CHECK = 64
+HERMITE_TERMS = (160, 220)
+# (radial, angular) orders of the polar rule and of its check
+POLAR_ORDERS = ((64, 48), (96, 64))
 QUAD_RTOL = 1e-8
 
 UNIFORM_GRID_POINTS = 2001
@@ -123,18 +120,23 @@ def default_grid() -> np.ndarray:
     return np.unique(np.concatenate([uniform_grid(), refined]))
 
 
+def _clip_unit(x: ArrayLike, tol: float, what: str) -> np.ndarray:
+    """x clamped to [-1, 1]; an entry beyond 1 + tol in size, or a NaN, is a fault."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0 + tol):
+        raise NumericalFaultError(
+            f"{what} outside [-1, 1] by more than {tol}: max |x| = {np.max(np.abs(x))}"
+        )
+    return np.clip(x, -1.0, 1.0)
+
+
 def psi(t: ArrayLike) -> ArrayLike:
     """ReLU correlation update map Psi(t) = (sqrt(1-t^2) + (pi - arccos t) t) / pi.
 
-    Inputs are clamped to [-1, 1]; values beyond 1e-12 outside are a fault.
+    Inputs are clamped to [-1, 1]; NaN, or a value beyond 1e-12 outside, is a fault.
     """
     scalar = np.isscalar(t)
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + _T_TOL):
-        raise NumericalFaultError(
-            f"psi argument outside [-1, 1] beyond tolerance: max |t| = {np.max(np.abs(arr))}"
-        )
-    c = np.clip(arr, -1.0, 1.0)
+    c = _clip_unit(t, _T_TOL, "psi argument")
     out = (np.sqrt(1.0 - c * c) + (math.pi - np.arccos(c)) * c) / math.pi
     return float(out) if scalar else out
 
@@ -142,6 +144,11 @@ def psi(t: ArrayLike) -> ArrayLike:
 # ---------------------------------------------------------------------------
 # quadrature machinery (generic activations)
 # ---------------------------------------------------------------------------
+
+
+def _agree(lo: ArrayLike, hi: ArrayLike, q: float) -> np.ndarray:
+    """Whether each entry of two orders agrees to QUAD_RTOL * max(|hi|, q); NaN never does."""
+    return np.abs(lo - hi) <= QUAD_RTOL * np.maximum(np.abs(hi), q)
 
 
 # hermegauss is O(order^3), and one tanh profile asks for its nodes ~20 times
@@ -164,12 +171,11 @@ def _legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _gh_moment(what: str, g, q: float) -> float:
     """E[g(sqrt(q) z)] by Gauss-Hermite at two orders that must agree."""
-    orders = (GH_ORDER, GH_ORDER_CHECK)
-    lo, hi = (float(w @ g(math.sqrt(q) * z)) for z, w in map(_herme_nodes, orders))
-    if abs(lo - hi) > QUAD_RTOL * max(abs(hi), q):
+    lo, hi = (float(w @ g(math.sqrt(q) * z)) for z, w in map(_herme_nodes, GH_ORDERS))
+    if not _agree(lo, hi, q):
         raise QuadratureError(
             f"{what} did not converge: "
-            f"order {orders[0]} -> {lo:.16g}, order {orders[1]} -> {hi:.16g}"
+            f"order {GH_ORDERS[0]} -> {lo:.16g}, order {GH_ORDERS[1]} -> {hi:.16g}"
         )
     return hi
 
@@ -243,9 +249,9 @@ def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
                 f"pair moment of {act.name}", lambda u: act(u) * act(sign * u), q
             )
     cl = c[~deg]
-    lo = polyval(cl, _hermite_power(act, q, GH_ORDER, HERMITE_TERMS))
-    hi = polyval(cl, _hermite_power(act, q, GH_ORDER_CHECK, HERMITE_TERMS_CHECK))
-    rest = ~(np.abs(lo - hi) <= QUAD_RTOL * np.maximum(np.abs(hi), q))  # NaN fails too
+    rules = zip(GH_ORDERS, HERMITE_TERMS)
+    lo, hi = (polyval(cl, _hermite_power(act, q, order, terms)) for order, terms in rules)
+    rest = ~_agree(lo, hi, q)
     if np.any(rest):
         hi[rest] = _cross_moment_polar_checked(act, q, cl[rest])
     out[~deg] = hi
@@ -254,14 +260,10 @@ def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
 
 def _cross_moment_polar_checked(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
     """The polar rule at two orders that must agree."""
-    lo = _cross_moment_polar(act, q, c, POLAR_RADIAL_ORDER, POLAR_ANGULAR_ORDER)
-    hi = _cross_moment_polar(
-        act, q, c, POLAR_RADIAL_ORDER_CHECK, POLAR_ANGULAR_ORDER_CHECK
-    )
-    gap = np.abs(lo - hi)
-    scale = np.maximum(np.abs(hi), q)
-    if np.any(gap > QUAD_RTOL * scale):
-        worst = int(np.argmax(gap / scale))
+    lo, hi = (_cross_moment_polar(act, q, c, *orders) for orders in POLAR_ORDERS)
+    if not np.all(_agree(lo, hi, q)):
+        gap = np.abs(lo - hi)
+        worst = int(np.argmax(gap / np.maximum(np.abs(hi), q)))  # argmax picks a NaN first
         raise QuadratureError(
             f"cross moment of {act.name} did not converge at "
             f"c={float(c.flat[worst])!r}, q={float(q)!r}: gap {gap.flat[worst]:.3e}"
@@ -343,24 +345,13 @@ def f_recursion(
     """F(t) together with the per-layer stack F_1(t) .. F_{L+1}(t)."""
     cross = _moments(_resolve(activation)).cross
     scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(t) > 1.0 + _T_TOL):
-        raise NumericalFaultError(
-            f"overlap outside [-1, 1] beyond tolerance: max |t| = {np.max(np.abs(t))}"
-        )
-    t = np.clip(t, -1.0, 1.0)
+    t = _clip_unit(np.atleast_1d(t), _T_TOL, "overlap")
     levels = [(sigma_w2 * t + sigma_b2) / (sigma_w2 + sigma_b2)]
     for l in range(1, len(qs)):
         f_next = (sigma_w2 * cross(qs[l - 1], levels[-1]) + sigma_b2) / qs[l]
-        if np.any(np.abs(f_next) > 1.0 + _F_TOL):
-            raise NumericalFaultError(
-                f"|F_{l + 1}| exceeded 1 by more than {_F_TOL}: "
-                f"max |F| = {np.max(np.abs(f_next))}"
-            )
-        levels.append(np.clip(f_next, -1.0, 1.0))
+        levels.append(_clip_unit(f_next, _F_TOL, f"F_{l + 1}"))
     stack = np.stack(levels)
-    f = stack[-1]
-    return (float(f[0]) if scalar else f), stack
+    return (float(stack[-1, 0]) if scalar else stack[-1]), stack
 
 
 def f_prime_1(
@@ -372,9 +363,7 @@ def f_prime_1(
     """F'(1) by the exact layer recursion of the module docstring."""
     act = _resolve(activation)
     if sigma_w2 == 0.0:
-        raise NumericalFaultError(
-            "F'(1) = 0: no signal propagation (sigma_w2 = 0 is degenerate)"
-        )
+        raise NumericalFaultError("F'(1) = 0: no signal propagation (sigma_w2 = 0 is degenerate)")
     slope = _moments(act).slope
     fp = sigma_w2 / (sigma_w2 + sigma_b2)
     for q_prev, q_here in zip(qs[:-1], qs[1:]):

@@ -63,7 +63,9 @@ from .nets import (
     forward_with_first_layer_cache,
     screen_flips,
 )
-from .nets import forward_batch  # noqa: F401  unused, kept: perfbench traces search.forward_batch
+# unused: kept only because perfbench/test_perfbench.py's CALLER_SIDE lists
+# search.forward_batch; the tracer itself runs without it
+from .nets import forward_batch  # noqa: F401
 from .rng import STREAM_WALK, spawn_rng
 
 DEFAULT_BUDGET = 20_000_000

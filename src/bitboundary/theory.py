@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .kernel import KernelProfile
+from .kernel import _DEGENERATE_S2, KernelProfile
 from .stats import log_binomial, phi_cdf, phi_log_cdf
 
-_DEGENERATE_S2 = 1e-300
 # log_binomial hands n + 1 to scipy's gammaln, which takes it as an int64
 _MAX_N = 2**63 - 2
 
@@ -47,13 +46,19 @@ def sqrt_n_over_ln_n(n: int) -> float:
 
 
 def _validate(
-    n: int, a: float = 1.0, q: float = 1.0, f_prime_1: float = 1.0, z: float = 0.0
+    n: int,
+    a: float = 1.0,
+    q: float = 1.0,
+    f_prime_1: float = 1.0,
+    z: float = 0.0,
+    phi_x: float = 0.0,
 ) -> None:
     """ConfigError unless n >= 3, the scale a, Q and F'(1) are positive and
-    finite, and z is finite."""
+    finite, and z and phi(x) are finite."""
     validate_n(n)
-    if not math.isfinite(z):
-        raise ConfigError(f"z must be finite, got {z}")
+    for name, value in (("z", z), ("phi(x)", phi_x)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     for name, value in (("distance scale a", a), ("Q", q), ("F'(1)", f_prime_1)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
@@ -88,7 +93,7 @@ def conditional_flip_probability(
     profile: KernelProfile, n: int, h: int, z: float
 ) -> float:
     """P_n at Hamming distance h, using the exact F (not its expansion)."""
-    validate_n(n)
+    _validate(n, z=z)
     if not 1 <= h <= n:
         raise ConfigError(f"need 1 <= h <= n, got h={h}, n={n}")
     f = float(profile.evaluate(1.0 - 2.0 * h / n))
@@ -101,6 +106,7 @@ def ln_count_flipped(profile: KernelProfile, n: int, a: float, z: float) -> floa
     When a is so small that h_n = 0 this degenerates to ln P at h = 0,
     which is -inf for z >= 0 (a string cannot flip at distance zero).
     """
+    _validate(n, z=z)
     hn = h_n(n, a)
     if hn == 0:
         return _flip_probability_at_f(1.0, z, log=True)
@@ -122,7 +128,7 @@ def ln_count_asymptotic(n: int, a: float, z: float, f_prime_1: float) -> float:
 
 def h_star(phi_x: float, q: float, f_prime_1: float, n: int) -> float:
     """Predicted nearest-boundary distance for a specific output value."""
-    _validate(n, q=q, f_prime_1=f_prime_1)
+    _validate(n, q=q, f_prime_1=f_prime_1, phi_x=phi_x)
     return abs(phi_x) / (2.0 * math.sqrt(q * f_prime_1)) * sqrt_n_over_ln_n(n)
 
 
@@ -160,7 +166,6 @@ def theory_report(
     P_n and the asymptotic ln N describe the shell at h_n, so both are None
     when h_n = 0 (there the exact ln N is -inf for z >= 0).
     """
-    _validate(n, a=a, z=z)
     hn = h_n(n, a)
     shell = hn >= 1
     q = profile.q

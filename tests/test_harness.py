@@ -762,11 +762,23 @@ class TestCliExperiments:
         assert code == 0
         text = capsys.readouterr().out
         assert "closest: n=12,16 trials=3 seed=9" in text
+        assert "censored" not in text
         meta, _, rows = read_rows_csv(out_csv)
         assert meta["kind"] == "closest"
         assert len(rows) == 6
         obj = json.loads(out_json.read_text())
         assert obj["config"]["n_values"] == [12, 16]
+
+    @pytest.mark.parametrize(
+        "argv", [["closest"], ["closest", "--method", "exact"], ["greedy-vs-exact"]]
+    )
+    def test_summary_names_censored_trials(self, argv, capsys):
+        """A run whose every trial was censored used to print only its
+        header, with nothing on the console to say no distance was found."""
+        assert cli.main([*argv, "--n", "8,10", "--trials", "3", "--sigma-b2", "1e300"]) == 0
+        text = capsys.readouterr().out
+        assert "n=8: 3 of 3 trials censored" in text
+        assert "n=10: 3 of 3 trials censored" in text
 
     def test_cli_matches_library_run(self, tmp_path):
         out = tmp_path / "cli.csv"

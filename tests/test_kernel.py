@@ -85,6 +85,15 @@ class TestPsi:
             psi(1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("activation", [None, "relu", "tanh"])
+def test_nan_overlap_faults(activation):
+    """psi and F used to return NaN at a NaN overlap."""
+    rule = psi if activation is None else build_profile(activation=activation).evaluate
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(NumericalFaultError, match="nan"):
+            rule(t)
+
+
 class TestQRecursion:
     def test_relu_default_is_constant_two(self):
         # sigma_w2 = 2, sigma_b2 = 0: Q_l = 2 at every layer
@@ -212,6 +221,22 @@ class TestHermiteSeries:
         f = prof.evaluate(default_grid())
         assert f[-1] == 1.0
         assert np.all(np.diff(f) > 0.0)
+
+
+class TestTwoOrderCheck:
+    """A NaN from either order of a rule used to pass the agreement check."""
+
+    def test_nan_moment_does_not_agree(self):
+        with pytest.raises(QuadratureError, match="nan"):
+            kernel._gh_moment("test moment", lambda u: np.full_like(u, math.nan), 2.0)
+
+    def test_nan_polar_entry_does_not_agree(self, monkeypatch):
+        def polar(act, q, c, n_rad, n_ang):
+            return np.where(c == 0.25, math.nan, 0.1)
+
+        monkeypatch.setattr(kernel, "_cross_moment_polar", polar)
+        with pytest.raises(QuadratureError, match=r"at c=0\.25, q=2\.0: gap nan"):
+            kernel._cross_moment_polar_checked(TANH, 2.0, np.array([0.5, 0.25]))
 
 
 class TestFPrime1:

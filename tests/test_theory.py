@@ -210,6 +210,22 @@ class TestHStar:
             expected_h_star(256, -1.0)
 
 
+@pytest.mark.parametrize(
+    "predictor, name",
+    [
+        (lambda p, bad: conditional_flip_probability(p, 64, 3, bad), "z"),
+        (lambda p, bad: ln_count_flipped(p, 64, 0.4, bad), "z"),
+        (lambda p, bad: h_star(bad, 1.0, 0.5, 64), r"phi\(x\)"),
+    ],
+    ids=["P_n", "ln_N", "h_star"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_output_value_is_rejected(default_profile, predictor, name, bad):
+    """These used to return nan, or inf, instead of naming the argument."""
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        predictor(default_profile, bad)
+
+
 class TestHeuristics:
     def test_flip_bound(self):
         assert heuristic_flip_bound(784, 1.0) == 196.0

@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -276,7 +277,12 @@ def _cmd_experiment(args) -> int:
     values.update(_settings(args.command, args))
     outputs = (values.get(field) for field in ("out_csv", "out_json", "plot_csv"))
     check_output_paths(*outputs, source=args.config)
-    result = run_experiment(ExperimentConfig(kind=args.command, **values))
+    config = ExperimentConfig(kind=args.command, **values)
+    blas_pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
+    if config.parallel > 1 and (os.cpu_count() or 1) > 1 and not blas_pinned:
+        print("bitboundary: note: each worker may run a multithreaded BLAS; set "
+              "OPENBLAS_NUM_THREADS=1 (README, Performance)", file=sys.stderr)
+    result = run_experiment(config)
     _print_run_summary(result)
     return 130 if result.truncated else 0
 

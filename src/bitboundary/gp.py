@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FactorizationError
-from .kernel import KernelProfile
+from .kernel import KernelProfile, overlap
 from .rng import STREAM_GP, spawn_rng
 
 MAX_POINTS = 4096
@@ -53,9 +53,9 @@ def build_ensemble(profile: KernelProfile, signs: np.ndarray, seed: int = 0) -> 
     m, n = signs.shape
     if m > MAX_POINTS:
         raise ConfigError(f"point set of {m} exceeds the dense factorization cap {MAX_POINTS}")
-    # overlaps t = 1 - 2h / n from exact integer Hamming distances h; F once per h
+    # overlaps from exact integer Hamming distances h; F once per h
     dist, index = np.unique((n - signs @ signs.T).astype(np.int64) // 2, return_inverse=True)
-    f = np.asarray(profile.evaluate(1.0 - 2.0 * dist / n))
+    f = np.asarray(profile.evaluate(overlap(dist, n)))
     cov = profile.q * f[index].reshape(m, m)
     jitter = JITTER_START * profile.q
     chol = None

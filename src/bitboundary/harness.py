@@ -52,7 +52,7 @@ from ._version import VERSION
 from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
-from .kernel import KernelProfile, default_grid, f_recursion, profile_for_config
+from .kernel import KernelProfile, default_grid, f_recursion, overlap, profile_for_config
 from .nets import DeepNet, NetworkConfig, probe_factor, sample_network, sample_outputs
 # unused: kept only because perfbench/test_perfbench.py's CALLER_SIDE lists
 # harness.forward_batch; the tracer itself runs without it
@@ -72,7 +72,7 @@ from .stats import (
     fit_through_origin,
     mean_stderr,
 )
-from .theory import h_star_slope, heuristic_flip_bound, sqrt_n_over_ln_n, validate_n
+from .theory import h_star, heuristic_flip_bound, sqrt_n_over_ln_n, validate_n
 
 KIND_CLOSEST = "closest"
 KIND_FLIPS = "flips"
@@ -375,17 +375,14 @@ def _aggregate_distances(
     return per_n, censored
 
 
-def _phi_binned(
-    profile: KernelProfile, rows: Sequence[tuple], n: int
-) -> Optional[dict]:
+def _phi_binned(profile: KernelProfile, rows: Sequence[tuple], n: int) -> Optional[dict]:
     """The |phi| vs distance relation at one n: equally spaced |phi| bins of
     width 0.25 sqrt(Q) (minimum 10 samples each), through-origin fit of the
-    binned means, and the predicted slope sqrt(n/ln n) / (2 sqrt(Q F'(1)))."""
+    binned means, and the predicted slope h*_n at |phi| = 1."""
     sel = [(abs(r[2]), r[3]) for r in rows if r[0] == n and r[3] >= 1]
     if len(sel) < 2 * PHI_BIN_MIN_COUNT:
         return None
-    phis = np.array([s[0] for s in sel])
-    dists = np.array([s[1] for s in sel], dtype=float)
+    phis, dists = np.array(sel, dtype=float).T
     width = PHI_BIN_WIDTH_SCALE * math.sqrt(profile.q)
     bin_idx = np.floor(phis / width).astype(int)
     bins = []
@@ -408,7 +405,7 @@ def _phi_binned(
         [b["distance_mean"] for b in bins],
         model="mean_distance=k*|phi|",
     )
-    predicted = h_star_slope(n, profile.q, profile.f_prime_1)
+    predicted = h_star(1.0, profile.q, profile.f_prime_1, n)
     return {
         "n": n,
         "bin_width": width,
@@ -530,7 +527,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
         gp_phi = sample_block(ensemble, 0, trials)
         for col in range(2, len(labels)):
             h = hs[col]
-            t = 1.0 - 2.0 * h / n  # as build_ensemble's overlap lattice
+            t = overlap(h, n)
             qf = float(ensemble.cov[0, col])
             net_cov, net_se = mean_stderr(net_phi[:, 0] * net_phi[:, col])
             gp_cov, gp_se = mean_stderr(gp_phi[:, 0] * gp_phi[:, col])

@@ -120,6 +120,11 @@ def default_grid() -> np.ndarray:
     return np.unique(np.concatenate([uniform_grid(), refined]))
 
 
+def overlap(h, n: int):
+    """The overlap x.y / n = 1 - 2h/n of strings at Hamming distance h (int or array)."""
+    return 1.0 - 2.0 * h / n
+
+
 def _clip_unit(x: ArrayLike, tol: float, what: str) -> np.ndarray:
     """x clamped to [-1, 1]; an entry beyond 1 + tol in size, or a NaN, is a fault."""
     x = np.asarray(x, dtype=float)
@@ -158,17 +163,6 @@ def _herme_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return z, w / math.sqrt(2.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
-def _laguerre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    u, w = roots_laguerre(order)
-    return np.sqrt(2.0 * u), w  # radial nodes r = sqrt(2u), weight e^{-u}
-
-
-@lru_cache(maxsize=None)
-def _legendre_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    return leggauss(order)
-
-
 def _gh_moment(what: str, g, q: float) -> float:
     """E[g(sqrt(q) z)] by Gauss-Hermite at two orders that must agree."""
     lo, hi = (float(w @ g(math.sqrt(q) * z)) for z, w in map(_herme_nodes, GH_ORDERS))
@@ -197,8 +191,9 @@ def _cross_moment_polar(
     act: Activation, q: float, c: np.ndarray, n_rad: int, n_ang: int
 ) -> np.ndarray:
     """Polar quadrature of E[tau(u) tau(v)] at correlations |c| < 1."""
-    r, wu = _laguerre_nodes(n_rad)
-    xg, wg = _legendre_nodes(n_ang)
+    u, wu = roots_laguerre(n_rad)
+    r = np.sqrt(2.0 * u)  # radial nodes r = sqrt(2u), weight e^{-u}
+    xg, wg = leggauss(n_ang)
     sq = math.sqrt(q)
     s = np.sqrt(1.0 - c * c)
     half = math.pi / 2.0

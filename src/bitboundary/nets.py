@@ -303,7 +303,7 @@ def forward_batch(net: DeepNet, signs: np.ndarray) -> np.ndarray:
     signs = _sign_batch(signs, net.config.n)
     z1 = signs @ net.weights[0].T
     z1 += net.biases[0]
-    return _tail(net, z1)
+    return forward_from_first_layer(net, z1)
 
 
 def forward(net: DeepNet, x: BitString) -> float:
@@ -312,13 +312,7 @@ def forward(net: DeepNet, x: BitString) -> float:
 
 
 def forward_from_first_layer(net: DeepNet, z1: np.ndarray) -> np.ndarray:
-    """phi from a batch of first-layer preactivations, shape (m, n_1) -> (m,)."""
-    return _tail(net, z1)
-
-
-def _tail(net: DeepNet, z1: np.ndarray) -> np.ndarray:
-    """The layers above the first, for both forward paths (a name of its own
-    keeps forward_batch's calls out of forward_from_first_layer's trace)."""
+    """phi from first-layer preactivations (m, n_1) -> (m,): the layers above the first."""
     act = net.activation
     h = act(z1)
     last = len(net.weights) - 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .kernel import _DEGENERATE_S2, KernelProfile
+from .kernel import _DEGENERATE_S2, KernelProfile, overlap
 from .stats import log_binomial, phi_cdf, phi_log_cdf
 
 # log_binomial hands n + 1 to scipy's gammaln, which takes it as an int64
@@ -96,7 +96,7 @@ def conditional_flip_probability(
     _validate(n, z=z)
     if not 1 <= h <= n:
         raise ConfigError(f"need 1 <= h <= n, got h={h}, n={n}")
-    f = float(profile.evaluate(1.0 - 2.0 * h / n))
+    f = float(profile.evaluate(overlap(h, n)))
     return _flip_probability_at_f(f, z, log=False)
 
 
@@ -110,7 +110,7 @@ def ln_count_flipped(profile: KernelProfile, n: int, a: float, z: float) -> floa
     hn = h_n(n, a)
     if hn == 0:
         return _flip_probability_at_f(1.0, z, log=True)
-    f = float(profile.evaluate(1.0 - 2.0 * hn / n))
+    f = float(profile.evaluate(overlap(hn, n)))
     return log_binomial(n, hn) + _flip_probability_at_f(f, z, log=True)
 
 
@@ -130,13 +130,6 @@ def h_star(phi_x: float, q: float, f_prime_1: float, n: int) -> float:
     """Predicted nearest-boundary distance for a specific output value."""
     _validate(n, q=q, f_prime_1=f_prime_1, phi_x=phi_x)
     return abs(phi_x) / (2.0 * math.sqrt(q * f_prime_1)) * sqrt_n_over_ln_n(n)
-
-
-def h_star_slope(n: int, q: float, f_prime_1: float) -> float:
-    """The slope of h*_n in |phi(x)|, sqrt(n / ln n) / (2 sqrt(Q F'(1))), rounded
-    once (h_star(1, ...) rounds twice and can differ in the last bit)."""
-    _validate(n, q=q, f_prime_1=f_prime_1)
-    return sqrt_n_over_ln_n(n) / (2.0 * math.sqrt(q * f_prime_1))
 
 
 def expected_h_star(n: int, f_prime_1: float) -> float:

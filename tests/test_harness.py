@@ -27,10 +27,35 @@ from bitboundary.harness import (
     run_experiment,
     sqrt_n_over_ln_n,
 )
+from bitboundary.kernel import build_profile, overlap
 from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
 from bitboundary.search import DEFAULT_BUDGET
+from bitboundary.theory import h_star
 
 from conftest import build_linear_net
+
+
+def install_fake_pool(monkeypatch):
+    """Replace the harness's process pool by one that runs every task in this
+    process and starts none. Returns the list of worker counts it was asked for."""
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer):
+            assert initializer is harness._keep_freed_memory
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    return seen
 
 
 def tiny_config(kind=KIND_CLOSEST, **kw):
@@ -172,6 +197,43 @@ class TestClosestRun:
         assert "power_law_fit" in details
 
 
+class TestPhiBinned:
+    """harness._phi_binned on synthetic closest rows (n, trial, phi, distance,
+    evaluations), with the default profile: Q = 2, F'(1) = 1."""
+
+    N = 64
+
+    def rows(self, counts, n=N):
+        """counts[b] found rows in |phi| bin b, at the bin's centre with
+        distance 2b + 1 and alternating signs of phi."""
+        width = 0.25 * math.sqrt(2.0)
+        rows = []
+        for b, count in enumerate(counts):
+            for k in range(count):
+                phi = (b + 0.5) * width * (-1.0) ** k
+                rows.append((n, len(rows), phi, 2 * b + 1, n))
+        return rows
+
+    def test_too_few_found_rows(self, default_profile):
+        censored = [(self.N, 100 + k, 0.1, -1, self.N) for k in range(30)]
+        rows = self.rows([19]) + censored + self.rows([40], n=32)
+        assert harness._phi_binned(default_profile, rows, self.N) is None
+
+    def test_bins_fit_and_prediction(self, default_profile):
+        q, fp = default_profile.q, default_profile.f_prime_1
+        binned = harness._phi_binned(default_profile, self.rows([12, 10, 9, 15]), self.N)
+        assert binned["n"] == self.N
+        assert binned["bin_width"] == 0.25 * math.sqrt(q)
+        # the bin of 9 samples is dropped
+        assert [(b["bin"], b["count"]) for b in binned["bins"]] == [(0, 12), (1, 10), (3, 15)]
+        for b in binned["bins"]:
+            assert b["distance_mean"] == 2 * b["bin"] + 1
+            np.testing.assert_allclose(b["phi_mean"], (b["bin"] + 0.5) * binned["bin_width"])
+        predicted = binned["predicted_slope"]
+        assert predicted == h_star(1.0, q, fp, self.N)
+        assert binned["slope_over_predicted"] == binned["fit"]["coefficient"] / predicted
+
+
 class TestDeterminism:
     def test_parallelism_does_not_change_bytes(self, tmp_path):
         """Byte-identical rows CSV under different worker counts (the
@@ -190,23 +252,7 @@ class TestDeterminism:
         """The fork start method starts every worker at once, so --parallel
         1000 used to start 1000 processes for a handful of trials. A fake
         pool records the worker count and starts no process."""
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers, initializer):
-                assert initializer is harness._keep_freed_memory
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads, chunksize):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        seen = install_fake_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         serial = run_experiment(tiny_config(n_values=(12,), trials=5)).rows
         for parallel, trials, workers in ((1000, 3, 2), (1000, 1, 1), (2, 5, 2)):
@@ -303,10 +349,13 @@ class TestGpRun:
         assert len(result.rows) == len(GP_TARGETS)
         labels = [r[1] for r in result.rows]
         assert labels == [label for label, _ in GP_TARGETS]
+        profile = build_profile()
         for row in result.rows:
             n, _, h, t, qf = row[:5]
             assert n == 16 and 1 <= h <= 16
-            np.testing.assert_allclose(t, 1.0 - 2.0 * h / 16.0, rtol=1e-12)
+            # bit for bit: the t column and build_ensemble's covariance read one lattice
+            assert t == overlap(h, n)
+            assert qf == profile.q * profile.evaluate(overlap(h, n))
             assert row[11] == 50  # trials column
         pn = result.details["per_n"]["16"]
         assert pn["trials"] == 50
@@ -779,6 +828,27 @@ class TestCliExperiments:
         text = capsys.readouterr().out
         assert "n=8: 3 of 3 trials censored" in text
         assert "n=10: 3 of 3 trials censored" in text
+
+    def test_parallel_run_notes_an_unpinned_blas(self, monkeypatch, capsys):
+        """Each worker's multithreaded BLAS oversubscribed the CPUs (on two
+        CPUs, --parallel 2 took 13.9 s against 10.3 s serially) and nothing
+        said so. The note goes to stderr; stdout and the exit code stay."""
+        install_fake_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+        def run(parallel):
+            assert cli.main(["closest", "--n", "12", "--trials", "3", "--parallel", parallel]) == 0
+            out, err = capsys.readouterr()
+            return out, [line for line in err.splitlines() if "note" in line]
+
+        out, notes = run("2")
+        assert len(notes) == 1 and notes[0].startswith("bitboundary: note: ")
+        assert "README" in notes[0]
+        assert run("1") == (out, [])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert run("2") == (out, [])
 
     def test_cli_matches_library_run(self, tmp_path):
         out = tmp_path / "cli.csv"

@@ -418,9 +418,10 @@ class TestFloat32Screen:
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_row_subsets_within_float64_spread(self, n):
-        """The BLAS row-subset property greedy's decision relies on: _tail on
-        a 1-, 2-, 3- or 7-row subset of a batch of flips gives the rows of
-        the full-batch _tail to within FLOAT64_SPREAD * eps. (Bit equality
+        """The BLAS row-subset property greedy's decision relies on:
+        forward_from_first_layer on a 1-, 2-, 3- or 7-row subset of a batch of
+        flips gives the rows of the full-batch pass to within
+        FLOAT64_SPREAD * eps. (Bit equality
         does not hold on every BLAS: OpenBLAS rounds a 1- or 2-row batch, or
         any batch of 64, in another order.)"""
         config = NetworkConfig(n=n, hidden_widths=(n, n), sigma_b2=0.1, seed=5)

@@ -49,6 +49,7 @@ import numpy as np
 from scipy.stats import kurtosis, skew
 
 from ._version import VERSION
+from .activations import get_activation
 from .bitstrings import BitString
 from .errors import ConfigError
 from .gp import build_ensemble, sample_block
@@ -357,24 +358,6 @@ class ScalingLaw:
         return fit_through_origin(xs, [e["mean"] for e in per_n], model=self.model)
 
 
-def _aggregate_distances(
-    n_values: Sequence[int], rows: Sequence[tuple]
-) -> Tuple[List[dict], Dict[int, int]]:
-    """Per-n mean/stderr/count over rows with a found distance (>= 1);
-    sentinel rows (distance -1) are counted as censored."""
-    per_n, censored = [], {}
-    for n in n_values:
-        dists = [r[3] for r in rows if r[0] == n]
-        found = [d for d in dists if d >= 1]
-        censored[n] = len(dists) - len(found)
-        if found:
-            mean, stderr = mean_stderr(found)
-            per_n.append(
-                {"n": n, "mean": mean, "stderr": stderr, "count": len(found)}
-            )
-    return per_n, censored
-
-
 def _phi_binned(profile: KernelProfile, rows: Sequence[tuple], n: int) -> Optional[dict]:
     """The |phi| vs distance relation at one n: equally spaced |phi| bins of
     width 0.25 sqrt(Q) (minimum 10 samples each), through-origin fit of the
@@ -434,17 +417,27 @@ def refit_rows(
 ) -> Tuple[List[dict], Optional[FitResult], Dict[int, int]]:
     """Recompute (per_n, fit, censored) from raw closest or flips rows.
 
-    This is the `fit` subcommand's engine and the invariant behind it: the
-    aggregates in a run's JSON equal this recomputation from its CSV rows.
-    Rows come from files, so each is checked before it is used.
+    This is the one definition of the run aggregates: a run's JSON takes
+    them from this function over its rows, so they equal the `fit`
+    subcommand's recomputation from its CSV by construction, an interrupted
+    run's included. Each n present in the rows gets its per-n mean, stderr
+    and count over the rows with a found distance (>= 1), if any, and its
+    censored count of sentinel rows (distance -1). Rows come from files, so
+    each is checked before it is used.
     """
     law = scaling_law(kind, "refit")
     for row in rows:
         _check_scaling_row(row)
-    n_values = sorted({int(r[0]) for r in rows})
-    if not n_values:
+    if not rows:
         raise ConfigError("no data rows to refit")
-    per_n, censored = _aggregate_distances(n_values, rows)
+    per_n, censored = [], {}
+    for n in sorted({r[0] for r in rows}):
+        dists = [r[3] for r in rows if r[0] == n]
+        found = [d for d in dists if d >= 1]
+        censored[n] = len(dists) - len(found)
+        if found:
+            mean, stderr = mean_stderr(found)
+            per_n.append({"n": n, "mean": mean, "stderr": stderr, "count": len(found)})
     return per_n, law.fit(per_n), censored
 
 
@@ -470,15 +463,15 @@ def refit_csv(path: Union[str, Path]) -> dict:
 
 
 def _scaling_summary(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
-    """per_n, fit and the details closest and flips share."""
-    law = EXPERIMENTS[config.kind].law
-    per_n, censored = _aggregate_distances(config.n_values, rows)
+    """per_n, fit and the details closest and flips share; a run interrupted
+    before its first row has none."""
+    per_n, fit, censored = refit_rows(config.kind, rows) if rows else ([], None, {})
     details: dict = {"censored": censored}
     if len(per_n) >= 2:
-        xs = [law.x(e["n"]) for e in per_n]
+        xs = [EXPERIMENTS[config.kind].law.x(e["n"]) for e in per_n]
         details["free_intercept_fit"] = fit_line(xs, [e["mean"] for e in per_n])
     details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
-    return per_n, law.fit(per_n), details
+    return per_n, fit, details
 
 
 def _summarize_closest(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
@@ -508,15 +501,26 @@ def _z_score(x: float, target: float, stderr: float) -> float:
     return 0.0 if stderr == 0.0 else (x - target) / stderr
 
 
+def _cov_stat(phi: np.ndarray, col: int, target: float) -> Tuple[float, float, float]:
+    """(mean, stderr, z against target) of phi_0 * phi_col over the draws
+    (rows) of phi."""
+    mean, stderr = mean_stderr(phi[:, 0] * phi[:, col])
+    return mean, stderr, _z_score(mean, target, stderr)
+
+
+def _corr(phi: np.ndarray, col: int) -> float:
+    """corr(phi_0, phi_col) over the draws (rows) of phi."""
+    return float(np.corrcoef(phi[:, 0], phi[:, col])[0, 1])
+
+
 def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Network covariance vs Q*F(t) vs GP sampling at the overlap menu; the
     rows written are one summary row per (n, overlap target). An n with fewer
-    than 2 rows (an interrupted run) is left out, as one with none."""
+    than 2 rows (an interrupted run) is left out, as one with none. Every
+    statistic is one helper applied to the network's draws and the GP's."""
     q = profile.q
     summary_rows: List[tuple] = []
     details: dict = {"per_n": {}, "jitter": {}}
-    max_net_z = 0.0
-    max_gp_z = 0.0
     for n in config.n_values:
         labels, hs, signs, _ = _gp_points(config.seed, n)
         net_phi = np.array([r[2:] for r in rows if r[0] == n])
@@ -525,68 +529,45 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
         trials = net_phi.shape[0]
         ensemble = build_ensemble(profile, signs, seed=derive_seed(config.seed, n))
         gp_phi = sample_block(ensemble, 0, trials)
-        for col in range(2, len(labels)):
-            h = hs[col]
-            t = overlap(h, n)
+        cols = range(2, len(labels))
+        for col in cols:
             qf = float(ensemble.cov[0, col])
-            net_cov, net_se = mean_stderr(net_phi[:, 0] * net_phi[:, col])
-            gp_cov, gp_se = mean_stderr(gp_phi[:, 0] * gp_phi[:, col])
-            net_z, gp_z = _z_score(net_cov, qf, net_se), _z_score(gp_cov, qf, gp_se)
-            max_net_z = max(max_net_z, abs(net_z))
-            max_gp_z = max(max_gp_z, abs(gp_z))
-            summary_rows.append(
-                (
-                    n,
-                    labels[col],
-                    h,
-                    t,
-                    qf,
-                    net_cov,
-                    net_se,
-                    net_z,
-                    gp_cov,
-                    gp_se,
-                    gp_z,
-                    trials,
-                )
-            )
+            net, gp = _cov_stat(net_phi, col, qf), _cov_stat(gp_phi, col, qf)
+            h = hs[col]
+            summary_rows.append((n, labels[col], h, overlap(h, n), qf, *net, *gp, trials))
         base = net_phi[:, 0]
         mean, se = mean_stderr(base)
         gp_mean, gp_se_m = mean_stderr(gp_phi[:, 0])
-        var_mean, var_se = mean_stderr(base * base)
+        var_mean, _, var_z = _cov_stat(net_phi, 0, q)
         details["per_n"][str(n)] = {
             "trials": trials,
             "net_mean": mean,
             "net_mean_z": _z_score(mean, 0.0, se),
             "gp_mean_z": _z_score(gp_mean, 0.0, gp_se_m),
             "net_var": var_mean,
-            "net_var_z": _z_score(var_mean, q, var_se),
+            "net_var_z": var_z,
             "net_skew": float(skew(base)),
             "net_excess_kurtosis": float(kurtosis(base)),
-            "net_duplicate_corr": float(np.corrcoef(net_phi[:, 0], net_phi[:, 1])[0, 1]),
-            "gp_duplicate_corr": float(np.corrcoef(gp_phi[:, 0], gp_phi[:, 1])[0, 1]),
-            "net_gp_corr_gap": {
-                labels[col]: float(
-                    np.corrcoef(net_phi[:, 0], net_phi[:, col])[0, 1]
-                    - np.corrcoef(gp_phi[:, 0], gp_phi[:, col])[0, 1]
-                )
-                for col in range(2, len(labels))
-            },
+            "net_duplicate_corr": _corr(net_phi, 1),
+            "gp_duplicate_corr": _corr(gp_phi, 1),
+            "net_gp_corr_gap": {labels[c]: _corr(net_phi, c) - _corr(gp_phi, c) for c in cols},
         }
         details["jitter"][str(n)] = ensemble.jitter
-    details["max_abs_net_z"] = max_net_z
-    details["max_abs_gp_z"] = max_gp_z
+    for sampler in ("net", "gp"):
+        k = GP_COLUMNS.index(f"{sampler}_z")
+        details[f"max_abs_{sampler}_z"] = max((abs(r[k]) for r in summary_rows), default=0.0)
     details["kernel"] = {"q": q, "f_prime_1": profile.f_prime_1}
     return summary_rows, [], None, details
 
 
 def _summarize_paired(config: ExperimentConfig, rows: List[tuple], profile: None):
-    """Paired greedy and exact distances on identical instances."""
+    """Paired greedy and exact distances on identical instances, at each n
+    that has rows."""
     per_n: List[dict] = []
     violations: Dict[int, int] = {}
     censored: Dict[int, int] = {}
     max_gap = 0
-    for n in config.n_values:
+    for n in sorted({r[0] for r in rows}):
         sub = [r for r in rows if r[0] == n]
         pairs = [(r[3], r[4]) for r in sub if r[3] >= 1 and r[4] >= 1]
         censored[n] = len(sub) - len(pairs)
@@ -836,9 +817,8 @@ def write_kernel_csv(path: Union[str, Path], profile: KernelProfile) -> None:
     """F_1 .. F_{L+1} and F on default_grid(), one row per overlap t, under
     the kernel summary's provenance."""
     t = default_grid()
-    _, stack = f_recursion(
-        profile.sigma_w2, profile.sigma_b2, list(profile.q_per_layer), t, profile.activation
-    )
+    act = get_activation(profile.activation)
+    _, stack = f_recursion(profile.sigma_w2, profile.sigma_b2, list(profile.q_per_layer), t, act)
     columns = ["t"] + [f"F_{l}" for l in range(1, stack.shape[0] + 1)] + ["F"]
     header = [("kind", "kernel"), *kernel_summary(profile)["provenance"].items()]
     rows = ((tj, *column, column[-1]) for tj, column in zip(t, stack.T))

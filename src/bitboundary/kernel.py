@@ -294,10 +294,6 @@ def _moments(act: Activation) -> _Moments:
     )
 
 
-def _resolve(activation: Union[str, Activation]) -> Activation:
-    return get_activation(activation) if isinstance(activation, str) else activation
-
-
 def validate_variances(sigma_w2: float, sigma_b2: float) -> None:
     """The variance rule shared by the kernel and the finite networks."""
     finite = math.isfinite(sigma_w2) and math.isfinite(sigma_b2)
@@ -311,10 +307,9 @@ def q_recursion(
     sigma_w2: float,
     sigma_b2: float,
     layers: int,
-    activation: Union[str, Activation] = "relu",
+    act: Activation,
 ) -> list:
     """Per-layer variances Q_1 .. Q_{L+1} for L hidden layers."""
-    act = _resolve(activation)
     validate_variances(sigma_w2, sigma_b2)
     if layers < 1:
         raise ConfigError(f"need at least one hidden layer, got {layers}")
@@ -335,10 +330,10 @@ def f_recursion(
     sigma_b2: float,
     qs: list,
     t: ArrayLike,
-    activation: Union[str, Activation] = "relu",
+    act: Activation,
 ) -> Tuple[ArrayLike, np.ndarray]:
     """F(t) together with the per-layer stack F_1(t) .. F_{L+1}(t)."""
-    cross = _moments(_resolve(activation)).cross
+    cross = _moments(act).cross
     scalar = np.isscalar(t)
     t = _clip_unit(np.atleast_1d(t), _T_TOL, "overlap")
     levels = [(sigma_w2 * t + sigma_b2) / (sigma_w2 + sigma_b2)]
@@ -353,10 +348,9 @@ def f_prime_1(
     sigma_w2: float,
     sigma_b2: float,
     qs: list,
-    activation: Union[str, Activation] = "relu",
+    act: Activation,
 ) -> float:
     """F'(1) by the exact layer recursion of the module docstring."""
-    act = _resolve(activation)
     if sigma_w2 == 0.0:
         raise NumericalFaultError("F'(1) = 0: no signal propagation (sigma_w2 = 0 is degenerate)")
     slope = _moments(act).slope
@@ -393,9 +387,8 @@ class KernelProfile:
 
     def evaluate(self, t: ArrayLike) -> ArrayLike:
         """Exact recursive evaluation of F at arbitrary overlaps."""
-        f, _ = f_recursion(
-            self.sigma_w2, self.sigma_b2, list(self.q_per_layer), t, self.activation
-        )
+        act = get_activation(self.activation)
+        f, _ = f_recursion(self.sigma_w2, self.sigma_b2, list(self.q_per_layer), t, act)
         return f
 
 
@@ -403,15 +396,14 @@ def build_profile(
     sigma_w2: float = 2.0,
     sigma_b2: float = 0.0,
     layers: int = 2,
-    activation: Union[str, Activation] = "relu",
+    activation: str = "relu",
 ) -> KernelProfile:
-    """Run the Q and F'(1) recursions; F is evaluated on demand."""
-    act = _resolve(activation)
-    if get_activation(act.name) is not act:
-        raise ConfigError(
-            f"activation {act.name!r} is not the one registered under that name; "
-            "a profile evaluates F by its activation's name"
-        )
+    """Run the Q and F'(1) recursions; F is evaluated on demand.
+
+    The activation is a registered name, resolved once here and again
+    wherever the profile evaluates F; the recursions themselves take the
+    Activation object."""
+    act = get_activation(activation)
     qs = q_recursion(sigma_w2, sigma_b2, layers, act)
     return KernelProfile(
         sigma_w2=float(sigma_w2),

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven go/no-go checks at their stated tolerances.
+"""Acceptance gate: twelve go/no-go checks at their stated tolerances.
 
 Every check prints exactly one verdict line outside pytest capture so the
 gate summary is visible in any invocation. Wall times of the heavy runs are
@@ -6,16 +6,19 @@ reported for reference; assertions are on the science, not the clock,
 because wall time depends on the host.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from bitboundary.activations import Activation, register_activation
+from bitboundary.activations import Activation, get_activation, register_activation
 from bitboundary.harness import (
     KIND_CLOSEST,
     KIND_FLIPS,
     KIND_GP_CHECK,
     KIND_GREEDY_VS_EXACT,
     ExperimentConfig,
+    _net_and_input,
     run_experiment,
 )
 from bitboundary.kernel import (
@@ -25,7 +28,9 @@ from bitboundary.kernel import (
     q_recursion,
     uniform_grid,
 )
-from bitboundary.theory import expected_h_star, ln_count_flipped
+from bitboundary.nets import flip_rows, forward_from_first_layer, forward_with_first_layer_cache
+from bitboundary.stats import mean_stderr
+from bitboundary.theory import conditional_flip_probability, expected_h_star, ln_count_flipped
 
 from conftest import ACCEPTANCE_SEED
 
@@ -134,7 +139,7 @@ def test_05_quadrature_vs_closed_form(gate):
     grid = uniform_grid()
     stacks = [
         f_recursion(2.0, 0.0, q_recursion(2.0, 0.0, 2, act), grid, act)[1]
-        for act in ("relu", "relu_quadrature_gate")
+        for act in map(get_activation, ("relu", "relu_quadrature_gate"))
     ]
     gap = float(np.max(np.abs(stacks[1] - stacks[0])))
     ok = gap <= 1e-6
@@ -256,4 +261,47 @@ def test_11_parallel_determinism(tmp_path, gate):
         ok,
         f"4 kinds, {total} CSV bytes compared"
         + (f"; mismatches: {mismatched}" if mismatched else ", all byte-identical"),
+    )
+
+
+@pytest.mark.parametrize("width, deficit", [(256, False), (16, True)])
+def test_12_per_string_flip_law(width, deficit, default_profile, gate):
+    """The proof's per-string law P_n(h, |z|), the chance that a string at
+    distance h from x changes class given phi(x) = sqrt(Q) z, against finite
+    networks: n = 16, 2000 seed-42 instances, every string at h = 1 and 2.
+    Per instance, the fraction of those strings that change class minus
+    P_n(h, |phi(x)| / sqrt(Q)). Bounds fixed before the run: at width 256,
+    where the GP law should hold, the mean lies within 4 standard errors of
+    0 at both h. At width 16 it lies below -4 standard errors at both h: a
+    finite-width net changes class less often than the law says, and the
+    check must be able to see that."""
+    n, trials = 16, 2000
+    config = ExperimentConfig(
+        kind=KIND_CLOSEST, n_values=(n,), trials=trials, seed=ACCEPTANCE_SEED, widths=(width,) * 2
+    )
+    shells = {h: np.array(list(combinations(range(n), h))) for h in (1, 2)}
+    diffs = {h: [] for h in shells}
+    for trial in range(trials):
+        net, x = _net_and_input(config, n, trial)
+        phi0, z1 = forward_with_first_layer_cache(net, x)
+        delta = flip_rows(net, x, slice(None))
+        z = abs(phi0) / np.sqrt(default_profile.q)
+        for h, idx in shells.items():
+            phis = forward_from_first_layer(net, z1 + delta[idx].sum(axis=1))
+            changed = np.mean((phis >= 0.0) != (phi0 >= 0.0))  # sign(0) = +1
+            p = conditional_flip_probability(default_profile, n, h, z)
+            diffs[h].append(changed - p)
+    stats = {h: mean_stderr(d) for h, d in diffs.items()}
+    zs = {h: mean / se for h, (mean, se) in stats.items()}
+    if deficit:
+        ok, bound = all(v < -4.0 for v in zs.values()), "z < -4 (the deficit is visible)"
+    else:
+        ok, bound = all(abs(v) <= 4.0 for v in zs.values()), "|z| <= 4"
+    shown = "; ".join(
+        f"h={h}: {mean:+.4f} +/- {se:.4f} (z {zs[h]:+.2f})" for h, (mean, se) in stats.items()
+    )
+    gate(
+        f"per-string flip law, width {width}",
+        ok,
+        f"n={n}, {trials} instances, observed - P_n: {shown}; bound {bound}",
     )

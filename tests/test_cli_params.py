@@ -145,3 +145,12 @@ def test_keys_without_a_flag_are_rejected(command, line, tmp_path):
     path.write_text(f"n = 16\ntrials = 2\n{line}\n")
     assert cli.main([command, "--config", str(path)]) == 2
 
+
+
+@pytest.mark.parametrize("command", [name for name, _, _ in cli.COMMANDS])
+def test_subcommand_help_names_every_flag(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for param in cli.PARAMS:
+        if command in param.commands:
+            assert "--" + param.key.replace("_", "-") in out

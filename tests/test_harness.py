@@ -308,6 +308,19 @@ def patch_row_worker(monkeypatch, kind, row):
     monkeypatch.setitem(harness.EXPERIMENTS, kind, spec)
 
 
+def interrupt_at(monkeypatch, kind, stop):
+    """Make the row worker of one kind raise KeyboardInterrupt at (n, trial)
+    `stop`, as Ctrl-C would, and run the real worker everywhere else."""
+    real = harness.EXPERIMENTS[kind].row
+
+    def exploding(config, n, trial):
+        if (n, trial) == stop:
+            raise KeyboardInterrupt
+        return real(config, n, trial)
+
+    patch_row_worker(monkeypatch, kind, exploding)
+
+
 def never(config, n, trial):
     """A row worker for runs that must stop before their first trial."""
     raise AssertionError("a trial ran")
@@ -324,20 +337,39 @@ class TestCensoring:
         assert result.details["censored"] == {16: 3, 24: 3}
 
     def test_truncation_keeps_partial_rows(self, monkeypatch, tmp_path):
-        real = harness.EXPERIMENTS[KIND_CLOSEST].row
-
-        def exploding(config, n, trial):
-            if (n, trial) == (24, 1):
-                raise KeyboardInterrupt
-            return real(config, n, trial)
-
-        patch_row_worker(monkeypatch, KIND_CLOSEST, exploding)
+        interrupt_at(monkeypatch, KIND_CLOSEST, (24, 1))
         out = tmp_path / "rows.csv"
         result = run_experiment(tiny_config(trials=3, out_csv=str(out)))
         assert result.truncated
         assert len(result.rows) == 3 + 1  # all of n=16, one row of n=24
         meta, _, _ = read_rows_csv(out)
         assert meta["truncated"] == "1"
+
+    def test_interrupted_summary_equals_fit_of_its_csv(self, monkeypatch, tmp_path):
+        """A run stopped at its third trial used to write censored counts for
+        sizes it never reached ({16: 0, 24: 0, 32: 0}), while `fit` of its CSV
+        gave {16: 0}."""
+        interrupt_at(monkeypatch, KIND_CLOSEST, (16, 2))
+        out_csv, out_json = tmp_path / "rows.csv", tmp_path / "run.json"
+        config = tiny_config(
+            n_values=(16, 24, 32), trials=3, out_csv=str(out_csv), out_json=str(out_json)
+        )
+        run_experiment(config)
+        run = json.loads(out_json.read_text())
+        refit = json.loads(harness.json_text(harness.refit_csv(out_csv)))
+        assert run["truncated"]
+        assert run["per_n"] == refit["per_n"] and [e["n"] for e in run["per_n"]] == [16]
+        assert run["fit"] == refit["fit"]
+        assert run["details"]["censored"] == refit["censored"] == {"16": 0}
+
+    def test_interrupted_paired_summary_covers_only_sizes_with_rows(self, monkeypatch):
+        interrupt_at(monkeypatch, KIND_GREEDY_VS_EXACT, (16, 2))
+        config = tiny_config(KIND_GREEDY_VS_EXACT, n_values=(16, 24, 32), trials=3)
+        result = run_experiment(config)
+        assert result.truncated
+        assert {r[0] for r in result.rows} == {16}
+        assert list(result.details["censored"]) == list(result.details["violations"]) == [16]
+        assert [e["n"] for e in result.per_n] == [16]
 
 
 class TestGpRun:
@@ -369,14 +401,7 @@ class TestGpRun:
         """An interrupt right after an n's first trial used to summarize that
         n from one row: zero-stderr z's of 0, NaN moments and numpy
         RuntimeWarnings."""
-        real = harness.EXPERIMENTS[KIND_GP_CHECK].row
-
-        def exploding(config, n, trial):
-            if (n, trial) == (10, 1):
-                raise KeyboardInterrupt
-            return real(config, n, trial)
-
-        patch_row_worker(monkeypatch, KIND_GP_CHECK, exploding)
+        interrupt_at(monkeypatch, KIND_GP_CHECK, (10, 1))
         config = ExperimentConfig(kind=KIND_GP_CHECK, n_values=(8, 10), trials=5, seed=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -354,7 +354,9 @@ class TestProfile:
                 f_recursion(sw2, sb2, qs, t, TANH)[1],
             )
         with pytest.raises(ConfigError):
-            build_profile(activation=impostor)  # its profile would evaluate F as "relu"
+            # a profile takes a registered name, never an object: one holding the
+            # impostor would have evaluated F by its name, "relu"
+            build_profile(activation=impostor)
 
 
 class TestGrids:

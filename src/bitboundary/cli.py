@@ -369,15 +369,11 @@ def main(argv=None) -> int:
         return 0 if code is None else 2
     try:
         return args.handler(args)
-    except BitBoundaryError as exc:
+    except (BitBoundaryError, OSError) as exc:
         print(f"bitboundary: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"bitboundary: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"bitboundary: error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, BitBoundaryError):
+            return exc.exit_code
+        return 2 if isinstance(exc, FileNotFoundError) else 1
     except KeyboardInterrupt:
         return 130
 

@@ -412,6 +412,12 @@ def _check_scaling_row(row: tuple) -> None:
         raise ConfigError(f"row {row!r}: distance must be -1 or in [1, {n}]")
 
 
+def _per_n_entry(n: int, values: Sequence[float]) -> dict:
+    """The per-n aggregate of a run: mean, stderr and count of values at n."""
+    mean, stderr = mean_stderr(values)
+    return {"n": n, "mean": mean, "stderr": stderr, "count": len(values)}
+
+
 def refit_rows(
     kind: str, rows: Sequence[tuple]
 ) -> Tuple[List[dict], Optional[FitResult], Dict[int, int]]:
@@ -436,8 +442,7 @@ def refit_rows(
         found = [d for d in dists if d >= 1]
         censored[n] = len(dists) - len(found)
         if found:
-            mean, stderr = mean_stderr(found)
-            per_n.append({"n": n, "mean": mean, "stderr": stderr, "count": len(found)})
+            per_n.append(_per_n_entry(n, found))
     return per_n, law.fit(per_n), censored
 
 
@@ -462,7 +467,7 @@ def refit_csv(path: Union[str, Path]) -> dict:
     }
 
 
-def _scaling_summary(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
+def _scaling_summary(config: ExperimentConfig, rows: List[tuple]):
     """per_n, fit and the details closest and flips share; a run interrupted
     before its first row has none."""
     per_n, fit, censored = refit_rows(config.kind, rows) if rows else ([], None, {})
@@ -470,13 +475,12 @@ def _scaling_summary(config: ExperimentConfig, rows: List[tuple], profile: Kerne
     if len(per_n) >= 2:
         xs = [EXPERIMENTS[config.kind].law.x(e["n"]) for e in per_n]
         details["free_intercept_fit"] = fit_line(xs, [e["mean"] for e in per_n])
-    details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
     return per_n, fit, details
 
 
 def _summarize_closest(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Nearest-boundary distances and the sqrt(n / ln n) prefactor fit."""
-    per_n, fit, details = _scaling_summary(config, rows, profile)
+    per_n, fit, details = _scaling_summary(config, rows)
     details["method"] = config.method
     if len(per_n) >= 2:
         ns, ys = [e["n"] for e in per_n], [e["mean"] for e in per_n]
@@ -489,23 +493,18 @@ def _summarize_closest(config: ExperimentConfig, rows: List[tuple], profile: Ker
 
 def _summarize_flips(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
     """Random-walk flip counts and the linear slope fit."""
-    per_n, fit, details = _scaling_summary(config, rows, profile)
+    per_n, fit, details = _scaling_summary(config, rows)
     details["heuristic_slope_lower_bound"] = heuristic_flip_bound(
         1, profile.f_prime_1
     )
     return rows, per_n, fit, details
 
 
-def _z_score(x: float, target: float, stderr: float) -> float:
-    """(x - target) / stderr, and 0 when the standard error is 0."""
-    return 0.0 if stderr == 0.0 else (x - target) / stderr
-
-
-def _cov_stat(phi: np.ndarray, col: int, target: float) -> Tuple[float, float, float]:
-    """(mean, stderr, z against target) of phi_0 * phi_col over the draws
-    (rows) of phi."""
-    mean, stderr = mean_stderr(phi[:, 0] * phi[:, col])
-    return mean, stderr, _z_score(mean, target, stderr)
+def _stat(values: np.ndarray, target: float) -> Tuple[float, float, float]:
+    """(mean, stderr, z) of values, z = (mean - target) / stderr, and 0 when
+    the standard error is 0."""
+    mean, stderr = mean_stderr(values)
+    return mean, stderr, 0.0 if stderr == 0.0 else (mean - target) / stderr
 
 
 def _corr(phi: np.ndarray, col: int) -> float:
@@ -518,7 +517,6 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
     rows written are one summary row per (n, overlap target). An n with fewer
     than 2 rows (an interrupted run) is left out, as one with none. Every
     statistic is one helper applied to the network's draws and the GP's."""
-    q = profile.q
     summary_rows: List[tuple] = []
     details: dict = {"per_n": {}, "jitter": {}}
     for n in config.n_values:
@@ -532,18 +530,17 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
         cols = range(2, len(labels))
         for col in cols:
             qf = float(ensemble.cov[0, col])
-            net, gp = _cov_stat(net_phi, col, qf), _cov_stat(gp_phi, col, qf)
+            net, gp = (_stat(phi[:, 0] * phi[:, col], qf) for phi in (net_phi, gp_phi))
             h = hs[col]
             summary_rows.append((n, labels[col], h, overlap(h, n), qf, *net, *gp, trials))
         base = net_phi[:, 0]
-        mean, se = mean_stderr(base)
-        gp_mean, gp_se_m = mean_stderr(gp_phi[:, 0])
-        var_mean, _, var_z = _cov_stat(net_phi, 0, q)
+        mean, _, mean_z = _stat(base, 0.0)
+        var_mean, _, var_z = _stat(base * base, profile.q)
         details["per_n"][str(n)] = {
             "trials": trials,
             "net_mean": mean,
-            "net_mean_z": _z_score(mean, 0.0, se),
-            "gp_mean_z": _z_score(gp_mean, 0.0, gp_se_m),
+            "net_mean_z": mean_z,
+            "gp_mean_z": _stat(gp_phi[:, 0], 0.0)[2],
             "net_var": var_mean,
             "net_var_z": var_z,
             "net_skew": float(skew(base)),
@@ -556,7 +553,6 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
     for sampler in ("net", "gp"):
         k = GP_COLUMNS.index(f"{sampler}_z")
         details[f"max_abs_{sampler}_z"] = max((abs(r[k]) for r in summary_rows), default=0.0)
-    details["kernel"] = {"q": q, "f_prime_1": profile.f_prime_1}
     return summary_rows, [], None, details
 
 
@@ -575,8 +571,7 @@ def _summarize_paired(config: ExperimentConfig, rows: List[tuple], profile: None
         if pairs:
             gaps = [g - e for g, e in pairs]
             max_gap = max(max_gap, max(gaps))
-            mean, stderr = mean_stderr(gaps)
-            per_n.append({"n": n, "mean": mean, "stderr": stderr, "count": len(pairs)})
+            per_n.append(_per_n_entry(n, gaps))
     details = {
         "gap_definition": "greedy_distance - exact_distance",
         "violations": violations,
@@ -597,7 +592,8 @@ Summary = Tuple[List[tuple], List[dict], Optional[FitResult], dict]
 @dataclass(frozen=True)
 class ExperimentKind:
     """Everything kind-specific about an experiment. `kernel` says whether
-    the summarizer reads the run's kernel profile (else it gets None)."""
+    the summarizer reads the run's kernel profile (else it gets None) and
+    the run's details record its q and F'(1)."""
 
     columns: Tuple[str, ...]
     row: Callable[[ExperimentConfig, int, int], tuple]
@@ -700,6 +696,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     profile = profile_for_config(network) if kind.kernel else None
     rows, truncated = _execute(config)
     rows, per_n, fit, details = kind.summarize(config, rows, profile)
+    if profile is not None:
+        details["kernel"] = {"q": profile.q, "f_prime_1": profile.f_prime_1}
     result = ExperimentResult(config, kind.columns, rows, per_n, fit, details, truncated)
     _persist(result)
     return result

@@ -62,7 +62,7 @@ angular integral is piecewise Gauss-Legendre with panels split at the rays
 where A or B vanishes. Activation kinks at the origin lie exactly on those
 rays, so the integrand is smooth on every panel and the rule converges
 spectrally; a plain tensor Gauss-Hermite rule only converges algebraically
-there and cannot reach the 1e-6 agreement this module promises. (For tanh
+there and cannot reach the 1e-8 agreement this module promises. (For tanh
 the polar rule alone fails near c = +-1 from Q_l ~ 3.39.)
 """
 
@@ -97,9 +97,6 @@ HERMITE_TERMS = (160, 220)
 POLAR_ORDERS = ((64, 48), (96, 64))
 QUAD_RTOL = 1e-8
 
-UNIFORM_GRID_POINTS = 2001
-REFINEMENT_OFFSETS = tuple(10.0 ** -k for k in range(1, 9))
-
 _T_TOL = 1e-12
 _F_TOL = 1e-9
 _DEGENERATE_S2 = 1e-300
@@ -108,16 +105,12 @@ _CHUNK = 256
 ArrayLike = Union[float, np.ndarray]
 
 
-def uniform_grid() -> np.ndarray:
-    """The 2001-point uniform grid on [-1, 1]."""
-    return np.linspace(-1.0, 1.0, UNIFORM_GRID_POINTS)
-
-
 def default_grid() -> np.ndarray:
-    """Uniform grid plus geometric refinement near t = 1 (1 - t = 1e-1..1e-8),
-    because all the short-distance analysis lives in the t -> 1 regime."""
-    refined = 1.0 - np.asarray(REFINEMENT_OFFSETS)
-    return np.unique(np.concatenate([uniform_grid(), refined]))
+    """The 2001-point uniform grid on [-1, 1] plus geometric refinement near
+    t = 1 (1 - t = 1e-1..1e-8), because all the short-distance analysis lives
+    in the t -> 1 regime."""
+    refined = 1.0 - 10.0 ** -np.arange(1.0, 9.0)
+    return np.unique(np.concatenate([np.linspace(-1.0, 1.0, 2001), refined]))
 
 
 def overlap(h, n: int):
@@ -172,6 +165,11 @@ def _gh_moment(what: str, g, q: float) -> float:
             f"order {GH_ORDERS[0]} -> {lo:.16g}, order {GH_ORDERS[1]} -> {hi:.16g}"
         )
     return hi
+
+
+def _second_moment(act: Activation, q: float) -> float:
+    """E[tau(sqrt(q) z)^2], which is also E[tau(u) tau(v)] at c = 1."""
+    return _gh_moment(f"second moment of {act.name}", lambda u: act(u) ** 2, q)
 
 
 def _hermite_power(act: Activation, q: float, order: int, terms: int) -> np.ndarray:
@@ -229,20 +227,20 @@ def _cross_moment_polar(
 def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
     """Cross-checked E[tau(u) tau(v)] over an array of correlations.
 
-    Entries with c rounded to +-1 (1 - c^2 < 1e-300) take the one-dimensional
-    moment E[tau(u) tau(+-u)]; at c = 1 it is the same sum as the second
-    moment, so F(1) = 1 exactly. Every other entry takes the Hermite series
-    where its two orders agree and the polar rule, at two orders, elsewhere.
+    Entries with c rounded to +-1 (1 - c^2 < 1e-300) take a one-dimensional
+    moment: at c = 1 the second moment itself, so F(1) = 1 exactly, and at
+    c = -1 the pair moment E[tau(u) tau(-u)]. Every other entry takes the
+    Hermite series where its two orders agree and the polar rule, at two
+    orders, elsewhere.
     """
     c = np.asarray(c, dtype=float)
     out = np.empty_like(c)
     deg = 1.0 - c * c < _DEGENERATE_S2
-    for sign in (1.0, -1.0):
-        mask = deg & ((c >= 0.0) if sign > 0 else (c < 0.0))
-        if np.any(mask):
-            out[mask] = _gh_moment(
-                f"pair moment of {act.name}", lambda u: act(u) * act(sign * u), q
-            )
+    up, down = deg & (c >= 0.0), deg & (c < 0.0)
+    if np.any(up):
+        out[up] = _second_moment(act, q)
+    if np.any(down):
+        out[down] = _gh_moment(f"pair moment of {act.name}", lambda u: act(u) * act(-u), q)
     cl = c[~deg]
     rules = zip(GH_ORDERS, HERMITE_TERMS)
     lo, hi = (polyval(cl, _hermite_power(act, q, order, terms)) for order, terms in rules)
@@ -284,7 +282,7 @@ def _moments(act: Activation) -> _Moments:
     if act is RELU:
         return _Moments(lambda q: q / 2.0, lambda q, c: q * psi(c) / 2.0, lambda q: q / 2.0)
     return _Moments(
-        lambda q: _gh_moment(f"second moment of {act.name}", lambda u: act(u) ** 2, q),
+        lambda q: _second_moment(act, q),
         lambda q, c: _cross_moment(act, q, c),
         lambda q: _gh_moment(
             f"derivative moment of {act.name}",

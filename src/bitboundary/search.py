@@ -109,10 +109,14 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     for step in range(1, n + 1):
         evaluations += n - step + 1  # the flips of the bits not yet flipped
         choice = _screened_choice(net, x, z1, remaining, s0)
-        if not choice:
+        if not choice:  # the float64 pass over every flip
             if delta is None:
                 delta = flip_rows(net, x, slice(None))
-            choice = _float64_choice(net, z1, delta, remaining, s0)
+            phis = forward_from_first_layer(net, delta + z1)
+            key = s0 * phis
+            key[~remaining] = np.inf
+            k = int(np.argmin(key))
+            choice = k, phis[k]
         i, phi = choice
         path.append(i)
         z1 = z1 + flip_rows(net, x, i)  # the same sum as candidate i's row
@@ -123,23 +127,11 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     return SearchResult(phi0, distance, tuple(path), evaluations)
 
 
-def _float64_choice(
-    net: DeepNet, z1: np.ndarray, delta: np.ndarray, remaining: np.ndarray, s0: float
-) -> Tuple[int, float]:
-    """(bit, phi) of the argmin of s0 * phi over the flips of the remaining
-    bits (the lowest bit of a tie), from the float64 pass over every flip."""
-    phis = forward_from_first_layer(net, delta + z1)
-    key = s0 * phis
-    key[~remaining] = np.inf
-    i = int(np.argmin(key))
-    return i, phis[i]
-
-
 def _screened_choice(
     net: DeepNet, x: BitString, z1: np.ndarray, remaining: np.ndarray, s0: float
 ) -> Optional[Tuple[int, float]]:
-    """_float64_choice's answer through the float32 screen, or None when the
-    screen cannot certify it (module docstring)."""
+    """(bit, phi) of the float64 pass's argmin through the float32 screen, or
+    None when the screen cannot certify it (module docstring)."""
     screened = screen_flips(net, z1, x)
     if screened is None:
         return None

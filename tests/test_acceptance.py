@@ -26,7 +26,6 @@ from bitboundary.kernel import (
     default_grid,
     f_recursion,
     q_recursion,
-    uniform_grid,
 )
 from bitboundary.nets import flip_rows, forward_from_first_layer, forward_with_first_layer_cache
 from bitboundary.stats import mean_stderr
@@ -136,7 +135,7 @@ def test_05_quadrature_vs_closed_form(gate):
             lambda x: (x > 0),
         )
     )
-    grid = uniform_grid()
+    grid = np.linspace(-1.0, 1.0, 2001)
     stacks = [
         f_recursion(2.0, 0.0, q_recursion(2.0, 0.0, 2, act), grid, act)[1]
         for act in map(get_activation, ("relu", "relu_quadrature_gate"))

@@ -1,11 +1,17 @@
 """The CLI parameter table: every subcommand's flags and config-file keys."""
 
 import argparse
+import dataclasses
+import inspect
+import re
 
 import pytest
 
 from bitboundary import cli
 from bitboundary.errors import ConfigError
+from bitboundary.harness import DESK_DEFAULTS, ExperimentConfig
+from bitboundary.kernel import build_profile
+from bitboundary.theory import theory_report
 
 NETWORK = {
     "--sigma-w2": ("VAR", None, "weight variance (default 2.0)"),
@@ -154,3 +160,41 @@ def test_subcommand_help_names_every_flag(command, capsys):
     for param in cli.PARAMS:
         if command in param.commands:
             assert "--" + param.key.replace("_", "-") in out
+
+
+def _signature_defaults(fn):
+    return {
+        name: p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+def _real_defaults(command):
+    """What a command runs with for each setting no flag or file gives."""
+    if command == "kernel":
+        return _signature_defaults(build_profile)
+    if command == "theory":
+        return {**_signature_defaults(build_profile), **_signature_defaults(theory_report)}
+    fields = {
+        f.name: f.default
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.default is not dataclasses.MISSING
+    }
+    return {**fields, **DESK_DEFAULTS[command]}
+
+
+def test_help_states_the_real_default():
+    """A "(default X)" in a flag's help is the value each of its commands uses
+    without it; max_h's "n" stands for None, which searches up to n."""
+    checked, wrong = 0, []
+    for param in cli.PARAMS:
+        stated = re.search(r"\(default ([^;)]+)", param.help)
+        if stated is None:
+            continue
+        expected = None if stated.group(1) == "n" else param.parse(stated.group(1))
+        for command in param.commands:
+            checked += 1
+            if _real_defaults(command)[param.field or param.key] != expected:
+                wrong.append((command, param.key, stated.group(1)))
+    assert checked and not wrong, wrong

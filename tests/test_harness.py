@@ -397,6 +397,11 @@ class TestGpRun:
         assert result.details["max_abs_net_z"] >= 0
         assert set(pn["net_gp_corr_gap"]) == {label for label, _ in GP_TARGETS}
 
+    def test_stat(self):
+        """(mean, stderr, z against the target), z = 0 when stderr is 0."""
+        assert harness._stat(np.full(3, 2.0), 0.0) == (2.0, 0.0, 0.0)
+        assert harness._stat(np.array([1.0, 3.0]), 1.0) == (2.0, 1.0, 1.0)
+
     def test_truncation_leaves_out_an_n_with_one_row(self, monkeypatch):
         """An interrupt right after an n's first trial used to summarize that
         n from one row: zero-stderr z's of 0, NaN moments and numpy

@@ -25,7 +25,6 @@ from bitboundary.kernel import (
     profile_for_config,
     psi,
     q_recursion,
-    uniform_grid,
 )
 from bitboundary.nets import NetworkConfig
 
@@ -360,17 +359,12 @@ class TestProfile:
 
 
 class TestGrids:
-    def test_uniform_grid(self):
-        g = uniform_grid()
-        assert g.size == 2001
-        assert g[0] == -1.0 and g[-1] == 1.0
-        np.testing.assert_allclose(np.diff(g), 0.001, rtol=1e-9)
-
     def test_default_grid_refines_toward_one(self):
+        """The 2001-point uniform grid on [-1, 1] and each 1 - 10^-k, k = 1..8."""
         g = default_grid()
         assert np.all(np.diff(g) > 0)
-        for k in range(1, 9):
-            assert np.any(np.isclose(g, 1.0 - 10.0**-k, rtol=0, atol=1e-15))
+        assert np.isin(np.linspace(-1.0, 1.0, 2001), g).all()
+        assert np.isin([1.0 - 10.0**-k for k in range(1, 9)], g).all()
 
 
 class TestKernelShapeInequalities:

@@ -359,6 +359,17 @@ class TestProfile:
 
 
 class TestGrids:
+    def test_uniform_grid(self):
+        """default_grid is the 2001-point uniform grid on [-1, 1], spacing
+        0.001, with nothing added but the refinement points 1 - 10^-k."""
+        g = default_grid()
+        u = np.linspace(-1.0, 1.0, 2001)
+        assert g[0] == -1.0 and g[-1] == 1.0
+        np.testing.assert_allclose(np.diff(u), 0.001, rtol=1e-9)
+        assert np.isin(u, g).all()
+        extra = np.setdiff1d(g, u)
+        assert np.isin(extra, [1.0 - 10.0**-k for k in range(1, 9)]).all()
+
     def test_default_grid_refines_toward_one(self):
         """The 2001-point uniform grid on [-1, 1] and each 1 - 10^-k, k = 1..8."""
         g = default_grid()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -112,10 +113,11 @@ def parse_widths(text: str) -> Tuple[int, ...]:
 
 
 def read_config_file(path: str) -> Dict[str, str]:
-    """Plain key=value lines; `#` starts a comment; blank lines ignored."""
+    """Plain key=value lines; blank lines ignored. `#` starts a comment at a
+    line's start or after whitespace only, so a value `run#1.csv` stays whole."""
     values: Dict[str, str] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

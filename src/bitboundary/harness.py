@@ -667,13 +667,13 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     tasks = [(config, n, t) for n in config.n_values for t in range(config.trials)]
     rows: List[tuple] = []
     truncated = False
+    # the fork start method starts every worker at once: never more than
+    # there are tasks or CPUs, and no pool for one worker
+    workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
     try:
-        if config.parallel == 1:
+        if workers == 1:
             rows.extend(map(_pool_task, tasks))
         else:
-            # the fork start method starts every worker at once: never more
-            # than there are tasks or CPUs
-            workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
             chunk = max(1, len(tasks) // (workers * 8))
             # forked workers inherit the allocator setting; the initializer
             # covers any other start method

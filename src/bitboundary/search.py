@@ -27,9 +27,9 @@ single evaluation of the starting point is excluded, which keeps "per step
 at most n" and "total at most n * steps" exact for greedy.
 
 Greedy's screen and decision: a step's choice is the argmin of s0 * phi
-from the float64 pass over every flip of the table, the flipped bits' keys
-set to +inf. nets.screen_flips gives each flip's phi through a float32 tail
-with a rigorous bound eps against any float64 evaluation. Only the flips
+from the float64 pass over every flip, the flipped bits' keys set to +inf.
+nets.screen_flips gives each flip's phi through a float32 tail with a
+rigorous bound eps against any float64 evaluation. Only the flips
 whose interval [s0 phi - eps, s0 phi + eps] reaches below the smallest
 upper end can be the float64 argmin, and only these contenders are
 evaluated in float64. The decision stands when it is certified against the
@@ -40,8 +40,7 @@ must be below every other contender and away from zero by more than that.
 Every other case takes the float64 pass, which is the decision itself: an
 exact tie, a float32 overflow, or a net without a screen (nets says which
 nets have one). So the path and distance are those of the float64 pass, bit
-for bit, on any BLAS. The float64 pass over every flip uses a table of all
-flip rows, built at a search's first such pass and kept for the rest.
+for bit, on any BLAS.
 """
 
 from __future__ import annotations
@@ -99,9 +98,6 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     n = net.config.n
     phi0, z1 = forward_with_first_layer_cache(net, x)
     s0 = 1.0 if phi0 >= 0.0 else -1.0
-    # every flip row, built at the first float64 pass and kept: rebuilding the
-    # rows at each pass measured 8-24 % slower per unscreened step (n = 64-128)
-    delta = None
     remaining = np.ones(n, dtype=bool)
     path = []
     evaluations = 0
@@ -110,9 +106,9 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
         evaluations += n - step + 1  # the flips of the bits not yet flipped
         choice = _screened_choice(net, x, z1, remaining, s0)
         if not choice:  # the float64 pass over every flip
-            if delta is None:
-                delta = flip_rows(net, x, slice(None))
-            phis = forward_from_first_layer(net, delta + z1)
+            rows = flip_rows(net, x, slice(None))
+            rows += z1  # the same sums as _screened_choice's rows
+            phis = forward_from_first_layer(net, rows)
             key = s0 * phis
             key[~remaining] = np.inf
             k = int(np.argmin(key))

@@ -251,17 +251,20 @@ class TestDeterminism:
     def test_pool_never_exceeds_tasks_or_cpus(self, monkeypatch):
         """The fork start method starts every worker at once, so --parallel
         1000 used to start 1000 processes for a handful of trials. A fake
-        pool records the worker count and starts no process."""
+        pool records the worker count and starts no process. A run that
+        would have one worker starts no pool at all."""
         seen = install_fake_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         serial = run_experiment(tiny_config(n_values=(12,), trials=5)).rows
-        for parallel, trials, workers in ((1000, 3, 2), (1000, 1, 1), (2, 5, 2)):
+        for parallel, trials, pools in ((1000, 3, [2]), (1000, 1, []), (2, 5, [2])):
             config = tiny_config(n_values=(12,), trials=trials, parallel=parallel)
             assert run_experiment(config).rows == serial[:trials]
-            assert seen.pop() == workers
+            assert seen == pools
+            seen.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        run_experiment(tiny_config(n_values=(12,), trials=3, parallel=8))
-        assert seen == [1]
+        config = tiny_config(n_values=(12,), trials=3, parallel=8)
+        assert run_experiment(config).rows == serial[:3]
+        assert seen == []
 
     def test_rerun_is_identical(self, tmp_path):
         a = run_experiment(tiny_config(n_values=(12,), trials=4))
@@ -925,6 +928,20 @@ class TestCliExperiments:
             == 0
         )
         assert json.loads(out_b.read_text())["config"]["seed"] == 12
+
+    def test_config_file_hash_inside_a_value_is_not_a_comment(self, tmp_path, monkeypatch):
+        """Each line used to be cut at its first `#`, so `out_csv = run#1.csv`
+        wrote the rows to a file named `run` and exited 0. A `#` starts a
+        comment only at the start of a line or after whitespace."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# probe\ntrials = 3  # three\nout_csv = run#1.csv\n")
+        assert cli.main(["closest", "--n", "8", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#1.csv"]
+        _, _, rows = read_rows_csv(tmp_path / "run#1.csv")
+        assert len(rows) == 3
+        cfg.write_text("trials=3#x\n")
+        assert cli.main(["closest", "--n", "8", "--config", str(cfg)]) == 2
 
     def test_config_file_kind_must_match(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

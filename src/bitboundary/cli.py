@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .harness import (
     KIND_FLIPS,
     KIND_GP_CHECK,
     KIND_GREEDY_VS_EXACT,
+    OUTPUT_FIELDS,
     ExperimentConfig,
     ExperimentResult,
     check_output_paths,
@@ -262,11 +262,7 @@ def _print_run_summary(result: ExperimentResult) -> None:
             f"  violations={result.details['total_violations']} "
             f"max_gap={result.details['max_gap']}"
         )
-    for attr, label in (
-        ("out_csv", "rows"),
-        ("out_json", "summary"),
-        ("plot_csv", "plot data"),
-    ):
+    for attr, label in OUTPUT_FIELDS.items():
         path = getattr(cfg, attr)
         if path:
             print(f"  wrote {label} to {path}")
@@ -277,13 +273,8 @@ def _print_run_summary(result: ExperimentResult) -> None:
 def _cmd_experiment(args) -> int:
     values = dict(DESK_DEFAULTS[args.command])
     values.update(_settings(args.command, args))
-    outputs = (values.get(field) for field in ("out_csv", "out_json", "plot_csv"))
-    check_output_paths(*outputs, source=args.config)
+    check_output_paths(*(values.get(name) for name in OUTPUT_FIELDS), source=args.config)
     config = ExperimentConfig(kind=args.command, **values)
-    blas_pinned = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
-    if config.parallel > 1 and (os.cpu_count() or 1) > 1 and not blas_pinned:
-        print("bitboundary: note: each worker may run a multithreaded BLAS; set "
-              "OPENBLAS_NUM_THREADS=1 (README, Performance)", file=sys.stderr)
     result = run_experiment(config)
     _print_run_summary(result)
     return 130 if result.truncated else 0

@@ -39,6 +39,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -119,9 +120,11 @@ GP_TARGETS: Tuple[Tuple[str, Optional[float]], ...] = (
 PHI_BIN_WIDTH_SCALE = 0.25  # |phi| bin width in units of sqrt(Q)
 PHI_BIN_MIN_COUNT = 10
 
+# ExperimentConfig's output paths, each with the label the CLI reports it by
+OUTPUT_FIELDS = {"out_csv": "rows", "out_json": "summary", "plot_csv": "plot data"}
 # ExperimentConfig fields that say where and how fast a run goes, not what it
 # computes; config_hash covers every other field.
-_EXECUTION_FIELDS = ("out_csv", "out_json", "plot_csv", "parallel")
+_EXECUTION_FIELDS = (*OUTPUT_FIELDS, "parallel")
 
 DESK_DEFAULTS: Dict[str, Dict] = {
     KIND_CLOSEST: {"n_values": (64, 128, 256, 512), "trials": 200},
@@ -195,7 +198,7 @@ class ExperimentConfig:
             validate_n(min(self.n_values))
         # Validate the network parameters once up front.
         network_config_for(self, self.n_values[0])
-        check_output_paths(self.out_csv, self.out_json, self.plot_csv)
+        check_output_paths(*(getattr(self, name) for name in OUTPUT_FIELDS))
 
 
 def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:
@@ -668,12 +671,18 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     rows: List[tuple] = []
     truncated = False
     # the fork start method starts every worker at once: never more than
-    # there are tasks or CPUs, and no pool for one worker
-    workers = min(config.parallel, len(tasks), os.cpu_count() or 1)
+    # there are tasks or CPUs this process may run on, and no pool for one
+    # worker; sched_getaffinity is missing on macOS and Windows
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(config.parallel, len(tasks), cpus)
     try:
         if workers == 1:
             rows.extend(map(_pool_task, tasks))
         else:
+            if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ):
+                print("bitboundary: note: each worker may run a multithreaded BLAS; set "
+                      "OPENBLAS_NUM_THREADS=1 (README, Performance)", file=sys.stderr)
             chunk = max(1, len(tasks) // (workers * 8))
             # forked workers inherit the allocator setting; the initializer
             # covers any other start method

@@ -35,7 +35,7 @@ from bitboundary.nets import DeepNet, NetworkConfig
 ACCEPTANCE_SEED = 42
 # The two longest fixtures run their trials on up to two processes; rows are
 # identical at any parallelism (test_11 and the golden pins check this).
-FIXTURE_PARALLEL = min(2, os.cpu_count() or 1)
+FIXTURE_PARALLEL = 2
 
 
 def acceptance_config(kind, **extra):

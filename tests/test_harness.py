@@ -252,19 +252,31 @@ class TestDeterminism:
         """The fork start method starts every worker at once, so --parallel
         1000 used to start 1000 processes for a handful of trials. A fake
         pool records the worker count and starts no process. A run that
-        would have one worker starts no pool at all."""
+        would have one worker starts no pool at all. The CPUs counted are
+        the ones this process may run on: under `taskset -c 0` on two CPUs,
+        --parallel 2 used to start two workers on one CPU."""
         seen = install_fake_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         serial = run_experiment(tiny_config(n_values=(12,), trials=5)).rows
-        for parallel, trials, pools in ((1000, 3, [2]), (1000, 1, []), (2, 5, [2])):
+
+        def pools(parallel, trials):
             config = tiny_config(n_values=(12,), trials=trials, parallel=parallel)
             assert run_experiment(config).rows == serial[:trials]
-            assert seen == pools
+            started = list(seen)
             seen.clear()
+            return started
+
+        assert pools(1000, 3) == [2]
+        assert pools(1000, 1) == []
+        assert pools(2, 5) == [2]
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert pools(2, 5) == []
+        # no affinity call (macOS, Windows): the machine's count, if known
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert pools(2, 5) == [2]
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        config = tiny_config(n_values=(12,), trials=3, parallel=8)
-        assert run_experiment(config).rows == serial[:3]
-        assert seen == []
+        assert pools(8, 3) == []
 
     def test_rerun_is_identical(self, tmp_path):
         a = run_experiment(tiny_config(n_values=(12,), trials=4))
@@ -867,12 +879,13 @@ class TestCliExperiments:
         CPUs, --parallel 2 took 13.9 s against 10.3 s serially) and nothing
         said so. The note goes to stderr; stdout and the exit code stay."""
         install_fake_pool(monkeypatch)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
 
-        def run(parallel):
-            assert cli.main(["closest", "--n", "12", "--trials", "3", "--parallel", parallel]) == 0
+        def run(parallel, trials="3"):
+            argv = ["closest", "--n", "12", "--trials", trials, "--parallel", parallel]
+            assert cli.main(argv) == 0
             out, err = capsys.readouterr()
             return out, [line for line in err.splitlines() if "note" in line]
 
@@ -880,6 +893,12 @@ class TestCliExperiments:
         assert len(notes) == 1 and notes[0].startswith("bitboundary: note: ")
         assert "README" in notes[0]
         assert run("1") == (out, [])
+        # only a run that starts a pool notes it: one trial runs in this
+        # process, and so does a run that may use one CPU
+        assert run("4", trials="1") == (run("1", trials="1")[0], [])
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert run("2") == (out, [])
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert run("2") == (out, [])
 

@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import kurtosis, skew
 
 from ._version import VERSION
 from .activations import get_activation
@@ -73,6 +72,7 @@ from .stats import (
     fit_power_law,
     fit_through_origin,
     mean_stderr,
+    skew_kurtosis,
 )
 from .theory import h_star, heuristic_flip_bound, sqrt_n_over_ln_n, validate_n
 
@@ -504,15 +504,17 @@ def _summarize_flips(config: ExperimentConfig, rows: List[tuple], profile: Kerne
 
 
 def _stat(values: np.ndarray, target: float) -> Tuple[float, float, float]:
-    """(mean, stderr, z) of values, z = (mean - target) / stderr, and 0 when
-    the standard error is 0."""
+    """(mean, stderr, z) of values, z = (mean - target) / stderr. Without
+    spread, z is 0 on target and +-inf off it, so it fails any z check."""
     mean, stderr = mean_stderr(values)
-    return mean, stderr, 0.0 if stderr == 0.0 else (mean - target) / stderr
+    gap = mean - target
+    return mean, stderr, gap / stderr if stderr else (math.copysign(math.inf, gap) if gap else 0.0)
 
 
 def _corr(phi: np.ndarray, col: int) -> float:
-    """corr(phi_0, phi_col) over the draws (rows) of phi."""
-    return float(np.corrcoef(phi[:, 0], phi[:, col])[0, 1])
+    """corr(phi_0, phi_col) over the draws (rows) of phi; NaN without spread."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(phi[:, 0], phi[:, col])[0, 1])
 
 
 def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelProfile):
@@ -539,6 +541,7 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
         base = net_phi[:, 0]
         mean, _, mean_z = _stat(base, 0.0)
         var_mean, _, var_z = _stat(base * base, profile.q)
+        skew, excess_kurtosis = skew_kurtosis(base)
         details["per_n"][str(n)] = {
             "trials": trials,
             "net_mean": mean,
@@ -546,8 +549,8 @@ def _summarize_gp(config: ExperimentConfig, rows: List[tuple], profile: KernelPr
             "gp_mean_z": _stat(gp_phi[:, 0], 0.0)[2],
             "net_var": var_mean,
             "net_var_z": var_z,
-            "net_skew": float(skew(base)),
-            "net_excess_kurtosis": float(kurtosis(base)),
+            "net_skew": skew,
+            "net_excess_kurtosis": excess_kurtosis,
             "net_duplicate_corr": _corr(net_phi, 1),
             "gp_duplicate_corr": _corr(gp_phi, 1),
             "net_gp_corr_gap": {labels[c]: _corr(net_phi, c) - _corr(gp_phi, c) for c in cols},

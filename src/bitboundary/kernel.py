@@ -75,9 +75,9 @@ from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy.special import roots_laguerre
 
 from .activations import RELU, Activation, get_activation
 from .errors import ConfigError, NumericalFaultError, QuadratureError
@@ -189,7 +189,7 @@ def _cross_moment_polar(
     act: Activation, q: float, c: np.ndarray, n_rad: int, n_ang: int
 ) -> np.ndarray:
     """Polar quadrature of E[tau(u) tau(v)] at correlations |c| < 1."""
-    u, wu = roots_laguerre(n_rad)
+    u, wu = laggauss(n_rad)
     r = np.sqrt(2.0 * u)  # radial nodes r = sqrt(2u), weight e^{-u}
     xg, wg = leggauss(n_ang)
     sq = math.sqrt(q)

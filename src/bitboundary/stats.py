@@ -1,9 +1,8 @@
-"""Numerical and statistical utilities shared by the other modules.
-
-Contains the normal CDF and its tail-safe logarithm, log-binomial
-coefficients via log-gamma, through-origin least squares for the scaling-law
-prefactor fits, and the mean / standard-error estimators used by the
-experiment harness.
+"""Numerical and statistical utilities shared by the other modules, and the
+runtime's only scipy importer. Four helpers are its whole scipy surface: the
+normal CDF `phi_cdf`, its tail-safe logarithm `phi_log_cdf`, `log_binomial`
+via log-gamma, and gp-check's `skew_kurtosis`. The rest is numpy: the
+prefactor fits by least squares, and the harness's mean / standard error.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc, gammaln, log_ndtr
+from scipy.stats import kurtosis, skew
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,6 +38,11 @@ def log_binomial(n: int, h: int) -> float:
     if h < 0 or h > n:
         raise ValueError(f"require 0 <= h <= n, got n={n}, h={h}")
     return float(gammaln(n + 1) - gammaln(h + 1) - gammaln(n - h + 1))
+
+
+def skew_kurtosis(samples) -> Tuple[float, float]:
+    """Sample skewness and excess kurtosis, by scipy's defaults (biased)."""
+    return float(skew(samples)), float(kurtosis(samples))
 
 
 def mean_stderr(samples: Sequence[float]) -> Tuple[float, float]:

@@ -413,9 +413,31 @@ class TestGpRun:
         assert set(pn["net_gp_corr_gap"]) == {label for label, _ in GP_TARGETS}
 
     def test_stat(self):
-        """(mean, stderr, z against the target), z = 0 when stderr is 0."""
-        assert harness._stat(np.full(3, 2.0), 0.0) == (2.0, 0.0, 0.0)
+        """(mean, stderr, z against the target). Without spread z is 0 on
+        target and infinite, with the sign of the miss, off it."""
+        assert harness._stat(np.full(3, 2.0), 0.0) == (2.0, 0.0, math.inf)
+        assert harness._stat(np.full(3, 2.0), 2.0) == (2.0, 0.0, 0.0)
+        assert harness._stat(np.full(3, 2.0), 3.0) == (2.0, 0.0, -math.inf)
         assert harness._stat(np.array([1.0, 3.0]), 1.0) == (2.0, 1.0, 1.0)
+
+    def test_draws_without_spread_fail_the_z_check(self, tmp_path, capsys):
+        """Width-2 ReLU nets at n = 5 are dead: every draw is 0.0, so net_var
+        misses Q with no spread. Its z and max |net z| are infinite (null in
+        JSON) instead of a passing 0, and no column without spread warns."""
+        out = tmp_path / "gp.json"
+        args = ["gp-check", "--n", "5", "--trials", "3", "--widths", "2,2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(
+                ExperimentConfig(kind=KIND_GP_CHECK, n_values=(5,), trials=3, widths=(2, 2))
+            )
+            assert cli.main([*args, "--out-json", str(out)]) == 0
+        pn = result.details["per_n"]["5"]
+        assert pn["net_var"] == 0.0 and pn["net_var_z"] == -math.inf
+        assert math.isnan(pn["net_duplicate_corr"])
+        assert result.details["max_abs_net_z"] == math.inf
+        assert "max |net z|=inf" in capsys.readouterr().out
+        assert json.loads(out.read_text())["details"]["max_abs_net_z"] is None
 
     def test_truncation_leaves_out_an_n_with_one_row(self, monkeypatch):
         """An interrupt right after an n's first trial used to summarize that

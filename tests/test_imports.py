@@ -1,4 +1,5 @@
-"""No unused imports in src/ or tests/ (stdlib ast, no linter needed).
+"""No unused imports in src/ or tests/, and one scipy importer in src/
+(stdlib ast, no linter needed).
 
 A name counts as used when the module reads it anywhere (a bare name or the
 base of an attribute) or lists it in __all__. An import whose line carries
@@ -48,3 +49,19 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_stats_imports_scipy():
+    """Every runtime scipy call sits in a bitboundary.stats helper."""
+    importers = set()
+    for path in sorted((ROOT / "src" / "bitboundary").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"stats.py"}

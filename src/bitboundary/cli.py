@@ -190,8 +190,6 @@ PARAMS = (
           (KIND_CLOSEST, KIND_GREEDY_VS_EXACT)),
     Param("budget", int, "EVALS", f"exact enumeration budget (default {DEFAULT_BUDGET})",
           (KIND_CLOSEST, KIND_GREEDY_VS_EXACT)),
-    Param("emit_plot_data", str, "PATH", "write (x, y, yerr) plot data CSV next to the fit",
-          (KIND_CLOSEST, KIND_FLIPS), field="plot_csv"),
 )
 
 

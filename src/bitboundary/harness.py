@@ -19,8 +19,8 @@ degrees. Rows hold no wall-clock measurement for the same reason.
 
 Each kind is one entry of EXPERIMENTS: its CSV columns, the row worker that
 computes one (n, trial) row, the summarizer that turns all rows into the
-per-n aggregates, fit and details, and the scaling law its fit and plot data
-use (closest and flips only). run_experiment is the only driver.
+per-n aggregates, fit and details, and the scaling law its fit uses
+(closest and flips only). run_experiment is the only driver.
 
 This module alone lays out output files, all checked before any trial runs.
 Every CSV, the kernel table included, carries a provenance header: a hash
@@ -121,7 +121,7 @@ PHI_BIN_WIDTH_SCALE = 0.25  # |phi| bin width in units of sqrt(Q)
 PHI_BIN_MIN_COUNT = 10
 
 # ExperimentConfig's output paths, each with the label the CLI reports it by
-OUTPUT_FIELDS = {"out_csv": "rows", "out_json": "summary", "plot_csv": "plot data"}
+OUTPUT_FIELDS = {"out_csv": "rows", "out_json": "summary"}
 # ExperimentConfig fields that say where and how fast a run goes, not what it
 # computes; config_hash covers every other field.
 _EXECUTION_FIELDS = (*OUTPUT_FIELDS, "parallel")
@@ -152,13 +152,15 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
-    plot_csv: Optional[str] = None
     parallel: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        object.__setattr__(self, "n_values", tuple(_integer("n_values", v) for v in self.n_values))
         if self.widths is not None:
-            object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+            object.__setattr__(self, "widths", tuple(_integer("widths", w) for w in self.widths))
+        for name in ("trials", "seed", "layers", "parallel", "budget", "max_h"):
+            if name != "max_h" or self.max_h is not None:
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.kind not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r} (known: {tuple(EXPERIMENTS)})"
@@ -169,6 +171,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_values must be strictly ascending, got {self.n_values}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 1 << 64:  # derive_seed reduces seeds mod 2**64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.parallel < 1:
             raise ConfigError(f"parallel must be >= 1, got {self.parallel}")
         if self.layers < 1:
@@ -188,8 +192,6 @@ class ExperimentConfig:
             raise ConfigError(f"max_h must be in [1, {self.n_values[0]}], got {self.max_h}")
         if self.widths is not None and len(self.widths) != self.layers:
             raise ConfigError(f"{len(self.widths)} widths given for {self.layers} layers")
-        if self.plot_csv is not None:
-            scaling_law(self.kind, "plot data")
         if self.kind == KIND_GP_CHECK and min(self.n_values) < 4:
             raise ConfigError("gp-check needs n >= 4 for its overlap menu")
         if self.kind == KIND_GP_CHECK and self.trials < 2:
@@ -199,6 +201,14 @@ class ExperimentConfig:
         # Validate the network parameters once up front.
         network_config_for(self, self.n_values[0])
         check_output_paths(*(getattr(self, name) for name in OUTPUT_FIELDS))
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, or ConfigError naming the setting `name`
+    unless value is an int or numpy integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:
@@ -766,13 +776,16 @@ def write_json(path: Union[str, Path], obj) -> None:
 
 
 def check_output_paths(*paths: Optional[str], source: Optional[str] = None) -> None:
-    """ConfigError for an output path that names a directory, lies in a
-    missing one, or names the same file as another output or as the input
-    file `source`, so that a run fails before its first trial, not after."""
+    """ConfigError for an output path that is empty, names a directory, lies
+    in a missing one, or names the same file as another output or as the
+    input file `source`, so that a run fails before its first trial, not
+    after. None means no output."""
     named = {Path(source).resolve(): f"the input {source}"} if source else {}
     for path in paths:
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise ConfigError("an output path is empty")
         target = Path(path)
         if target.is_dir():
             raise ConfigError(f"output path {path} is a directory")
@@ -784,13 +797,10 @@ def check_output_paths(*paths: Optional[str], source: Optional[str] = None) -> N
         named[resolved] = f"output path {path}"
 
 
-def _run_header(result: ExperimentResult) -> List[Tuple[str, object]]:
-    return [("kind", result.config.kind), *result.provenance().items()]
-
-
 def write_rows_csv(path: Union[str, Path], result: ExperimentResult) -> None:
     """Rows with the provenance header."""
-    _write_csv(path, _run_header(result), result.columns, result.rows, result.truncated)
+    header = [("kind", result.config.kind), *result.provenance().items()]
+    _write_csv(path, header, result.columns, result.rows, result.truncated)
 
 
 def _persist(result: ExperimentResult) -> None:
@@ -799,11 +809,6 @@ def _persist(result: ExperimentResult) -> None:
         write_rows_csv(cfg.out_csv, result)
     if cfg.out_json:
         write_json(cfg.out_json, result.to_json_obj())
-    if cfg.plot_csv:  # (x, y, yerr) per n, x the abscissa of the run's scaling law
-        x = EXPERIMENTS[cfg.kind].law.x
-        rows = [(x(e["n"]), e["mean"], e["stderr"]) for e in result.per_n]
-        header = _run_header(result)
-        _write_csv(cfg.plot_csv, header, ("x", "y", "yerr"), rows, result.truncated)
 
 
 def kernel_summary(profile: KernelProfile) -> dict:

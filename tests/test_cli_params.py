@@ -37,12 +37,9 @@ EXACT = {
     "--max-h": ("H", None, "largest Hamming shell for exact search (default n)"),
     "--budget": ("EVALS", None, "exact enumeration budget (default 20000000)"),
 }
-PLOT = {
-    "--emit-plot-data": ("PATH", None, "write (x, y, yerr) plot data CSV next to the fit"),
-}
 
 # {subcommand: {option: (metavar, default, help)}}, as the CLI had them
-# before the parameter table, less the removed --timings.
+# before the parameter table, less the removed --timings and --emit-plot-data.
 EXPECTED = {
     "kernel": {
         **NETWORK,
@@ -62,9 +59,8 @@ EXPECTED = {
         **RUN,
         "--method": (None, None, "search method (default greedy)"),
         **EXACT,
-        **PLOT,
     },
-    "flips": {**RUN, **PLOT},
+    "flips": RUN,
     "gp-check": RUN,
     "greedy-vs-exact": {**RUN, **EXACT},
     "fit": {
@@ -143,6 +139,7 @@ def test_config_file_keys_are_exactly_the_flags(command, tmp_path):
         ("flips", "budget = 5"),
         ("gp-check", "max_h = 3"),
         ("closest", "timings = 1"),
+        ("closest", "emit_plot_data = p.csv"),
     ],
 )
 def test_keys_without_a_flag_are_rejected(command, line, tmp_path):
@@ -151,6 +148,13 @@ def test_keys_without_a_flag_are_rejected(command, line, tmp_path):
     path.write_text(f"n = 16\ntrials = 2\n{line}\n")
     assert cli.main([command, "--config", str(path)]) == 2
 
+
+def test_removed_plot_data_flag_exits_2(tmp_path, monkeypatch, capsys):
+    """Runs write their per-n aggregates to the summary JSON only."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["closest", "--n", "8", "--trials", "1", "--emit-plot-data", "p.csv"]) == 2
+    assert "--emit-plot-data" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [name for name, _, _ in cli.COMMANDS])

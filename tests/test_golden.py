@@ -30,7 +30,7 @@ The kernel table pins are the bytes `bitboundary kernel --out-csv` wrote
 while kernel profiles still carried the tabulated grid, so the CLI's own
 table of F_1 .. F_{L+1} on default_grid() has kept every byte.
 
-The plot-data CSV, summary JSON and stdout JSON pins were computed before
+The summary JSON and stdout JSON pins were computed before
 the harness became the one writer of CSV and JSON files and the one owner of
 the provenance hash and of each kind's scaling law. JSON is compared as
 parsed values; output paths, which name per-test directories, are left out.
@@ -126,51 +126,27 @@ def _parsed_sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-# label: (plot-data CSV SHA-256 or None for kinds without a scaling law,
-#         parsed summary JSON SHA-256 with the output paths removed)
+# label: parsed summary JSON SHA-256 with the output paths removed
 GOLDEN_OUTPUTS = {
-    KIND_CLOSEST: (
-        "cc4c27c065be02ad1b9decbf64551695198f0a86058f3dfed4b7b3a71c506ec5",
-        "4bebd17545f72214e0f7400767d8abac78c04b629dd38f88c66e79d3592768a5",
-    ),
-    KIND_FLIPS: (
-        "9b5f6d774338827313d390651a38ffc92f98f25880b05dba93599c771cb25162",
-        "7ea6430d1217d3c4220765cafdb665115d3d7aeda955058d3ab16c2faeea6884",
-    ),
-    KIND_GP_CHECK: (
-        None,
-        "cf759c3f6fdd859e30e7a40646c3a6ef6b74271ced91560e8a045a9fd7b52fda",
-    ),
-    KIND_GREEDY_VS_EXACT: (
-        None,
-        "f788bf7efd12654b2e22e438d86d8fa98491d61ca57587f444db351c6fbf6e23",
-    ),
-    "closest-n64-128": (
-        "9a816f371daf77f227867a0744542b0ab0a0975d09123b324765300f57c19a68",
-        "76bc5d6dc646e9f1c8f7704b7d4e27c6141827d2f1e83f09e38581aa565b8a30",
-    ),
+    KIND_CLOSEST: "4bebd17545f72214e0f7400767d8abac78c04b629dd38f88c66e79d3592768a5",
+    KIND_FLIPS: "7ea6430d1217d3c4220765cafdb665115d3d7aeda955058d3ab16c2faeea6884",
+    KIND_GP_CHECK: "cf759c3f6fdd859e30e7a40646c3a6ef6b74271ced91560e8a045a9fd7b52fda",
+    KIND_GREEDY_VS_EXACT: "f788bf7efd12654b2e22e438d86d8fa98491d61ca57587f444db351c6fbf6e23",
+    "closest-n64-128": "76bc5d6dc646e9f1c8f7704b7d4e27c6141827d2f1e83f09e38581aa565b8a30",
 }
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_OUTPUTS))
 def test_plot_csv_and_summary_json_are_golden(label, tmp_path):
+    """The summary JSON pins. The name dates from when runs also wrote an
+    (x, y, yerr) plot CSV, which held the summary's per-n means again."""
+    summary = tmp_path / "run.json"
     args = GOLDEN[label][0]
-    plot_sha256, summary_sha256 = GOLDEN_OUTPUTS[label]
-    plot, summary = tmp_path / "plot.csv", tmp_path / "run.json"
-    run_experiment(
-        ExperimentConfig(
-            seed=ACCEPTANCE_SEED,
-            out_json=str(summary),
-            plot_csv=str(plot) if plot_sha256 else None,
-            **args,
-        )
-    )
+    run_experiment(ExperimentConfig(seed=ACCEPTANCE_SEED, out_json=str(summary), **args))
     obj = json.loads(summary.read_text())
-    for key in ("out_csv", "out_json", "plot_csv"):
+    for key in ("out_csv", "out_json"):
         del obj["config"][key]
-    assert _parsed_sha256(obj) == summary_sha256
-    if plot_sha256:
-        assert hashlib.sha256(plot.read_bytes()).hexdigest() == plot_sha256
+    assert _parsed_sha256(obj) == GOLDEN_OUTPUTS[label]
 
 
 # command: (CLI arguments, parsed stdout JSON SHA-256); `fit` reads the rows

@@ -25,7 +25,6 @@ from bitboundary.harness import (
     read_rows_csv,
     refit_rows,
     run_experiment,
-    sqrt_n_over_ln_n,
 )
 from bitboundary.kernel import build_profile, overlap
 from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
@@ -83,9 +82,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             tiny_config(kind=KIND_GP_CHECK, n_values=(2,))
         with pytest.raises(ConfigError):
-            tiny_config(kind=KIND_GP_CHECK, n_values=(16,), plot_csv="p.csv")
-        with pytest.raises(ConfigError):
             tiny_config(activation="swish")
+        # integer settings must be integers; a float, string or bool used to
+        # crash, be truncated, or hash apart from the same rows
+        for name, value in (
+            ("trials", 2.5), ("trials", "3"), ("trials", True), ("seed", 1.5),
+            ("layers", 2.0), ("parallel", 1.5), ("n_values", (8.7,)),
+            ("widths", (8.5, 8)), ("budget", 20000000.0), ("max_h", 2.0),
+        ):
+            with pytest.raises(ConfigError, match=name):
+                tiny_config(method="exact", **{name: value})
+        numpy_trials = tiny_config(trials=np.int64(2))
+        assert type(numpy_trials.trials) is int
+        assert config_hash(numpy_trials) == config_hash(tiny_config(trials=2))
+        # derive_seed reduces seeds mod 2**64, so only [0, 2**64) names a run
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                tiny_config(seed=seed)
+        assert tiny_config(seed=2**64 - 1).seed == 2**64 - 1
         # every shell up to max_h must exist at the smallest n, whatever the method
         for max_h in (0, -1, 17):
             with pytest.raises(ConfigError):
@@ -120,7 +134,6 @@ def tiny_run(tmp_path_factory):
     config = tiny_config(
         out_csv=str(out / "rows.csv"),
         out_json=str(out / "run.json"),
-        plot_csv=str(out / "plot.csv"),
     )
     return config, run_experiment(config)
 
@@ -174,19 +187,6 @@ class TestClosestRun:
         np.testing.assert_allclose(
             obj["fit"]["coefficient"], result.fit.coefficient, rtol=1e-15
         )
-
-    def test_plot_csv(self, tiny_run):
-        config, result = tiny_run
-        lines = [
-            l
-            for l in open(config.plot_csv).read().splitlines()
-            if l and not l.startswith("#")
-        ]
-        assert lines[0] == "x,y,yerr"
-        assert len(lines) == 1 + len(result.per_n)
-        x0, y0, _ = (float(v) for v in lines[1].split(","))
-        np.testing.assert_allclose(x0, float(sqrt_n_over_ln_n(16)), rtol=1e-15)
-        np.testing.assert_allclose(y0, result.per_n[0]["mean"], rtol=1e-15)
 
     def test_details_fields(self, tiny_run):
         _, result = tiny_run
@@ -663,10 +663,9 @@ class TestMalformedInput:
         "argv",
         [
             ["closest", "--n", "8", "--trials", "2", "--out-csv", "d.out", "--out-json", "d.out"],
-            ["closest", "--n", "8", "--trials", "2", "--out-csv", "a", "--emit-plot-data", "./a"],
             ["kernel", "--out-csv", "k", "--out-json", "k"],
         ],
-        ids=["csv-json", "csv-plot", "kernel"],
+        ids=["csv-json", "kernel"],
     )
     def test_two_outputs_naming_one_file_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         """Each used to exit 0 and leave only the file written last."""
@@ -692,11 +691,10 @@ class TestMalformedInput:
         [
             ["closest", "--n", "8", "--trials", "2", "--out-csv", "run.cfg"],
             ["flips", "--n", "8", "--trials", "2", "--out-json", "./run.cfg"],
-            ["closest", "--n", "8", "--trials", "2", "--emit-plot-data", "run.cfg"],
             ["kernel", "--out-csv", "run.cfg"],
             ["theory", "--n", "784", "--out-json", "run.cfg"],
         ],
-        ids=["closest-csv", "flips-json", "closest-plot", "kernel", "theory"],
+        ids=["closest-csv", "flips-json", "kernel", "theory"],
     )
     def test_output_naming_the_config_file_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         """Each used to exit 0 and overwrite its own config file."""
@@ -726,6 +724,14 @@ class TestMalformedInput:
         )
         assert len(run_experiment(paired).rows) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, seed, monkeypatch, capsys):
+        """Seed -1 used to run and write seed 2**64 - 1's rows under another
+        config_sha256."""
+        patch_row_worker(monkeypatch, KIND_CLOSEST, never)
+        assert cli.main(["closest", "--n", "8", "--trials", "2", "--seed", seed]) == 2
+        self.assert_one_line_error(capsys, seed)
+
     def test_widths_must_match_layers(self):
         """Used to build 2-layer nets while reporting and hashing layers=5."""
         argv = ["closest", "--n", "12,16", "--trials", "3", "--layers", "5", "--widths", "10,10"]
@@ -734,12 +740,13 @@ class TestMalformedInput:
             tiny_config(widths=(10, 10, 10))
         assert tiny_config(layers=3, widths=(10, 10, 10)).widths == (10, 10, 10)
 
-    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json", "--emit-plot-data"])
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out-json"])
     def test_bad_output_path_exits_2_before_any_trial(self, flag, tmp_path, monkeypatch, capsys):
         """A directory used to fail with exit 1, and a missing directory with
-        exit 2, only after every trial had run."""
+        exit 2, only after every trial had run; an empty path ran every trial
+        and wrote nothing."""
         patch_row_worker(monkeypatch, KIND_CLOSEST, never)
-        for path in (tmp_path, tmp_path / "missing" / "out"):
+        for path in (tmp_path, tmp_path / "missing" / "out", ""):
             assert cli.main(["closest", "--n", "12", "--trials", "2", flag, str(path)]) == 2
             self.assert_one_line_error(capsys, path)
             with pytest.raises(ConfigError):
@@ -801,7 +808,7 @@ class TestMalformedInput:
         rows = tmp_path / "rows.csv"
         run_experiment(tiny_config(trials=2, out_csv=str(rows)))
         argv = [str(rows) if a == "ROWS" else a for a in argv]
-        for path in (tmp_path, tmp_path / "missing" / "out"):
+        for path in (tmp_path, tmp_path / "missing" / "out", ""):
             assert cli.main([*argv, str(path)]) == 2
             self.assert_one_line_error(capsys, path)
 

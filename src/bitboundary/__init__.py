@@ -15,7 +15,7 @@ closed-form predictors, and a reproducible experiment harness with a CLI.
 """
 
 from ._version import VERSION as __version__
-from .activations import Activation, get_activation, register_activation
+from .activations import Activation, get_activation
 from .bitstrings import BitString
 from .errors import (
     BitBoundaryError,
@@ -81,7 +81,6 @@ __all__ = [
     "ln_count_flipped",
     "psi",
     "random_flip_walk",
-    "register_activation",
     "run_experiment",
     "sample",
     "sample_block",

@@ -1,20 +1,15 @@
-"""Scalar activation functions with the metadata the kernel quadrature needs.
+"""The two activation functions the package runs, relu and tanh.
 
 An activation is a vectorized scalar map plus a declared name (used for
-provenance in output files) and its derivative. The kernel quadrature needs
-no further metadata: its cross moment takes the Hermite series where that
-converges (smooth activations) and otherwise a polar rule that splits the
-angular integral at the rays where either argument vanishes, so a kink at
-the origin (ReLU and its relatives) keeps spectral accuracy.
+provenance in output files) and its derivative. Configs name one of the
+two built-in objects, so an output file's activation name is relu or tanh.
+The kernel gives the RELU object its closed forms by identity, never by
+name; any other Activation object, TANH among them, gets the kernel's
+cross-checked quadratures, which a kinked one fails.
 
 The derivative gives the kernel slope F'(1) by its exact layer recursion,
 which needs E[tau'(sqrt(Q) z)^2]. Where the function has a kink or a jump,
 any value of the derivative at that point will do.
-
-Custom activations are registered by name so that configs stay serializable,
-and a name in an output file's provenance means one function: the built-in
-names relu and tanh cannot be taken. The kernel does not look at names; it
-gives the built-in RELU object its closed forms by identity.
 """
 
 from __future__ import annotations
@@ -55,17 +50,6 @@ RELU = Activation("relu", _relu, _unit_step)
 TANH = Activation("tanh", np.tanh, _sech2)
 
 _REGISTRY: Dict[str, Activation] = {RELU.name: RELU, TANH.name: TANH}
-
-
-def register_activation(act: Activation) -> Activation:
-    """Register a custom activation under its declared name. The built-in
-    names cannot be taken, so that a provenance name means one function."""
-    if not act.name or not act.name.isidentifier():
-        raise ConfigError(f"activation name {act.name!r} is not a valid identifier")
-    if act.name in (RELU.name, TANH.name):
-        raise ConfigError(f"activation {act.name!r} is built in and cannot be replaced")
-    _REGISTRY[act.name] = act
-    return act
 
 
 def get_activation(name: str) -> Activation:

@@ -6,6 +6,8 @@ exhaustion exits 3, numerical faults exit 4.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class BitBoundaryError(Exception):
     """Base class for all package errors."""
@@ -46,3 +48,10 @@ class QuadratureError(NumericalFaultError):
 class FactorizationError(NumericalFaultError):
     """Covariance factorization failed after the full jitter ladder."""
 
+
+def integer(name: str, value) -> int:
+    """value as a Python int, or ConfigError naming the setting `name`
+    unless value is an int or numpy integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -51,7 +51,7 @@ import numpy as np
 from ._version import VERSION
 from .activations import get_activation
 from .bitstrings import BitString
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, default_grid, f_recursion, overlap, profile_for_config
 from .nets import DeepNet, NetworkConfig, probe_factor, sample_network, sample_outputs
@@ -155,12 +155,12 @@ class ExperimentConfig:
     parallel: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(_integer("n_values", v) for v in self.n_values))
+        object.__setattr__(self, "n_values", tuple(integer("n_values", v) for v in self.n_values))
         if self.widths is not None:
-            object.__setattr__(self, "widths", tuple(_integer("widths", w) for w in self.widths))
+            object.__setattr__(self, "widths", tuple(integer("widths", w) for w in self.widths))
         for name in ("trials", "seed", "layers", "parallel", "budget", "max_h"):
             if name != "max_h" or self.max_h is not None:
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+                object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.kind not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r} (known: {tuple(EXPERIMENTS)})"
@@ -198,17 +198,11 @@ class ExperimentConfig:
             raise ConfigError(f"gp-check needs trials >= 2 for standard errors, got {self.trials}")
         if EXPERIMENTS[self.kind].law is not None:
             validate_n(min(self.n_values))
-        # Validate the network parameters once up front.
-        network_config_for(self, self.n_values[0])
+        # Validate the network parameters once up front, and keep its float variances.
+        net = network_config_for(self, self.n_values[0])
+        for name in ("sigma_w2", "sigma_b2"):
+            object.__setattr__(self, name, getattr(net, name))
         check_output_paths(*(getattr(self, name) for name in OUTPUT_FIELDS))
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int, or ConfigError naming the setting `name`
-    unless value is an int or numpy integer other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:

@@ -24,46 +24,35 @@ Cho and Saul 2009,
     second = q / 2,   cross = q * Psi(c) / 2,   slope = q / 2,
     Psi(c) = (sqrt(1 - c^2) + (pi - arccos c) c) / pi;
 
-every other activation, a ReLU twin under another name included, gets the
-cross-checked quadratures below.
+the built-in TANH gets the cross-checked quadratures below. A ReLU twin
+under another name, or any other kinked activation, fails their check.
 
 A KernelProfile holds Q_l and F'(1), which are all the checks of the paper
 need besides F at a few overlaps; it evaluates F exactly, by the recursion,
 at whatever overlaps it is asked for. Only `bitboundary kernel --out-csv`
 tabulates F_1 .. F_{L+1} on default_grid().
 
-Generic activations are handled by quadrature, and every rule is evaluated
-at two orders that must agree to 1e-8 relative (scaled by max(|value|, Q);
-NaN never agrees) or a QuadratureError is raised. The one-dimensional
-moments (E[tau^2], E[tau'^2] and E[tau(u) tau(+-u)] at c = +-1) use
-Gauss-Hermite at orders 256 and 320; for tanh they agree while every Q_l
-stays below about 3.67, which bounds the tanh kernel: Q_l, F'(1) and F all
-build up to Q_1 ~ 3.67.
+Quadratures evaluate every rule at two orders that must agree to 1e-8
+relative (scaled by max(|value|, Q); NaN never agrees) or a QuadratureError
+is raised. The one-dimensional moments (E[tau^2], E[tau'^2] and
+E[tau(u) tau(+-u)] at c = +-1) use Gauss-Hermite at orders 256 and 320; for
+tanh they agree while every Q_l stays below about 3.67, which bounds the
+tanh kernel: Q_l, F'(1) and F all build up to Q_1 ~ 3.67.
 
-The cross moment at |c| < 1 is first taken from the Hermite series of
-Mehler's formula (the dual activation of Daniely et al. 2016),
+The cross moment at |c| < 1 is the Hermite series of Mehler's formula (the
+dual activation of Daniely et al. 2016),
 
     E[tau(u) tau(v)] = sum_k a_k^2 c^k,   a_k = E[tau(sqrt(Q) z) h_k(z)],
 
 with h_k the normalized Hermite polynomials, h_{k+1} = (z h_k - sqrt(k)
 h_{k-1}) / sqrt(k + 1). The a_k come from the Gauss-Hermite nodes, 160 terms
-at order 256 and 220 at order 320; an entry takes the series where the two
-agree. For smooth activations such as tanh the a_k decay fast and the series
-holds at every overlap, with an error uniform in c. A kink makes them decay
-only algebraically (ReLU: a_k^2 ~ k^(-5/2)), so such entries fail the check
-and go to the polar rule:
-with (z, w) standard normal and u = sqrt(Q) z, v = sqrt(Q)(c z + s w),
-
-    E[tau(u) tau(v)] = (1/2pi) Int_0^2pi dtheta Int_0^inf dr r e^{-r^2/2}
-                       tau(A(theta) r) tau(B(theta) r),
-
-the radial integral becomes a Gauss-Laguerre sum under u = r^2/2 and the
-angular integral is piecewise Gauss-Legendre with panels split at the rays
-where A or B vanishes. Activation kinks at the origin lie exactly on those
-rays, so the integrand is smooth on every panel and the rule converges
-spectrally; a plain tensor Gauss-Hermite rule only converges algebraically
-there and cannot reach the 1e-8 agreement this module promises. (For tanh
-the polar rule alone fails near c = +-1 from Q_l ~ 3.39.)
+at order 256 and 220 at order 320. For smooth activations such as tanh the
+a_k decay fast and the series holds at every overlap, with an error uniform
+in c: for |c| <= 1 the two orders differ by at most sum_k |Delta a_k^2|,
+which for tanh stays below 3.4e-10 q wherever its Gauss-Hermite moments
+converge. A kink makes the a_k decay only algebraically (ReLU:
+a_k^2 ~ k^(-5/2)), so the two orders of a kinked activation's series
+disagree and its cross moment is a QuadratureError.
 """
 
 from __future__ import annotations
@@ -71,16 +60,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from .activations import RELU, Activation, get_activation
-from .errors import ConfigError, NumericalFaultError, QuadratureError
+from .errors import ConfigError, NumericalFaultError, QuadratureError, integer
 
 # Gauss-Hermite orders of every one-dimensional moment. Analytic activations
 # whose complex poles sit near the real axis converge slowly: tanh has poles
@@ -93,14 +81,11 @@ GH_ORDERS = (256, 320)
 # c -> +-1, where it is the tail sum of a_k^2: for tanh at q = 3.67 the terms
 # from 160 on sum to 1.1e-9, inside QUAD_RTOL * q, and from 220 on to 3e-11.
 HERMITE_TERMS = (160, 220)
-# (radial, angular) orders of the polar rule and of its check
-POLAR_ORDERS = ((64, 48), (96, 64))
 QUAD_RTOL = 1e-8
 
 _T_TOL = 1e-12
 _F_TOL = 1e-9
 _DEGENERATE_S2 = 1e-300
-_CHUNK = 256
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -140,7 +125,7 @@ def psi(t: ArrayLike) -> ArrayLike:
 
 
 # ---------------------------------------------------------------------------
-# quadrature machinery (generic activations)
+# quadrature machinery (every activation but the built-in RELU)
 # ---------------------------------------------------------------------------
 
 
@@ -185,53 +170,13 @@ def _hermite_power(act: Activation, q: float, order: int, terms: int) -> np.ndar
     return a * a
 
 
-def _cross_moment_polar(
-    act: Activation, q: float, c: np.ndarray, n_rad: int, n_ang: int
-) -> np.ndarray:
-    """Polar quadrature of E[tau(u) tau(v)] at correlations |c| < 1."""
-    u, wu = laggauss(n_rad)
-    r = np.sqrt(2.0 * u)  # radial nodes r = sqrt(2u), weight e^{-u}
-    xg, wg = leggauss(n_ang)
-    sq = math.sqrt(q)
-    s = np.sqrt(1.0 - c * c)
-    half = math.pi / 2.0
-    buf = np.empty(c.size)
-    for start in range(0, c.size, _CHUNK):
-        cc = c[start : start + _CHUNK]
-        ss = s[start : start + _CHUNK]
-        # breakpoints: rays cos(theta) = 0 and c cos(theta) + s sin(theta) = 0
-        th0 = np.mod(np.arctan2(-cc, ss), 2.0 * math.pi)
-        bks = np.sort(
-            np.stack(
-                [np.full_like(cc, half), np.full_like(cc, 3.0 * half), th0, th0 + math.pi],
-                axis=1,
-            )
-            % (2.0 * math.pi),
-            axis=1,
-        )
-        lo = bks
-        hi = np.concatenate([bks[:, 1:], bks[:, :1] + 2.0 * math.pi], axis=1)
-        mid = 0.5 * (lo + hi)[:, :, None]
-        rad = 0.5 * (hi - lo)[:, :, None]
-        theta = (mid + rad * xg).reshape(cc.size, -1)  # (m, 4*n_ang)
-        wth = (rad * wg).reshape(cc.size, -1)
-        a = sq * np.cos(theta)
-        b = sq * (cc[:, None] * np.cos(theta) + ss[:, None] * np.sin(theta))
-        vals = act(a[:, :, None] * r) * act(b[:, :, None] * r)  # (m, K, n_rad)
-        buf[start : start + cc.size] = np.einsum("mk,mkj,j->m", wth, vals, wu) / (
-            2.0 * math.pi
-        )
-    return buf
-
-
 def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
     """Cross-checked E[tau(u) tau(v)] over an array of correlations.
 
     Entries with c rounded to +-1 (1 - c^2 < 1e-300) take a one-dimensional
     moment: at c = 1 the second moment itself, so F(1) = 1 exactly, and at
     c = -1 the pair moment E[tau(u) tau(-u)]. Every other entry takes the
-    Hermite series where its two orders agree and the polar rule, at two
-    orders, elsewhere.
+    Hermite series, whose two orders must agree.
     """
     c = np.asarray(c, dtype=float)
     out = np.empty_like(c)
@@ -244,24 +189,15 @@ def _cross_moment(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
     cl = c[~deg]
     rules = zip(GH_ORDERS, HERMITE_TERMS)
     lo, hi = (polyval(cl, _hermite_power(act, q, order, terms)) for order, terms in rules)
-    rest = ~_agree(lo, hi, q)
-    if np.any(rest):
-        hi[rest] = _cross_moment_polar_checked(act, q, cl[rest])
-    out[~deg] = hi
-    return out
-
-
-def _cross_moment_polar_checked(act: Activation, q: float, c: np.ndarray) -> np.ndarray:
-    """The polar rule at two orders that must agree."""
-    lo, hi = (_cross_moment_polar(act, q, c, *orders) for orders in POLAR_ORDERS)
     if not np.all(_agree(lo, hi, q)):
         gap = np.abs(lo - hi)
         worst = int(np.argmax(gap / np.maximum(np.abs(hi), q)))  # argmax picks a NaN first
         raise QuadratureError(
             f"cross moment of {act.name} did not converge at "
-            f"c={float(c.flat[worst])!r}, q={float(q)!r}: gap {gap.flat[worst]:.3e}"
+            f"c={float(cl[worst])!r}, q={float(q)!r}: gap {gap[worst]:.3e}"
         )
-    return hi
+    out[~deg] = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +214,7 @@ class _Moments(NamedTuple):
 
 
 def _moments(act: Activation) -> _Moments:
-    """Closed forms for the built-in RELU object, quadrature for the rest."""
+    """Closed forms for the built-in RELU object, quadrature for any other."""
     if act is RELU:
         return _Moments(lambda q: q / 2.0, lambda q, c: q * psi(c) / 2.0, lambda q: q / 2.0)
     return _Moments(
@@ -292,13 +228,20 @@ def _moments(act: Activation) -> _Moments:
     )
 
 
-def validate_variances(sigma_w2: float, sigma_b2: float) -> None:
-    """The variance rule shared by the kernel and the finite networks."""
-    finite = math.isfinite(sigma_w2) and math.isfinite(sigma_b2)
-    if not finite or sigma_w2 < 0 or sigma_b2 < 0 or sigma_w2 + sigma_b2 <= 0:
+def validate_variances(sigma_w2: float, sigma_b2: float) -> Tuple[float, float]:
+    """The variance rule of every config: two real numbers, not bools, finite,
+    >= 0 and with a positive sum. Returns them as Python floats."""
+    pair = (sigma_w2, sigma_b2)
+    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in pair)
+    try:
+        sw2, sb2 = map(float, pair) if real else (math.nan, math.nan)
+    except OverflowError:  # an int beyond the float range
+        sw2 = sb2 = math.inf
+    if not (math.isfinite(sw2) and math.isfinite(sb2)) or sw2 < 0 or sb2 < 0 or sw2 + sb2 <= 0:
         raise ConfigError(
-            f"need finite sigma_w2, sigma_b2 >= 0 with positive sum, got ({sigma_w2}, {sigma_b2})"
+            f"need real, finite sigma_w2, sigma_b2 >= 0 with positive sum, got {pair!r}"
         )
+    return sw2, sb2
 
 
 def q_recursion(
@@ -309,6 +252,7 @@ def q_recursion(
 ) -> list:
     """Per-layer variances Q_1 .. Q_{L+1} for L hidden layers."""
     validate_variances(sigma_w2, sigma_b2)
+    layers = integer("layers", layers)
     if layers < 1:
         raise ConfigError(f"need at least one hidden layer, got {layers}")
     second = _moments(act).second
@@ -398,14 +342,15 @@ def build_profile(
 ) -> KernelProfile:
     """Run the Q and F'(1) recursions; F is evaluated on demand.
 
-    The activation is a registered name, resolved once here and again
+    The activation is a name, relu or tanh, resolved once here and again
     wherever the profile evaluates F; the recursions themselves take the
     Activation object."""
     act = get_activation(activation)
+    sigma_w2, sigma_b2 = validate_variances(sigma_w2, sigma_b2)
     qs = q_recursion(sigma_w2, sigma_b2, layers, act)
     return KernelProfile(
-        sigma_w2=float(sigma_w2),
-        sigma_b2=float(sigma_b2),
+        sigma_w2=sigma_w2,
+        sigma_b2=sigma_b2,
         layers=int(layers),
         activation=act.name,
         q_per_layer=tuple(qs),

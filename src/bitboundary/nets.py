@@ -82,7 +82,7 @@ import numpy as np
 
 from .activations import RELU, Activation, get_activation
 from .bitstrings import BitString
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .kernel import validate_variances
 from .rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
 
@@ -108,12 +108,19 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        widths = tuple(integer("hidden_widths", w) for w in self.hidden_widths)
+        object.__setattr__(self, "hidden_widths", widths)
+        sigmas = validate_variances(self.sigma_w2, self.sigma_b2)
+        for name, value in zip(("sigma_w2", "sigma_b2"), sigmas):
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.n}")
         if len(self.hidden_widths) < 1 or any(w < 1 for w in self.hidden_widths):
             raise ConfigError(f"hidden widths must be >= 1, got {self.hidden_widths}")
-        validate_variances(self.sigma_w2, self.sigma_b2)
+        if not 0 <= self.seed < 1 << 64:  # derive_seed reduces seeds mod 2**64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         get_activation(self.activation)
 
     @property

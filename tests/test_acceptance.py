@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bitboundary.activations import Activation, get_activation, register_activation
+from bitboundary.activations import TANH
 from bitboundary.harness import (
     KIND_CLOSEST,
     KIND_FLIPS,
@@ -22,10 +22,12 @@ from bitboundary.harness import (
     run_experiment,
 )
 from bitboundary.kernel import (
+    GH_ORDERS,
+    HERMITE_TERMS,
+    QUAD_RTOL,
+    _hermite_power,
     build_profile,
     default_grid,
-    f_recursion,
-    q_recursion,
 )
 from bitboundary.nets import flip_rows, forward_from_first_layer, forward_with_first_layer_cache
 from bitboundary.stats import mean_stderr
@@ -126,27 +128,24 @@ def test_04_taylor_ratio(default_profile, gate):
 
 
 def test_05_quadrature_vs_closed_form(gate):
-    """The generic quadrature path reproduces the closed-form ReLU kernel to
-    1e-6 absolute on the 2001-point overlap grid, every layer."""
-    register_activation(
-        Activation(
-            "relu_quadrature_gate",
-            lambda x: np.maximum(x, 0.0),
-            lambda x: (x > 0),
-        )
-    )
-    grid = np.linspace(-1.0, 1.0, 2001)
-    stacks = [
-        f_recursion(2.0, 0.0, q_recursion(2.0, 0.0, 2, act), grid, act)[1]
-        for act in map(get_activation, ("relu", "relu_quadrature_gate"))
-    ]
-    gap = float(np.max(np.abs(stacks[1] - stacks[0])))
-    ok = gap <= 1e-6
+    """tanh's Hermite series passes its two-order check at every overlap: for
+    |c| <= 1 the orders differ by at most sum_k |Delta a_k^2|, which stays
+    within QUAD_RTOL * q (the check's floor) for q from 1e-6 up to 3.67, where
+    tanh's Gauss-Hermite moments stop converging."""
+    qs = np.geomspace(1e-6, 3.67, 61)
+    ratios = []
+    for q in qs:
+        rules = zip(GH_ORDERS, HERMITE_TERMS)
+        lo, hi = (_hermite_power(TANH, q, order, terms) for order, terms in rules)
+        gap = np.abs(hi - np.pad(lo, (0, hi.size - lo.size))).sum()
+        ratios.append(gap / (QUAD_RTOL * q))
+    worst = int(np.argmax(ratios))
+    ok = ratios[worst] <= 1.0
     gate(
         "quadrature agreement",
         ok,
-        f"max |generic - closed| = {gap:.3e} over {grid.size} points x "
-        f"{len(stacks[0])} layers (tol 1e-6)",
+        f"max sum|Delta a_k^2| / (QUAD_RTOL q) = {ratios[worst]:.3f} at q = {qs[worst]:.3g} "
+        f"over {qs.size} q in [{qs[0]:g}, {qs[-1]:g}] (tol 1)",
     )
 
 

@@ -108,6 +108,19 @@ class TestExperimentConfig:
                 tiny_config(kind=KIND_GREEDY_VS_EXACT, max_h=max_h)
         assert tiny_config(method="exact", max_h=16).max_h == 16
 
+    def test_variances_are_real_numbers(self):
+        """sigma_w2 = 2, 2.0, np.float64(2.0) and True used to hash the same
+        rows four ways, and "2" or None to end in a TypeError."""
+        for name in ("sigma_w2", "sigma_b2"):
+            for value in ("2", None, True, False):
+                with pytest.raises(ConfigError, match="sigma_w2, sigma_b2"):
+                    tiny_config(**{name: value})
+        reference = config_hash(tiny_config(sigma_w2=2.0, sigma_b2=0.0))
+        for sw2, sb2 in ((2, 0), (np.float64(2.0), np.float64(0.0)), (np.int64(2), 0.0)):
+            config = tiny_config(sigma_w2=sw2, sigma_b2=sb2)
+            assert type(config.sigma_w2) is float and type(config.sigma_b2) is float
+            assert config_hash(config) == reference
+
     def test_network_config_per_n(self):
         config = tiny_config(layers=3)
         nc = network_config_for(config, 24)
@@ -1078,7 +1091,8 @@ class TestCliKernelTheoryFit:
         assert obj["Q_l"][0] == 3.0
 
     def test_kernel_tanh_table_above_q_3_39(self, tmp_path, capsys):
-        # the polar rule alone failed near c = +-1 from Q ~ 3.39 (exit 4)
+        # the tanh table builds at Q_1 = 3.4, near its limit Q_1 ~ 3.67, with
+        # F(1) = 1 exactly
         out_csv = tmp_path / "kernel.csv"
         argv = ["kernel", "--activation", "tanh", "--sigma-w2", "3.4", "--out-csv", str(out_csv)]
         assert cli.main(argv) == 0

@@ -1,8 +1,8 @@
 """Kernel recursions: Q per layer, the correlation map F, and F'(1).
 
 Closed forms for ReLU come from the arc-cosine kernel (Cho and Saul 2009);
-the generic-activation path is a Hermite series, with polar Gaussian
-quadrature where the series fails its check. Frozen oracle values in this
+the tanh path is a Hermite series plus Gauss-Hermite moments, and a kinked
+activation fails the series' check. Frozen oracle values in this
 file were computed with scipy.integrate.dblquad on the bivariate normal
 integrand at epsabs=1e-12 (1e-13 for TANH_SERIES_ORACLE), independently of
 the package's quadrature.
@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from bitboundary import activations, kernel
-from bitboundary.activations import Activation, get_activation, register_activation
+from bitboundary import kernel
+from bitboundary.activations import Activation, get_activation
 from bitboundary.errors import ConfigError, NumericalFaultError, QuadratureError
 from bitboundary.kernel import (
     _cross_moment,
@@ -37,9 +37,10 @@ TANH_MOMENT_ORACLE = {
     (2.0, -0.7): -0.339089956121105,
     (1.5, 0.25): 0.10654267920505499,
 }
-# E[tanh(u) tanh(v)] where the Hermite series alone converges (the polar rule
-# fails near c = +-1 from q ~ 3.39), scipy dblquad over (z, w) standard
-# normal with u = sqrt(q) z, v = sqrt(q) (c z + sqrt(1 - c^2) w)
+# E[tanh(u) tanh(v)] up to c = +-(1 - 1e-8) and q = 3.4, near the tanh
+# kernel's limit Q_1 ~ 3.67, all of it taken by the Hermite series; scipy
+# dblquad over (z, w) standard normal with u = sqrt(q) z,
+# v = sqrt(q) (c z + sqrt(1 - c^2) w)
 TANH_SERIES_ORACLE = {
     (2.0, 0.5): 0.2360073345513688,
     (2.0, 0.9): 0.45423934918977726,
@@ -177,8 +178,7 @@ class TestFRecursion:
             )
 
     def test_cross_moment_failure_names_the_real_overlap(self):
-        # series and polar rule both fail just below c = 1 at Q = 8; c must
-        # not print as 1
+        # the series fails just below c = 1 at Q = 8; c must not print as 1
         with pytest.raises(QuadratureError, match=r"at c=0\.99999999, q=8\.0: gap"):
             _cross_moment(TANH, 8.0, np.array([1 - 1e-8]))
 
@@ -190,29 +190,17 @@ class TestFRecursion:
 
 class TestHermiteSeries:
     @pytest.mark.parametrize("q, c", sorted(TANH_SERIES_ORACLE))
-    def test_tanh_against_dblquad_oracle(self, q, c, monkeypatch):
-        def no_polar(*args):
-            raise AssertionError("the series should converge here")
-
-        monkeypatch.setattr(kernel, "_cross_moment_polar_checked", no_polar)
+    def test_tanh_against_dblquad_oracle(self, q, c):
         got = float(_cross_moment(TANH, q, np.array([c]))[0])
         np.testing.assert_allclose(got, TANH_SERIES_ORACLE[q, c], rtol=0.0, atol=1e-10)
 
-    def test_kinked_twin_falls_back_to_polar(self, monkeypatch):
-        # ReLU's Hermite coefficients decay algebraically: the series fails
-        # its check, and the polar rule reproduces the closed form
+    def test_kinked_activation_is_refused(self):
+        # ReLU's Hermite coefficients decay algebraically, so the series'
+        # two orders disagree, and a ReLU that is not the built-in RELU
+        # object has no other rule
         twin = Activation("relu_series_twin", lambda x: np.maximum(x, 0.0), lambda x: x > 0)
-        polar = kernel._cross_moment_polar_checked
-        seen = []
-
-        def spy(act, q, c):
-            seen.extend(c)
-            return polar(act, q, c)
-
-        monkeypatch.setattr(kernel, "_cross_moment_polar_checked", spy)
-        c = np.array([0.5, 0.99, 1.0 - 1e-6])
-        np.testing.assert_allclose(_cross_moment(twin, 2.0, c), psi(c), rtol=0.0, atol=1e-9)
-        assert seen == list(c)
+        with pytest.raises(QuadratureError, match=r"relu_series_twin .*at c=0\.5, q=2\.0: gap"):
+            _cross_moment(twin, 2.0, np.array([0.5]))
 
     def test_tanh_reaches_the_one_dimensional_limit(self):
         # F builds wherever Q_l and F'(1) do: up to Q_1 ~ 3.67
@@ -229,13 +217,15 @@ class TestTwoOrderCheck:
         with pytest.raises(QuadratureError, match="nan"):
             kernel._gh_moment("test moment", lambda u: np.full_like(u, math.nan), 2.0)
 
-    def test_nan_polar_entry_does_not_agree(self, monkeypatch):
-        def polar(act, q, c, n_rad, n_ang):
-            return np.where(c == 0.25, math.nan, 0.1)
+    def test_nan_series_entry_does_not_agree(self, monkeypatch):
+        # at c = 0.5 the two orders disagree by a finite gap; the NaN entry
+        # is the one reported
+        def series(c, power):
+            return np.where(c == 0.25, math.nan, float(power.size))
 
-        monkeypatch.setattr(kernel, "_cross_moment_polar", polar)
+        monkeypatch.setattr(kernel, "polyval", series)
         with pytest.raises(QuadratureError, match=r"at c=0\.25, q=2\.0: gap nan"):
-            kernel._cross_moment_polar_checked(TANH, 2.0, np.array([0.5, 0.25]))
+            _cross_moment(TANH, 2.0, np.array([0.5, 0.25]))
 
 
 class TestFPrime1:
@@ -270,18 +260,12 @@ class TestFPrime1:
 
 
 class TestGenericQuadratureAgainstClosedForm:
-    """The quadrature path re-derives the ReLU closed form when handed a
-    ReLU that is not the built-in RELU object, which alone gets the closed
-    forms (unit-scale twin of the full-grid check in the acceptance suite)."""
+    """The one-dimensional Gauss-Hermite moments re-derive the ReLU closed
+    forms of Q_l and F'(1) when handed a ReLU that is not the built-in RELU
+    object, which alone gets the closed forms."""
 
     def setup_method(self):
-        self.twin = register_activation(
-            Activation(
-                "relu_twin_test",
-                lambda x: np.maximum(x, 0.0),
-                lambda x: (x > 0),
-            )
-        )
+        self.twin = Activation("relu_twin_test", lambda x: np.maximum(x, 0.0), lambda x: x > 0)
 
     def test_f_prime_1_matches(self):
         for sw2, sb2, layers in [(2.0, 0.0, 2), (1.0, 1.0, 3), (0.5, 2.0, 2)]:
@@ -296,19 +280,6 @@ class TestGenericQuadratureAgainstClosedForm:
             closed = q_recursion(sw2, sb2, layers, RELU)
             generic = q_recursion(sw2, sb2, layers, self.twin)
             np.testing.assert_allclose(generic, closed, rtol=1e-10)
-
-    def test_f_grid_matches_on_subset(self):
-        grid = np.linspace(-1.0, 1.0, 101)
-        closed = build_profile(2.0, 0.0, 2, "relu").evaluate(grid)
-        generic = build_profile(2.0, 0.0, 2, "relu_twin_test").evaluate(grid)
-        assert np.max(np.abs(generic - closed)) < 1e-9
-
-    def test_degenerate_correlations_match(self):
-        generic = build_profile(2.0, 0.0, 2, "relu_twin_test")
-        assert float(generic.evaluate(1.0)) == 1.0
-        np.testing.assert_allclose(
-            float(generic.evaluate(-1.0)), 1.0 / math.pi, atol=1e-10
-        )
 
 
 class TestProfile:
@@ -330,17 +301,26 @@ class TestProfile:
         assert via_config.q_per_layer == direct.q_per_layer
         assert via_config.f_prime_1 == direct.f_prime_1
 
-    def test_builtin_activations_cannot_be_replaced(self, monkeypatch):
-        """A tanh registered as "relu" would run in networks while every
-        output file named it relu."""
-        monkeypatch.setattr(activations, "_REGISTRY", dict(activations._REGISTRY))
-        for name in ("relu", "tanh"):
-            with pytest.raises(ConfigError):
-                register_activation(Activation(name, np.tanh, lambda x: 1.0 - np.tanh(x) ** 2))
-        assert get_activation("relu") is RELU and get_activation("tanh") is TANH
+    def test_layers_must_be_an_integer(self):
+        """layers = 2.0 used to end in a TypeError, and layers = True to build
+        one layer."""
+        for layers in (2.0, True, "2"):
+            with pytest.raises(ConfigError, match="layers"):
+                build_profile(layers=layers)
+            with pytest.raises(ConfigError, match="layers"):
+                q_recursion(2.0, 0.0, layers, RELU)
+        assert build_profile(layers=np.int64(3)).layers == 3
+
+    def test_variances_must_be_real_numbers(self):
+        for value in ("2", None, True):
+            with pytest.raises(ConfigError, match="sigma_w2"):
+                build_profile(sigma_w2=value)
+        profile = build_profile(sigma_w2=2, sigma_b2=np.float64(0.0))
+        assert type(profile.sigma_w2) is float and type(profile.sigma_b2) is float
+        assert profile.q_per_layer == build_profile(sigma_w2=2.0).q_per_layer
 
     def test_closed_forms_go_by_identity_not_name(self):
-        """An unregistered tanh named "relu" used to get the ReLU closed
+        """A tanh Activation object named "relu" used to get the ReLU closed
         forms (Q = 2, F'(1) = 1) because the kernel matched the name."""
         impostor = Activation("relu", np.tanh, TANH.derivative)
         for sw2, sb2, layers in [(2.0, 0.0, 2), (1.0, 0.5, 3)]:
@@ -353,7 +333,7 @@ class TestProfile:
                 f_recursion(sw2, sb2, qs, t, TANH)[1],
             )
         with pytest.raises(ConfigError):
-            # a profile takes a registered name, never an object: one holding the
+            # a profile takes a name, relu or tanh, never an object: one holding the
             # impostor would have evaluated F by its name, "relu"
             build_profile(activation=impostor)
 

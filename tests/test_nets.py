@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitboundary import nets
-from bitboundary.activations import RELU, Activation, get_activation, register_activation
+from bitboundary.activations import get_activation
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
 from bitboundary.nets import (
@@ -49,6 +49,24 @@ class TestNetworkConfig:
             NetworkConfig(n=4, hidden_widths=(4,), sigma_w2=0.0, sigma_b2=0.0)
         with pytest.raises(ConfigError):
             NetworkConfig(n=4, hidden_widths=(4,), activation="swish")
+        # n = 8.5 used to be accepted, width 8.5 to build width 8, and a seed
+        # outside the [0, 2**64) that derive_seed keeps to be accepted
+        for name, kw in (
+            ("n", {"n": 8.5}), ("n", {"n": True}), ("hidden_widths", {"hidden_widths": (8.5,)}),
+            ("seed", {"seed": 1.5}), ("seed", {"seed": -1}), ("seed", {"seed": 2**64}),
+        ):
+            with pytest.raises(ConfigError, match=name):
+                NetworkConfig(**{"n": 4, "hidden_widths": (4,), **kw})
+        config = NetworkConfig(n=np.int64(4), hidden_widths=(np.int64(3),), seed=2**64 - 1)
+        assert type(config.n) is int and type(config.hidden_widths[0]) is int
+
+    def test_variances_are_real_numbers(self):
+        for value in ("2", None, True, 1j, 10**400):
+            with pytest.raises(ConfigError, match="sigma_w2"):
+                NetworkConfig(n=4, hidden_widths=(4,), sigma_w2=value)
+        config = NetworkConfig(n=4, hidden_widths=(4,), sigma_w2=2, sigma_b2=np.float64(0.5))
+        assert (config.sigma_w2, config.sigma_b2) == (2.0, 0.5)
+        assert type(config.sigma_w2) is float and type(config.sigma_b2) is float
 
 
 class TestSampling:
@@ -480,12 +498,9 @@ class TestFloat32Screen:
         assert (net._screen is not None) == screened
 
     def test_only_the_builtin_relu_is_screened(self):
-        twin = register_activation(
-            Activation("relu_screen_twin", RELU.fn, RELU.derivative)
-        )
         rng = np.random.default_rng(1)
         z1, x = rng.standard_normal(7), BitString.random(5, rng)
-        for activation in ("relu", "tanh", twin.name):
+        for activation in ("relu", "tanh"):
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
             assert (screen_flips(net, z1, x) is None) == (activation != "relu")

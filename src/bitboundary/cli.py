@@ -10,10 +10,9 @@ Subcommands:
 * greedy-vs-exact   paired greedy/exact distances at small n
 * fit               recompute aggregates and the scaling fit from a rows CSV
 
-Every subcommand but fit reads an optional key=value config file (one run
-per file, `#` comments). Its keys are exactly the subcommand's flags, with `_`
-for `-`, and flags override file values; one table, PARAMS, defines both. Size lists accept `64,128,256`, linear ranges `100-400:100`, and
-geometric ranges `64-512:x2`.
+Flags are the only input; one table, PARAMS, defines every subcommand's
+flags and how each value parses. Size lists accept `64,128,256`, linear
+ranges `100-400:100`, and geometric ranges `64-512:x2`.
 
 Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
 """
@@ -21,10 +20,9 @@ Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ._version import VERSION
 from .errors import BitBoundaryError, ConfigError
@@ -41,7 +39,6 @@ from .harness import (
     check_output_paths,
     json_text,
     kernel_summary,
-    read_text,
     refit_csv,
     run_experiment,
     write_json,
@@ -112,29 +109,8 @@ def parse_widths(text: str) -> Tuple[int, ...]:
     return widths
 
 
-def read_config_file(path: str) -> Dict[str, str]:
-    """Plain key=value lines; blank lines ignored. `#` starts a comment at a
-    line's start or after whitespace only, so a value `run#1.csv` stays whole."""
-    values: Dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
-
-
 # ---------------------------------------------------------------------------
-# the parameter table: flags, config-file keys and their parsing
+# the parameter table: flags and their parsing
 # ---------------------------------------------------------------------------
 
 RUNS = tuple(EXPERIMENTS)
@@ -144,8 +120,8 @@ NETWORK = ("kernel", "theory") + RUNS
 @dataclass(frozen=True)
 class Param:
     """One parameter of the subcommands in `commands`: the flag --key (with
-    `-` for `_`) and the config-file key `key`, both parsed by `parse` into
-    the setting `field` (default: the key itself)."""
+    `-` for `_`), parsed by `parse` into the setting `field` (default: the
+    key itself)."""
 
     key: str
     parse: Callable[[str], object]
@@ -194,27 +170,12 @@ PARAMS = (
 
 
 def _settings(command: str, args) -> dict:
-    """The subcommand's config-file values overridden by its explicit flags,
-    parsed and keyed by field. The file may hold exactly the keys that the
-    subcommand has flags for, plus a `kind` that must name the subcommand."""
-    params = {p.key: p for p in PARAMS if command in p.commands}
-    values = {}
-    if args.config is not None:
-        for key, raw in read_config_file(args.config).items():
-            if key == "kind":
-                if raw != command:
-                    raise ConfigError(
-                        f"config file is for kind {raw!r}, not subcommand {command!r}"
-                    )
-            elif key in params:
-                values[key] = params[key].value(raw)
-            else:
-                raise ConfigError(f"config key {key!r} not valid for {command}")
-    for key, param in params.items():
-        raw = getattr(args, key)
-        if raw is not None:
-            values[key] = param.value(raw)
-    return {params[key].field or key: value for key, value in values.items()}
+    """The subcommand's flags that were given, parsed and keyed by field."""
+    return {
+        param.field or param.key: param.value(getattr(args, param.key))
+        for param in PARAMS
+        if command in param.commands and getattr(args, param.key) is not None
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +232,6 @@ def _print_run_summary(result: ExperimentResult) -> None:
 def _cmd_experiment(args) -> int:
     values = dict(DESK_DEFAULTS[args.command])
     values.update(_settings(args.command, args))
-    check_output_paths(*(values.get(name) for name in OUTPUT_FIELDS), source=args.config)
     config = ExperimentConfig(kind=args.command, **values)
     result = run_experiment(config)
     _print_run_summary(result)
@@ -281,7 +241,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_kernel(args) -> int:
     values = _settings("kernel", args)
     out_csv, out_json = values.pop("out_csv", None), values.pop("out_json", None)
-    check_output_paths(out_csv, out_json, source=args.config)
+    check_output_paths(out_csv, out_json)
     profile = build_profile(**values)
     if out_csv:
         write_kernel_csv(out_csv, profile)
@@ -293,7 +253,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_theory(args) -> int:
     values = _settings("theory", args)
     out_json = values.pop("out_json", None)
-    check_output_paths(out_json, source=args.config)
+    check_output_paths(out_json)
     query = {key: values.pop(key) for key in ("n", "a", "z") if key in values}
     if "n" not in query:
         raise ConfigError("theory requires --n")
@@ -342,9 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                 flag = "--" + param.key.replace("_", "-")
                 p.add_argument(flag, default=None, metavar=param.metavar,
                                choices=param.choices, help=param.help)
-        if name != "fit":
-            p.add_argument("--config", metavar="FILE", default=None,
-                           help="key=value config file; explicit flags override file values")
         p.set_defaults(handler=handler)
     return parser
 

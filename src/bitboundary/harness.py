@@ -23,9 +23,10 @@ per-n aggregates, fit and details, and the scaling law its fit uses
 (closest and flips only). run_experiment is the only driver.
 
 This module alone lays out output files, all checked before any trial runs.
-Every CSV, the kernel table included, carries a provenance header: a hash
-over the scientific config fields (execution details like parallelism and
-output paths are excluded), the seed, and the package version.
+Every rows CSV carries a provenance header: a hash over the scientific config
+fields (execution details like parallelism and output paths are excluded),
+the seed, and the package version. The kernel table's header holds its kind,
+a hash over the four kernel parameters, and the version, with no seed.
 
 On glibc a run keeps freed memory in the process (_keep_freed_memory), so a
 trial reuses the pages the previous trial's arrays freed.
@@ -198,16 +199,19 @@ class ExperimentConfig:
             raise ConfigError(f"gp-check needs trials >= 2 for standard errors, got {self.trials}")
         if EXPERIMENTS[self.kind].law is not None:
             validate_n(min(self.n_values))
-        # Validate the network parameters once up front, and keep its float variances.
-        net = network_config_for(self, self.n_values[0])
+        # Validate the network parameters once up front, and keep its float
+        # variances; uncached, as the variances may not be floats yet.
+        net = network_config_for.__wrapped__(self, self.n_values[0])
         for name in ("sigma_w2", "sigma_b2"):
             object.__setattr__(self, name, getattr(net, name))
         check_output_paths(*(getattr(self, name) for name in OUTPUT_FIELDS))
 
 
+@lru_cache(maxsize=64)
 def network_config_for(config: ExperimentConfig, n: int) -> NetworkConfig:
-    """Network architecture at input size n; the net seed is derived per n so
-    different sizes use independent weight streams."""
+    """Network architecture at input size n, built once per (config, n) in a
+    process; the net seed is derived per n so different sizes use
+    independent weight streams."""
     widths = config.widths if config.widths is not None else (n,) * config.layers
     return NetworkConfig(
         n=n,

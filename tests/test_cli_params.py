@@ -1,4 +1,4 @@
-"""The CLI parameter table: every subcommand's flags and config-file keys."""
+"""The CLI parameter table: every subcommand's flags."""
 
 import argparse
 import dataclasses
@@ -8,7 +8,6 @@ import re
 import pytest
 
 from bitboundary import cli
-from bitboundary.errors import ConfigError
 from bitboundary.harness import DESK_DEFAULTS, ExperimentConfig
 from bitboundary.kernel import build_profile
 from bitboundary.theory import theory_report
@@ -19,9 +18,6 @@ NETWORK = {
     "--layers": ("L", None, "hidden layer count (default 2)"),
     "--activation": ("NAME", None, "activation name (default relu)"),
 }
-CONFIG = {
-    "--config": ("FILE", None, "key=value config file; explicit flags override file values"),
-}
 RUN = {
     "--n": ("SIZES", None, "input sizes: comma list, a-b:STEP, or a-b:xFACTOR"),
     "--trials": ("T", None, "trials per size"),
@@ -31,7 +27,6 @@ RUN = {
     "--out-csv": ("PATH", None, "write per-trial (or summary) rows as CSV"),
     "--out-json": ("PATH", None, "write the aggregate summary as JSON"),
     "--parallel": ("P", None, "worker processes (default 1; output is identical)"),
-    **CONFIG,
 }
 EXACT = {
     "--max-h": ("H", None, "largest Hamming shell for exact search (default n)"),
@@ -45,7 +40,6 @@ EXPECTED = {
         **NETWORK,
         "--out-csv": ("PATH", None, "write the (t, F_1..F_{L+1}, F) table"),
         "--out-json": ("PATH", None, "write the summary instead of printing it"),
-        **CONFIG,
     },
     "theory": {
         "--n": ("N", None, "input size"),
@@ -53,7 +47,6 @@ EXPECTED = {
         "--z": ("Z", None, "conditioning phi(x) = sqrt(Q) z (default 1.0)"),
         **NETWORK,
         "--out-json": ("PATH", None, "write the report instead of printing it"),
-        **CONFIG,
     },
     "closest": {
         **RUN,
@@ -68,29 +61,6 @@ EXPECTED = {
         "--out-json": ("PATH", None, "write the fit instead of printing it"),
     },
 }
-
-# A valid value for every key any subcommand has ever taken.
-SAMPLE_VALUES = {
-    "n": "16",
-    "a": "0.4",
-    "z": "1.0",
-    "trials": "2",
-    "seed": "1",
-    "sigma_w2": "2.0",
-    "sigma_b2": "0.0",
-    "layers": "2",
-    "activation": "relu",
-    "widths": "4,4",
-    "out_csv": "rows.csv",
-    "out_json": "run.json",
-    "parallel": "1",
-    "method": "greedy",
-    "max_h": "2",
-    "budget": "10",
-    "emit_plot_data": "plot.csv",
-    "timings": "1",
-}
-
 
 def subparsers():
     parser = cli.build_parser()
@@ -115,46 +85,32 @@ def test_options_match_reference():
     assert method.choices == ("greedy", "exact")
 
 
-@pytest.mark.parametrize("command", [c for c in EXPECTED if "--config" in EXPECTED[c]])
-def test_config_file_keys_are_exactly_the_flags(command, tmp_path):
-    flags = {o[2:].replace("-", "_") for o in EXPECTED[command]} - {"config"}
-    assert flags <= set(SAMPLE_VALUES)
-    accepted = set()
-    for key, value in SAMPLE_VALUES.items():
-        path = tmp_path / f"{key}.cfg"
-        path.write_text(f"kind = {command}\n{key} = {value}\n")
-        args = cli.build_parser().parse_args([command, "--config", str(path)])
-        try:
-            cli._settings(command, args)
-        except ConfigError:
-            continue
-        accepted.add(key)
-    assert accepted == flags
-
-
 @pytest.mark.parametrize(
-    "command, line",
+    "argv",
     [
-        ("flips", "method = exact"),
-        ("flips", "budget = 5"),
-        ("gp-check", "max_h = 3"),
-        ("closest", "timings = 1"),
-        ("closest", "emit_plot_data = p.csv"),
+        ["flips", "--method", "exact"],
+        ["flips", "--budget", "5"],
+        ["gp-check", "--max-h", "3"],
+        ["closest", "--timings", "1"],
+        ["closest", "--emit-plot-data", "p.csv"],
     ],
+    ids=" ".join,
 )
-def test_keys_without_a_flag_are_rejected(command, line, tmp_path):
-    """Such keys used to be accepted, ignored, and still change the hash."""
-    path = tmp_path / "run.cfg"
-    path.write_text(f"n = 16\ntrials = 2\n{line}\n")
-    assert cli.main([command, "--config", str(path)]) == 2
+def test_keys_without_a_flag_are_rejected(argv, tmp_path, monkeypatch):
+    """A setting the subcommand does not read has no flag, so naming one
+    exits 2 rather than being ignored while it changes the hash."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--n", "16", "--trials", "2"]) == 2
 
 
 def test_removed_plot_data_flag_exits_2(tmp_path, monkeypatch, capsys):
-    """Runs write their per-n aggregates to the summary JSON only."""
+    """Runs write their per-n aggregates to the summary JSON only, and take
+    their settings from flags only."""
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["closest", "--n", "8", "--trials", "1", "--emit-plot-data", "p.csv"]) == 2
-    assert "--emit-plot-data" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for flag in ("--emit-plot-data", "--config"):
+        assert cli.main(["closest", "--n", "8", "--trials", "1", flag, "run.cfg"]) == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [name for name, _, _ in cli.COMMANDS])
@@ -175,7 +131,7 @@ def _signature_defaults(fn):
 
 
 def _real_defaults(command):
-    """What a command runs with for each setting no flag or file gives."""
+    """What a command runs with for each setting no flag gives."""
     if command == "kernel":
         return _signature_defaults(build_profile)
     if command == "theory":

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bitboundary.bitstrings import BitString
 from bitboundary import cli
-from bitboundary.cli import parse_n_values, parse_widths, read_config_file
+from bitboundary.cli import parse_n_values, parse_widths
 from bitboundary.errors import ConfigError
 from bitboundary.harness import read_rows_csv
 
@@ -95,16 +95,6 @@ def test_parse_widths(text):
     widths = _outcome(parse_widths, text)
     if widths is not None:
         assert widths and all(type(w) is int for w in widths)
-
-
-@FUZZ
-@given(file_bytes)
-def test_read_config_file(fuzz_dir, data):
-    path = fuzz_dir / "run.cfg"
-    path.write_bytes(data)
-    values = _outcome(read_config_file, str(path))
-    if values is not None:
-        assert all(isinstance(k, str) and k and isinstance(v, str) and v for k, v in values.items())
 
 
 @FUZZ

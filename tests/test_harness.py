@@ -130,6 +130,25 @@ class TestExperimentConfig:
         explicit = tiny_config(widths=(10, 12))
         assert network_config_for(explicit, 16).hidden_widths == (10, 12)
 
+    @pytest.mark.parametrize("kind", [KIND_FLIPS, KIND_GP_CHECK])
+    def test_network_config_built_once_per_n(self, kind, monkeypatch):
+        """Every trial used to build and validate its own NetworkConfig. The
+        config's own up-front check, made while its variances may still be
+        ints, leaves nothing in the cache."""
+        network_config_for.cache_clear()
+        config = tiny_config(kind, sigma_w2=2)
+        assert network_config_for.cache_info().currsize == 0
+        built, real = [], harness.NetworkConfig
+
+        def counting(**kw):
+            built.append(kw["n"])
+            return real(**kw)
+
+        monkeypatch.setattr(harness, "NetworkConfig", counting)
+        run_experiment(config)
+        assert built == [16, 24]
+        assert network_config_for.cache_info().currsize == 2
+
     def test_hash_covers_science_not_execution(self):
         base = tiny_config()
         assert config_hash(base) == config_hash(
@@ -596,16 +615,8 @@ class TestMalformedInput:
         assert cli.main(["fit", str(path)]) == 2
         self.assert_one_line_error(capsys, path)
 
-    def test_config_file_rejects_undecodable_bytes(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_bytes(b"trials=\xff\n")
-        assert cli.main(["closest", "--config", str(path)]) == 2
-        self.assert_one_line_error(capsys, path)
-
     def test_directory_as_input_exits_2(self, tmp_path, capsys):
         assert cli.main(["fit", str(tmp_path)]) == 2
-        self.assert_one_line_error(capsys, tmp_path)
-        assert cli.main(["closest", "--config", str(tmp_path)]) == 2
         self.assert_one_line_error(capsys, tmp_path)
 
     def test_fit_rejects_rows_below_n_3(self, tmp_path):
@@ -698,28 +709,6 @@ class TestMalformedInput:
         assert cli.main(["fit", str(rows), "--out-json", str(rows)]) == 2
         self.assert_one_line_error(capsys, rows)
         assert rows.read_bytes() == before
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["closest", "--n", "8", "--trials", "2", "--out-csv", "run.cfg"],
-            ["flips", "--n", "8", "--trials", "2", "--out-json", "./run.cfg"],
-            ["kernel", "--out-csv", "run.cfg"],
-            ["theory", "--n", "784", "--out-json", "run.cfg"],
-        ],
-        ids=["closest-csv", "flips-json", "kernel", "theory"],
-    )
-    def test_output_naming_the_config_file_exits_2(self, argv, tmp_path, monkeypatch, capsys):
-        """Each used to exit 0 and overwrite its own config file."""
-        for kind in (KIND_CLOSEST, KIND_FLIPS):
-            patch_row_worker(monkeypatch, kind, never)
-        monkeypatch.chdir(tmp_path)
-        config = tmp_path / "run.cfg"
-        config.write_text("sigma_w2=2\n", encoding="utf-8")
-        assert cli.main([*argv, "--config", "run.cfg"]) == 2
-        self.assert_one_line_error(capsys, argv[-1])
-        assert list(tmp_path.iterdir()) == [config]
-        assert config.read_text(encoding="utf-8") == "sigma_w2=2\n"
 
     def test_kernel_fault_stops_the_run_before_any_trial(self, monkeypatch, capsys):
         """flips with a tanh kernel past its range used to run every trial,
@@ -957,70 +946,6 @@ class TestCliExperiments:
         )
         _, _, rows = read_rows_csv(out)
         assert rows == direct.rows
-
-    def test_config_file_and_flag_override(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "# nearest-boundary probe\n"
-            "kind = closest\n"
-            "n = 12,16\n"
-            "trials = 3\n"
-            "seed = 11\n"
-        )
-        out_a = tmp_path / "a.json"
-        assert cli.main(["closest", "--config", str(cfg), "--out-json", str(out_a)]) == 0
-        obj = json.loads(out_a.read_text())
-        assert obj["config"]["seed"] == 11
-        assert obj["config"]["n_values"] == [12, 16]
-
-        out_b = tmp_path / "b.json"
-        assert (
-            cli.main(
-                [
-                    "closest",
-                    "--config",
-                    str(cfg),
-                    "--seed",
-                    "12",
-                    "--out-json",
-                    str(out_b),
-                ]
-            )
-            == 0
-        )
-        assert json.loads(out_b.read_text())["config"]["seed"] == 12
-
-    def test_config_file_hash_inside_a_value_is_not_a_comment(self, tmp_path, monkeypatch):
-        """Each line used to be cut at its first `#`, so `out_csv = run#1.csv`
-        wrote the rows to a file named `run` and exited 0. A `#` starts a
-        comment only at the start of a line or after whitespace."""
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("# probe\ntrials = 3  # three\nout_csv = run#1.csv\n")
-        assert cli.main(["closest", "--n", "8", "--config", str(cfg)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#1.csv"]
-        _, _, rows = read_rows_csv(tmp_path / "run#1.csv")
-        assert len(rows) == 3
-        cfg.write_text("trials=3#x\n")
-        assert cli.main(["closest", "--n", "8", "--config", str(cfg)]) == 2
-
-    def test_config_file_kind_must_match(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("kind = flips\nn = 12\ntrials = 2\n")
-        assert cli.main(["closest", "--config", str(cfg)]) == 2
-
-    def test_config_file_rejects_unknown_key(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("kind = closest\nwarp = 9\n")
-        assert cli.main(["closest", "--config", str(cfg)]) == 2
-
-    def test_config_file_rejects_duplicate_key(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("kind = closest\nseed = 1\nseed = 2\n")
-        assert cli.main(["closest", "--config", str(cfg)]) == 2
-
-    def test_missing_config_file(self, tmp_path):
-        assert cli.main(["closest", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
 class TestCliExitCodes:

@@ -13,8 +13,9 @@ Four experiments, each a pure function of its config:
 
 Every trial derives its own RNG stream from (seed, stream, n, trial), so
 results are independent of scheduling: the row for (n, trial) is identical
-whether computed inline or in any process pool, and rows are written back in
-(n, trial) order. CSV output is therefore byte-identical across parallelism
+whether computed inline, with its net's first layer drawn ahead on a helper
+thread (a serial run with a spare CPU), or in any process pool, and rows are
+written back in (n, trial) order. CSV output is therefore byte-identical across parallelism
 degrees. Rows hold no wall-clock measurement for the same reason.
 
 Each kind is one entry of EXPERIMENTS: its CSV columns, the row worker that
@@ -55,7 +56,14 @@ from .bitstrings import BitString
 from .errors import ConfigError, integer
 from .gp import build_ensemble, sample_block
 from .kernel import KernelProfile, default_grid, f_recursion, overlap, profile_for_config
-from .nets import DeepNet, NetworkConfig, probe_factor, sample_network, sample_outputs
+from .nets import (
+    DeepNet,
+    NetworkConfig,
+    drawing_ahead,
+    probe_factor,
+    sample_network,
+    sample_outputs,
+)
 # unused: kept only because perfbench/test_perfbench.py's CALLER_SIDE lists
 # harness.forward_batch; the tracer itself runs without it
 from .nets import forward_batch  # noqa: F401
@@ -607,13 +615,16 @@ Summary = Tuple[List[tuple], List[dict], Optional[FitResult], dict]
 class ExperimentKind:
     """Everything kind-specific about an experiment. `kernel` says whether
     the summarizer reads the run's kernel profile (else it gets None) and
-    the run's details record its q and F'(1)."""
+    the run's details record its q and F'(1); `net` whether each row draws
+    a weight network with sample_network (whose first layer a serial run
+    may then draw ahead)."""
 
     columns: Tuple[str, ...]
     row: Callable[[ExperimentConfig, int, int], tuple]
     summarize: Callable[[ExperimentConfig, List[tuple], Optional[KernelProfile]], Summary]
     law: Optional[ScalingLaw] = None
     kernel: bool = True
+    net: bool = True
 
 
 EXPERIMENTS: Dict[str, ExperimentKind] = {
@@ -626,7 +637,7 @@ EXPERIMENTS: Dict[str, ExperimentKind] = {
     KIND_FLIPS: ExperimentKind(
         SCALING_COLUMNS, _flips_row, _summarize_flips, ScalingLaw("mean_steps=s*n", float)
     ),
-    KIND_GP_CHECK: ExperimentKind(GP_COLUMNS, _gp_row, _summarize_gp),
+    KIND_GP_CHECK: ExperimentKind(GP_COLUMNS, _gp_row, _summarize_gp, net=False),
     KIND_GREEDY_VS_EXACT: ExperimentKind(
         PAIRED_COLUMNS, _paired_row, _summarize_paired, kernel=False
     ),
@@ -672,11 +683,22 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, the ratio glibc's rule keeps
 
 
+def _run_drawing_ahead(tasks: List[Tuple[ExperimentConfig, int, int]], rows: List[tuple]) -> None:
+    """Append each task's row, computed in this thread, while a helper thread
+    draws the first layer of the next task's net (nets.drawing_ahead)."""
+    with drawing_ahead() as draw:
+        for task, (config, n, trial) in zip(tasks, tasks[1:]):
+            draw(network_config_for(config, n), trial)
+            rows.append(_pool_task(task))
+        rows.append(_pool_task(tasks[-1]))
+
+
 def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     """Run all (n, trial) tasks and return rows in (n, trial) order.
 
-    Both paths yield rows in task order, whatever the schedule. On interrupt
-    the rows computed so far are kept and the result is marked truncated.
+    Every path yields rows in task order, whatever the schedule. On
+    interrupt the rows computed so far are kept and the result is marked
+    truncated.
     """
     tasks = [(config, n, t) for n in config.n_values for t in range(config.trials)]
     rows: List[tuple] = []
@@ -688,7 +710,11 @@ def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(config.parallel, len(tasks), cpus)
     try:
-        if workers == 1:
+        # a serial run overlaps its weight draws with its searches on a
+        # spare CPU; on one CPU the helper would only take turns with them
+        if workers == 1 and cpus >= 2 and EXPERIMENTS[config.kind].net:
+            _run_drawing_ahead(tasks, rows)
+        elif workers == 1:
             rows.extend(map(_pool_task, tasks))
         else:
             if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ):

@@ -74,9 +74,11 @@ builds no n x n flip table.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +94,7 @@ _SCREEN_MAX_WIDTH = 2**16
 _SCREEN_MAX_DEPTH = 32
 _SCREEN_SLACK = 1.0 + 2.0**-20
 _SCREEN_MIN_WORK = 2**23  # tail multiply-adds of a screen of n flips
+_AHEAD_MIN_NORMALS = 2**14  # first-layer normals of a net worth drawing ahead
 # two float64 evaluations of one row differ by at most this times its eps
 FLOAT64_SPREAD = 2.0**-20
 
@@ -238,23 +241,82 @@ def _fits_float32(mag: np.ndarray) -> bool:
     return lo >= _TINY32 or not np.any((mag > 0.0) & (mag < _TINY32))
 
 
+def _draw_layer(
+    rng: np.random.Generator, config: NetworkConfig, l: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Layer l + 1's weights, then its biases, drawn from rng."""
+    dims = config.dims
+    w = rng.standard_normal((dims[l + 1], dims[l]))
+    w *= np.sqrt(config.sigma_w2 / dims[l])
+    b = rng.standard_normal(dims[l + 1])
+    b *= np.sqrt(config.sigma_b2)
+    return w, b
+
+
+def _first_layer(
+    config: NetworkConfig, trial_index: int
+) -> Tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The generator of (config.seed, trial_index) and the first layer drawn
+    from it; the generator is left where the second layer's draw starts."""
+    rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
+    return (rng, *_draw_layer(rng, config, 0))
+
+
+# First layers drawn ahead by drawing_ahead's helper, by (config, trial_index),
+# for sample_network to take; module state, as sample_network(config,
+# trial_index) takes no other argument. Only the thread inside drawing_ahead
+# puts, takes or drops entries; the helper thread only fills arrays.
+_drawn_ahead: Dict[Tuple[NetworkConfig, int], Future] = {}
+
+
+@contextmanager
+def drawing_ahead() -> Iterator[Callable[[NetworkConfig, int], None]]:
+    """A helper thread that draws the first layer of the caller's next net
+    while the caller works on the current one.
+
+    draw(config, trial_index) starts drawing that net's first layer on the
+    helper: W1, then b1, from the net's own generator (numpy releases the
+    interpreter lock while it fills an array). It keeps only the entry put
+    before it, for the call about to use that one, and drops any older entry
+    that no sample_network took. sample_network(config, trial_index) takes
+    the entry of exactly its (config, trial_index) and draws the layers
+    above on the calling thread, so the net is the inline draw's bit for bit.
+
+    Only the first layer is drawn ahead, as whole nets drawn ahead raise
+    peak RSS by about 5 % (README, Performance). A first layer of fewer than
+    2^14 normals is left to sample_network: handing it to the helper and
+    back costs more than drawing it (measured break-even at about
+    n = 112-128 for two hidden layers of n), so a run of small nets starts
+    no thread. On exit, by return or exception, no entry is left and the
+    helper has stopped.
+    """
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bitboundary-draw")
+
+    def draw(config: NetworkConfig, trial_index: int) -> None:
+        for key in list(_drawn_ahead)[:-1]:
+            _drawn_ahead.pop(key).cancel()
+        if config.dims[0] * config.dims[1] < _AHEAD_MIN_NORMALS:
+            return
+        _drawn_ahead[config, trial_index] = helper.submit(_first_layer, config, trial_index)
+
+    try:
+        yield draw
+    finally:
+        _drawn_ahead.clear()
+        helper.shutdown(cancel_futures=True)
+
+
 def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
     """Draw a network from the stream derived from (config.seed, trial_index).
 
     Per layer, weights are drawn before biases; layers in order. The same
-    (seed, trial_index) therefore reproduces the network bit for bit.
+    (seed, trial_index) therefore reproduces the network bit for bit, also
+    when its first layer was drawn ahead (drawing_ahead).
     """
-    rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
-    dims = config.dims
-    weights, biases = [], []
-    for l in range(len(dims) - 1):
-        fan_in = dims[l]
-        w = rng.standard_normal((dims[l + 1], fan_in))
-        w *= np.sqrt(config.sigma_w2 / fan_in)
-        b = rng.standard_normal(dims[l + 1])
-        b *= np.sqrt(config.sigma_b2)
-        weights.append(w)
-        biases.append(b)
+    ahead = _drawn_ahead.pop((config, trial_index), None)
+    rng, w1, b1 = ahead.result() if ahead is not None else _first_layer(config, trial_index)
+    layers = [(w1, b1)] + [_draw_layer(rng, config, l) for l in range(1, len(config.dims) - 1)]
+    weights, biases = zip(*layers)
     return DeepNet(config, weights, biases)
 
 

@@ -7,6 +7,7 @@ seconds) so tests can report wall time alongside the science.
 """
 
 import os
+import threading
 import time
 
 # One BLAS thread per process, as CI and the benchmark pin it: the two
@@ -29,6 +30,7 @@ from bitboundary.harness import (
     ExperimentConfig,
     run_experiment,
 )
+from bitboundary import nets
 from bitboundary.kernel import build_profile
 from bitboundary.nets import DeepNet, NetworkConfig
 
@@ -78,6 +80,25 @@ def build_constant_net(n, value, seed=0):
     weights = [np.zeros((2, n)), np.zeros((2, 2)), np.zeros((1, 2))]
     biases = [np.zeros(2), np.zeros(2), np.full(1, float(value))]
     return DeepNet(config, weights, biases)
+
+
+def spy_first_layers(monkeypatch):
+    """Record the thread of every first-layer draw: the helper's, drawn
+    ahead, and sample_network's own. Returns the list it appends to."""
+    threads = []
+    real = nets._first_layer
+
+    def spy(config, trial_index):
+        threads.append(threading.current_thread())
+        return real(config, trial_index)
+
+    monkeypatch.setattr(nets, "_first_layer", spy)
+    return threads
+
+
+def off_main(threads):
+    """How many of the recorded threads are not the main thread."""
+    return sum(t is not threading.main_thread() for t in threads)
 
 
 @pytest.fixture(scope="session")

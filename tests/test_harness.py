@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import platform
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from bitboundary import cli, harness
+from bitboundary import cli, harness, nets, search
 from bitboundary.errors import ConfigError, NumericalFaultError
 from bitboundary.harness import (
     GP_TARGETS,
@@ -31,7 +33,7 @@ from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
 from bitboundary.search import DEFAULT_BUDGET
 from bitboundary.theory import h_star
 
-from conftest import build_linear_net
+from conftest import build_linear_net, off_main, spy_first_layers
 
 
 def install_fake_pool(monkeypatch):
@@ -55,6 +57,22 @@ def install_fake_pool(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     return seen
+
+
+@pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """Run under this CPU affinity mask. Under two CPUs a serial run draws
+    each next first layer ahead on a helper thread, here at every size
+    (nets' size gate set to 1). Afterwards the helper has drawn exactly when
+    the mask allowed it, and neither its thread nor an entry is left."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: request.param, raising=False)
+    monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+    drawn_on = spy_first_layers(monkeypatch)
+    before = threading.active_count()
+    yield request.param
+    assert (off_main(drawn_on) > 0) == (len(request.param) > 1)
+    assert threading.active_count() == before
+    assert nets._drawn_ahead == {}
 
 
 def tiny_config(kind=KIND_CLOSEST, **kw):
@@ -310,6 +328,60 @@ class TestDeterminism:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert pools(8, 3) == []
 
+    # the names perfbench's tracer wraps that a search run calls
+    TRACED = (
+        (harness, "sample_network"),
+        (nets, "forward_from_first_layer"),
+        (nets, "forward_with_first_layer_cache"),
+        (search, "greedy_search"),
+        (search, "random_flip_walk"),
+        (harness, "write_rows_csv"),
+    )
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            (KIND_CLOSEST, dict(n_values=(12, 256), trials=3)),  # 256: greedy screens
+            (KIND_FLIPS, dict(n_values=(16, 128), trials=3)),
+            (KIND_GREEDY_VS_EXACT, dict(n_values=(8, 128), trials=2, max_h=2)),
+        ],
+        ids=[KIND_CLOSEST, KIND_FLIPS, KIND_GREEDY_VS_EXACT],
+    )
+    def test_drawing_ahead_keeps_rows_and_traced_calls_on_main_thread(
+        self, monkeypatch, tmp_path, kind, extra
+    ):
+        """A serial run with a spare CPU draws each next net's first layer on
+        a helper thread (above the size gate: n = 128 and 256 here). Its rows
+        are the one-CPU run's, every function perfbench traces runs on the
+        main thread, whose single span stack the tracer keeps, and no thread
+        outlives the run."""
+        calls = []
+        modules = [m for name, m in sys.modules.items() if name.startswith("bitboundary")]
+        for owner, attr in self.TRACED:
+            original = getattr(owner, attr)
+
+            def recording(*args, _original=original, **kwargs):
+                calls.append(threading.current_thread())
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, recording)
+        drawn_on = spy_first_layers(monkeypatch)
+        before = threading.active_count()
+        rows = {}
+        for mask in ({0, 1}, {0}):
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: mask, raising=False)
+            drawn_on.clear()
+            out = tmp_path / f"{len(mask)}.csv"
+            rows[len(mask)] = run_experiment(ExperimentConfig(kind, out_csv=str(out), **extra)).rows
+            assert (off_main(drawn_on) > 0) == (len(mask) == 2)
+            assert threading.active_count() == before and nets._drawn_ahead == {}
+        assert rows[2] == rows[1]
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        assert calls and off_main(calls) == 0
+
     def test_rerun_is_identical(self, tmp_path):
         a = run_experiment(tiny_config(n_values=(12,), trials=4))
         b = run_experiment(tiny_config(n_values=(12,), trials=4))
@@ -326,7 +398,7 @@ class TestFlipsRun:
         assert result.details["heuristic_slope_lower_bound"] == 0.25
         assert result.fit.model == "mean_steps=s*n"
 
-    def test_passthrough_walk_distances(self, monkeypatch):
+    def test_passthrough_walk_distances(self, monkeypatch, cpus):
         """With phi(x) = x_0 the walk length is exactly the permutation
         position of bit 0 plus one, and its mean approaches (n + 1) / 2."""
         n, trials = 33, 120
@@ -383,7 +455,7 @@ class TestCensoring:
         assert result.fit is None
         assert result.details["censored"] == {16: 3, 24: 3}
 
-    def test_truncation_keeps_partial_rows(self, monkeypatch, tmp_path):
+    def test_truncation_keeps_partial_rows(self, monkeypatch, tmp_path, cpus):
         interrupt_at(monkeypatch, KIND_CLOSEST, (24, 1))
         out = tmp_path / "rows.csv"
         result = run_experiment(tiny_config(trials=3, out_csv=str(out)))
@@ -392,7 +464,7 @@ class TestCensoring:
         meta, _, _ = read_rows_csv(out)
         assert meta["truncated"] == "1"
 
-    def test_interrupted_summary_equals_fit_of_its_csv(self, monkeypatch, tmp_path):
+    def test_interrupted_summary_equals_fit_of_its_csv(self, monkeypatch, tmp_path, cpus):
         """A run stopped at its third trial used to write censored counts for
         sizes it never reached ({16: 0, 24: 0, 32: 0}), while `fit` of its CSV
         gave {16: 0}."""
@@ -409,7 +481,7 @@ class TestCensoring:
         assert run["fit"] == refit["fit"]
         assert run["details"]["censored"] == refit["censored"] == {"16": 0}
 
-    def test_interrupted_paired_summary_covers_only_sizes_with_rows(self, monkeypatch):
+    def test_interrupted_paired_summary_covers_only_sizes_with_rows(self, monkeypatch, cpus):
         interrupt_at(monkeypatch, KIND_GREEDY_VS_EXACT, (16, 2))
         config = tiny_config(KIND_GREEDY_VS_EXACT, n_values=(16, 24, 32), trials=3)
         result = run_experiment(config)

@@ -1,6 +1,7 @@
 """Network sampling, forward paths and first-layer reuse."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bitboundary.nets import (
     _live_units,
     DeepNet,
     NetworkConfig,
+    drawing_ahead,
     flip_rows,
     forward,
     forward_batch,
@@ -28,7 +30,7 @@ from bitboundary.nets import (
 )
 from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
 
-from conftest import build_linear_net
+from conftest import build_linear_net, off_main, spy_first_layers
 
 
 class TestNetworkConfig:
@@ -116,6 +118,87 @@ class TestSampling:
                 [np.zeros((2, 4)), np.zeros((1, 2))],
                 [np.zeros(2), np.zeros(1)],
             )
+
+
+def assert_same_net(a, b):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestDrawingAhead:
+    """sample_network takes a first layer that drawing_ahead's helper drew
+    on another thread, and draws the layers above from the same generator.
+    The size gate is set to 1 so that these small nets are drawn ahead."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            NetworkConfig(n=12, hidden_widths=(12, 12), seed=3),
+            NetworkConfig(n=9, hidden_widths=(13, 5, 7), sigma_b2=0.4, seed=8),
+            NetworkConfig(n=7, hidden_widths=(11,), sigma_b2=1.5),
+        ],
+        ids=["two-layers", "widths-13-5-7", "one-layer"],
+    )
+    def test_net_drawn_ahead_equals_inline_draw(self, monkeypatch, config):
+        monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+        inline = [sample_network(config, t) for t in (0, 5)]
+        threads = spy_first_layers(monkeypatch)
+        with drawing_ahead() as draw:
+            for trial, expected in zip((0, 5), inline):
+                draw(config, trial)
+                assert_same_net(sample_network(config, trial), expected)
+        assert len(threads) == off_main(threads) == 2  # both drawn by the helper
+        assert nets._drawn_ahead == {}
+
+    def test_only_the_same_config_and_trial_takes_an_entry(self, monkeypatch):
+        monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+        config = NetworkConfig(n=9, hidden_widths=(13, 5, 7), sigma_b2=0.4, seed=8)
+        others = [
+            (config, 4),
+            (dataclasses.replace(config, seed=9), 5),
+            (dataclasses.replace(config, sigma_b2=0.5), 5),
+            (dataclasses.replace(config, hidden_widths=(13, 5, 8)), 5),
+        ]
+        expected = {key: sample_network(*key) for key in [(config, 5), *others]}
+        threads = spy_first_layers(monkeypatch)
+        with drawing_ahead() as draw:
+            draw(config, 5)
+            for key in others:
+                assert_same_net(sample_network(*key), expected[key])
+                assert list(nets._drawn_ahead) == [(config, 5)]
+            assert off_main(threads) == 1 and len(threads) == 1 + len(others)
+            assert_same_net(sample_network(config, 5), expected[config, 5])
+            assert nets._drawn_ahead == {}
+
+    def test_keeps_one_entry_untaken_and_none_after_exit(self, monkeypatch):
+        """An entry no sample_network took (a faked sampler's) is dropped
+        when the one after the next is put, and every entry goes on exit,
+        an interrupt's included; the helper thread is gone then too."""
+        monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+        config = NetworkConfig(n=6, hidden_widths=(6, 6))
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            with drawing_ahead() as draw:
+                for trial in range(5):
+                    draw(config, trial)
+                    assert list(nets._drawn_ahead) == [(config, t) for t in range(trial + 1)][-2:]
+                raise KeyboardInterrupt
+        assert nets._drawn_ahead == {}
+        assert threading.active_count() == before
+
+    def test_small_first_layers_are_left_to_sample_network(self, monkeypatch):
+        """Below the size gate a net is drawn inline and no thread starts."""
+        threads = spy_first_layers(monkeypatch)
+        small = NetworkConfig(n=127, hidden_widths=(128, 128))
+        large = NetworkConfig(n=128, hidden_widths=(128, 4))
+        with drawing_ahead() as draw:
+            draw(small, 0)
+            assert nets._drawn_ahead == {}
+            sample_network(small, 0)
+            assert len(threads) == 1 and off_main(threads) == 0
+            draw(large, 0)
+            sample_network(large, 0)
+        assert off_main(threads) == 1
 
 
 def _probe_signs(n, m, seed, duplicate=True):

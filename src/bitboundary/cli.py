@@ -11,10 +11,15 @@ Subcommands:
 * fit               recompute aggregates and the scaling fit from a rows CSV
 
 Flags are the only input; one table, PARAMS, defines every subcommand's
-flags and how each value parses. Size lists accept `64,128,256`, linear
-ranges `100-400:100`, and geometric ranges `64-512:x2`.
+flags and how each one's text converts to a value: `int`, `float`, `str`,
+or a comma list of integers such as `64,128,256` for sizes and widths. The
+rules on the values are ExperimentConfig's, NetworkConfig's and
+build_profile's.
 
-Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 numerical fault.
+Exit codes: 0 success, 1 an output that could not be written after the run
+(an OS error such as a full disk), 2 config error, 3 budget exceeded,
+4 numerical fault, 130 interrupted (partial results written, marked
+truncated).
 """
 
 from __future__ import annotations
@@ -49,69 +54,16 @@ from .search import DEFAULT_BUDGET
 from .theory import theory_report
 
 # ---------------------------------------------------------------------------
-# value parsing
-# ---------------------------------------------------------------------------
-
-
-def parse_n_values(text: str) -> Tuple[int, ...]:
-    """Parse a size list: comma-separated integers, linear ranges `a-b:step`
-    (`a-b` means step 1), and geometric ranges `a-b:xfactor`."""
-    values = []
-    for item in str(text).split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "-" in item[1:]:
-            span, _, step_part = item.partition(":")
-            lo_text, _, hi_text = span.partition("-")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise ConfigError(f"bad size range {item!r}") from None
-            if not 1 <= lo <= hi:
-                raise ConfigError(f"size range {item!r} needs 1 <= start <= end")
-            if step_part.startswith("x"):
-                try:
-                    factor = int(step_part[1:])
-                except ValueError:
-                    raise ConfigError(f"bad geometric factor in {item!r}") from None
-                if factor < 2:
-                    raise ConfigError(f"geometric factor must be >= 2 in {item!r}")
-                v = lo
-                while v <= hi:
-                    values.append(v)
-                    v *= factor
-            else:
-                try:
-                    step = int(step_part) if step_part else 1
-                except ValueError:
-                    raise ConfigError(f"bad step in {item!r}") from None
-                if step < 1:
-                    raise ConfigError(f"step must be >= 1 in {item!r}")
-                values.extend(range(lo, hi + 1, step))
-        else:
-            try:
-                values.append(int(item))
-            except ValueError:
-                raise ConfigError(f"bad size value {item!r}") from None
-    if not values:
-        raise ConfigError(f"no sizes in {text!r}")
-    return tuple(values)
-
-
-def parse_widths(text: str) -> Tuple[int, ...]:
-    try:
-        widths = tuple(int(w) for w in str(text).split(",") if w.strip())
-    except ValueError:
-        raise ConfigError(f"bad widths list {text!r}") from None
-    if not widths:
-        raise ConfigError(f"no widths in {text!r}")
-    return widths
-
-
-# ---------------------------------------------------------------------------
 # the parameter table: flags and their parsing
 # ---------------------------------------------------------------------------
+
+
+def parse_int_list(text: str) -> Tuple[int, ...]:
+    """A comma-separated list of integers, such as `64,128, 256`. Any other
+    text, an empty item included, raises ValueError; the rules on the values
+    are ExperimentConfig's."""
+    return tuple(int(item) for item in text.split(","))
+
 
 RUNS = tuple(EXPERIMENTS)
 NETWORK = ("kernel", "theory") + RUNS
@@ -129,7 +81,6 @@ class Param:
     help: str
     commands: Tuple[str, ...]
     field: Optional[str] = None
-    choices: Optional[Tuple[str, ...]] = None
 
     def value(self, raw: str):
         try:
@@ -140,8 +91,7 @@ class Param:
 
 PARAMS = (
     Param("n", int, "N", "input size", ("theory",)),
-    Param("n", parse_n_values, "SIZES",
-          "input sizes: comma list, a-b:STEP, or a-b:xFACTOR", RUNS, field="n_values"),
+    Param("n", parse_int_list, "SIZES", "input sizes, a comma list", RUNS, field="n_values"),
     Param("a", float, "A",
           "distance scale in h = floor(a sqrt(n/ln n)) (default 0.4)", ("theory",)),
     Param("z", float, "Z", "conditioning phi(x) = sqrt(Q) z (default 1.0)", ("theory",)),
@@ -151,7 +101,7 @@ PARAMS = (
     Param("sigma_b2", float, "VAR", "bias variance (default 0.0)", NETWORK),
     Param("layers", int, "L", "hidden layer count (default 2)", NETWORK),
     Param("activation", str, "NAME", "activation name (default relu)", NETWORK),
-    Param("widths", parse_widths, "W1,W2,..",
+    Param("widths", parse_int_list, "W1,W2,..",
           "explicit hidden widths (default: each n wide)", RUNS),
     Param("out_csv", str, "PATH", "write the (t, F_1..F_{L+1}, F) table", ("kernel",)),
     Param("out_csv", str, "PATH", "write per-trial (or summary) rows as CSV", RUNS),
@@ -160,8 +110,8 @@ PARAMS = (
     Param("out_json", str, "PATH", "write the aggregate summary as JSON", RUNS),
     Param("out_json", str, "PATH", "write the fit instead of printing it", ("fit",)),
     Param("parallel", int, "P", "worker processes (default 1; output is identical)", RUNS),
-    Param("method", str, None, "search method (default greedy)", (KIND_CLOSEST,),
-          choices=("greedy", "exact")),
+    Param("method", str, None, "search method, greedy or exact (default greedy)",
+          (KIND_CLOSEST,)),
     Param("max_h", int, "H", "largest Hamming shell for exact search (default n)",
           (KIND_CLOSEST, KIND_GREEDY_VS_EXACT)),
     Param("budget", int, "EVALS", f"exact enumeration budget (default {DEFAULT_BUDGET})",
@@ -300,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         for param in PARAMS:
             if name in param.commands:
                 flag = "--" + param.key.replace("_", "-")
-                p.add_argument(flag, default=None, metavar=param.metavar,
-                               choices=param.choices, help=param.help)
+                p.add_argument(flag, default=None, metavar=param.metavar, help=param.help)
         p.set_defaults(handler=handler)
     return parser
 
@@ -319,9 +268,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (BitBoundaryError, OSError) as exc:
         print(f"bitboundary: error: {exc}", file=sys.stderr)
-        if isinstance(exc, BitBoundaryError):
-            return exc.exit_code
-        return 2 if isinstance(exc, FileNotFoundError) else 1
+        return exc.exit_code if isinstance(exc, BitBoundaryError) else 1
     except KeyboardInterrupt:
         return 130
 

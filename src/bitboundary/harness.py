@@ -801,9 +801,9 @@ def write_json(path: Union[str, Path], obj) -> None:
 
 def check_output_paths(*paths: Optional[str], source: Optional[str] = None) -> None:
     """ConfigError for an output path that is empty, names a directory, lies
-    in a missing one, or names the same file as another output or as the
-    input file `source`, so that a run fails before its first trial, not
-    after. None means no output."""
+    in a missing one, cannot be looked up (an OSError), or names the same
+    file as another output or as the input file `source`, so that a run
+    fails before its first trial, not after. None means no output."""
     named = {Path(source).resolve(): f"the input {source}"} if source else {}
     for path in paths:
         if path is None:
@@ -811,11 +811,14 @@ def check_output_paths(*paths: Optional[str], source: Optional[str] = None) -> N
         if not path:
             raise ConfigError("an output path is empty")
         target = Path(path)
-        if target.is_dir():
+        try:
+            is_dir, in_dir, resolved = target.is_dir(), target.parent.is_dir(), target.resolve()
+        except OSError as exc:  # such as a name too long for the file system
+            raise ConfigError(f"output path {path}: {exc.strerror}") from None
+        if is_dir:
             raise ConfigError(f"output path {path} is a directory")
-        if not target.parent.is_dir():
+        if not in_dir:
             raise ConfigError(f"output path {path}: no directory {target.parent}")
-        resolved = target.resolve()
         if resolved in named:
             raise ConfigError(f"output path {path} is also {named[resolved]}")
         named[resolved] = f"output path {path}"

@@ -56,7 +56,8 @@ are more than 32 hidden layers; a weight or bias is one that float32 cannot
 hold to relative precision u (overflow or below 2^-126); or a screen of its
 n flips costs fewer than 2^23 tail multiply-adds, where the screen's fixed
 costs (its float32 copy of the net, a dozen numpy calls) outweigh what it
-saves (measured break-even at about n = 192 for two hidden layers of n).
+saves (measured break-even at about n = 192 for two hidden layers of n; the
+gate screens two hidden layers of width n from n = 203 on).
 
 The screen multiplies only the first-layer units that some flip may turn
 on. No flip changes z1[u] by more than hi[u] = 2 max_i |W^(1)[u, i]|,

@@ -3,9 +3,9 @@ as ConfigError, never as another exception. Any float given to a `kernel` or
 `theory` flag ends as exit 0, 2 or 4, never a traceback, and what is printed
 is strict JSON.
 
-Size lists are built from bounded integers, and free text carries no decimal
-digits, so no example expands a range into millions of sizes. A range that
-starts below 1 is a ConfigError, so a geometric range cannot stall at 0.
+Size and width lists convert by one parser, cli.parse_int_list, through the
+flag's Param. The strategies also draw range forms (`a-b:STEP`,
+`a-b:xFACTOR`), which are not size lists: each ends as ConfigError.
 """
 
 import contextlib
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from bitboundary.bitstrings import BitString
 from bitboundary import cli
-from bitboundary.cli import parse_n_values, parse_widths
 from bitboundary.errors import ConfigError
 from bitboundary.harness import read_rows_csv
 
@@ -37,7 +36,7 @@ range_item = st.builds(
         st.text("0123456789x-", max_size=3).map(lambda t: ":" + t),
     ),
 )
-# at most six ASCII characters: no range in it spans more than 10^4 sizes
+# at most six ASCII characters from the digits and the range forms' signs
 ascii_item = st.text("0123456789-:x, ", max_size=6)
 digitless_text = st.text(st.characters(blacklist_categories=("Nd",)), max_size=12)
 size_list = st.lists(
@@ -79,20 +78,27 @@ def _outcome(call, *args):
         return None
 
 
+def _int_list_param(key):
+    return next(p for p in cli.PARAMS if p.key == key and p.parse is cli.parse_int_list)
+
+
 @FUZZ
 @given(size_list)
 @example("0-5:x2")
 @example("0-0:x3")
+@example("3-100000000000")
 def test_parse_n_values(text):
-    values = _outcome(parse_n_values, text)
+    values = _outcome(_int_list_param("n").value, text)
     if values is not None:
         assert values and all(type(v) is int for v in values)
+        # no range form is a size list
+        assert ":" not in text and all("-" not in item.strip()[1:] for item in text.split(","))
 
 
 @FUZZ
 @given(st.one_of(size_list, st.text(max_size=30)))
 def test_parse_widths(text):
-    widths = _outcome(parse_widths, text)
+    widths = _outcome(_int_list_param("widths").value, text)
     if widths is not None:
         assert widths and all(type(w) is int for w in widths)
 

@@ -137,9 +137,8 @@ GOLDEN_OUTPUTS = {
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_OUTPUTS))
-def test_plot_csv_and_summary_json_are_golden(label, tmp_path):
-    """The summary JSON pins. The name dates from when runs also wrote an
-    (x, y, yerr) plot CSV, which held the summary's per-n means again."""
+def test_summary_json_is_golden(label, tmp_path):
+    """The summary JSON pins."""
     summary = tmp_path / "run.json"
     args = GOLDEN[label][0]
     run_experiment(ExperimentConfig(seed=ACCEPTANCE_SEED, out_json=str(summary), **args))

@@ -440,6 +440,10 @@ def interrupt_at(monkeypatch, kind, stop):
     patch_row_worker(monkeypatch, kind, exploding)
 
 
+# an output file name longer than any file system's 255-byte limit
+TOO_LONG = "a" * 300 + ".csv"
+
+
 def never(config, n, trial):
     """A row worker for runs that must stop before their first trial."""
     raise AssertionError("a trial ran")
@@ -818,13 +822,15 @@ class TestMalformedInput:
     def test_bad_output_path_exits_2_before_any_trial(self, flag, tmp_path, monkeypatch, capsys):
         """A directory used to fail with exit 1, and a missing directory with
         exit 2, only after every trial had run; an empty path ran every trial
-        and wrote nothing."""
+        and wrote nothing. A name too long for the file system used to end
+        in a bare OSError, exit 1."""
         patch_row_worker(monkeypatch, KIND_CLOSEST, never)
-        for path in (tmp_path, tmp_path / "missing" / "out", ""):
+        for path in (tmp_path, tmp_path / "missing" / "out", "", tmp_path / TOO_LONG):
             assert cli.main(["closest", "--n", "12", "--trials", "2", flag, str(path)]) == 2
             self.assert_one_line_error(capsys, path)
             with pytest.raises(ConfigError):
                 tiny_config(out_csv=str(path))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -882,9 +888,10 @@ class TestMalformedInput:
         rows = tmp_path / "rows.csv"
         run_experiment(tiny_config(trials=2, out_csv=str(rows)))
         argv = [str(rows) if a == "ROWS" else a for a in argv]
-        for path in (tmp_path, tmp_path / "missing" / "out", ""):
+        for path in (tmp_path, tmp_path / "missing" / "out", "", tmp_path / TOO_LONG):
             assert cli.main([*argv, str(path)]) == 2
             self.assert_one_line_error(capsys, path)
+        assert list(tmp_path.iterdir()) == [rows]
 
 
 class TestReadRowsCsv:
@@ -908,31 +915,33 @@ class TestReadRowsCsv:
 
 
 class TestNValueParsing:
+    """--n and --widths convert by one parser, a comma list of integers; the
+    rules on the values are ExperimentConfig's."""
+
     def test_forms(self):
-        assert cli.parse_n_values("64") == (64,)
-        assert cli.parse_n_values("64,128, 256") == (64, 128, 256)
-        assert cli.parse_n_values("8-12:2") == (8, 10, 12)
-        assert cli.parse_n_values("8-11") == (8, 9, 10, 11)
-        assert cli.parse_n_values("64-512:x2") == (64, 128, 256, 512)
-        assert cli.parse_n_values("64-600:x2") == (64, 128, 256, 512)
+        assert cli.parse_int_list("64") == (64,)
+        assert cli.parse_int_list("64,128, 256") == (64, 128, 256)
+        assert cli.parse_int_list(" 8 ,10,12 , 14") == (8, 10, 12, 14)
 
     def test_rejects_malformed(self):
-        for bad in ("", "abc", "12-8", "8-12:0", "8-12:x1", "8-12:-2"):
-            with pytest.raises(ConfigError):
-                cli.parse_n_values(bad)
+        for bad in ("", "abc", "8-12:2", "64-512:x2", "64,", "64,,128", "5" * 5000):
+            with pytest.raises(ValueError):
+                cli.parse_int_list(bad)
+            for param in cli.PARAMS:
+                if param.parse is cli.parse_int_list:
+                    with pytest.raises(ConfigError, match=param.key):
+                        param.value(bad)
 
     def test_ordering_is_config_level(self):
         # the parser passes duplicates through; the config rejects them
-        assert cli.parse_n_values("4,4") == (4, 4)
+        assert cli.parse_int_list("4,4") == (4, 4)
         with pytest.raises(ConfigError):
             tiny_config(n_values=(4, 4))
 
     def test_widths(self):
-        assert cli.parse_widths("128,64") == (128, 64)
-        with pytest.raises(ConfigError):
-            cli.parse_widths("")
-        with pytest.raises(ConfigError):
-            cli.parse_widths("128,big")
+        assert cli.parse_int_list("128,64") == (128, 64)
+        with pytest.raises(ValueError):
+            cli.parse_int_list("128,big")
         with pytest.raises(ConfigError):
             tiny_config(widths=(128, 0))
 

@@ -587,3 +587,12 @@ class TestFloat32Screen:
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
             assert (screen_flips(net, z1, x) is None) == (activation != "relu")
+
+
+@pytest.mark.parametrize("n, screened", [(202, False), (203, True)])
+def test_screen_size_gate_for_two_hidden_layers_of_n(n, screened):
+    """A screen of n flips through two hidden layers of width n costs
+    n (n^2 + n) tail multiply-adds, which reaches 2^23 from n = 203 on:
+    203 * 41412 = 8,406,636, while 202 * 41006 = 8,283,212."""
+    net = sample_network(NetworkConfig(n, (n, n)), 0)
+    assert (net._screen is not None) == screened

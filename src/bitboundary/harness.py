@@ -13,8 +13,8 @@ Four experiments, each a pure function of its config:
 
 Every trial derives its own RNG stream from (seed, stream, n, trial), so
 results are independent of scheduling: the row for (n, trial) is identical
-whether computed inline, with its net's first layer drawn ahead on a helper
-thread (a serial run with a spare CPU), or in any process pool, and rows are
+whether computed inline, with its net drawn ahead on a helper thread (a
+serial run with a spare CPU), or in any process pool, and rows are
 written back in (n, trial) order. CSV output is therefore byte-identical across parallelism
 degrees. Rows hold no wall-clock measurement for the same reason.
 
@@ -616,8 +616,8 @@ class ExperimentKind:
     """Everything kind-specific about an experiment. `kernel` says whether
     the summarizer reads the run's kernel profile (else it gets None) and
     the run's details record its q and F'(1); `net` whether each row draws
-    a weight network with sample_network (whose first layer a serial run
-    may then draw ahead)."""
+    a weight network with sample_network (which a serial run may then draw
+    ahead)."""
 
     columns: Tuple[str, ...]
     row: Callable[[ExperimentConfig, int, int], tuple]
@@ -685,7 +685,8 @@ def _keep_freed_memory() -> None:
 
 def _run_drawing_ahead(tasks: List[Tuple[ExperimentConfig, int, int]], rows: List[tuple]) -> None:
     """Append each task's row, computed in this thread, while a helper thread
-    draws the first layer of the next task's net (nets.drawing_ahead)."""
+    draws the next task's whole net into arrays this thread allocated
+    (nets.drawing_ahead)."""
     with drawing_ahead() as draw:
         for task, (config, n, trial) in zip(tasks, tasks[1:]):
             draw(network_config_for(config, n), trial)

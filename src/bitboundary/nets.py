@@ -70,7 +70,11 @@ that of the full sum over k <= K live terms, and gamma_k <= gamma_K, so the
 bound above, which charges the full fan-in K, holds unchanged. W^(1) is
 unit-major, so the live units' flip rows are its live rows scaled by -2 x,
 the values of flip_rows exactly (a product by +-2 is exact), and a screen
-builds no n x n flip table.
+builds no n x n flip table. The float32 tail is unit-major too (W^T,
+C-ordered), so the live units' weights of the first tail layer are
+contiguous rows; gamma_K holds for any float32 summation order. The tail
+keeps no bias vector that is all zero (every hidden layer at sigma_b^2 =
+0), whose add changes no value.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,13 +180,15 @@ class DeepNet:
 
 class _Float32Tail(NamedTuple):
     """A net's layers above the first in float32, with screen_flips' bound:
-    per layer the weights (the output layer's as a vector), the biases, the
+    per layer the weights transposed, unit-major (row k holds the weights
+    out of unit k of the layer below; the output layer's as a vector), the
+    biases (None for a vector of zeros, whose add is skipped), the
     rounded-up carry vector r_k and the coefficient of r_k . h_k, plus the
     per-net constant of the bias and underflow terms and the per-unit flip
     bound hi of the unit selection."""
 
     weights: Tuple[np.ndarray, ...]
-    biases: Tuple[np.ndarray, ...]
+    biases: Tuple[Optional[np.ndarray], ...]
     carry: Tuple[np.ndarray, ...]
     coef: Tuple[np.float64, ...]
     const: float
@@ -214,16 +220,16 @@ def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
         if not all(map(_fits_float32, (w_mag, b_mag))):
             return None
         with np.errstate(over="ignore"):  # an infinite carry is checked below
-            w, b, r32 = w64.astype(np.float32), b64.astype(np.float32), r.astype(np.float32)
+            w, r32 = w64.T.astype(np.float32, order="C"), r.astype(np.float32)
         if not np.isfinite(r32).all():
             return None
         weights.append(w)
-        biases.append(b)
+        biases.append(b64.astype(np.float32) if b64.any() else None)
         carry.append(np.where(r32 < r, np.nextafter(r32, np.float32(np.inf)), r32))
         coef.append(np.float64((gamma + 3.0 * _U32) / (1.0 - gamma)))
     coef[-1] += np.float64(_U32 / (1.0 - gamma))  # the cast of z1, in the same gemv
     const += _TINY32 * float(r.sum())
-    weights[0] = weights[0][0]
+    weights[0] = weights[0].ravel()
     w1 = net.weights[0]
     hi = 2.0 * np.maximum(w1.max(axis=1), -w1.min(axis=1))
     return _Float32Tail(
@@ -242,29 +248,33 @@ def _fits_float32(mag: np.ndarray) -> bool:
     return lo >= _TINY32 or not np.any((mag > 0.0) & (mag < _TINY32))
 
 
-def _draw_layer(
-    rng: np.random.Generator, config: NetworkConfig, l: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Layer l + 1's weights, then its biases, drawn from rng."""
+_Net = Tuple[List[np.ndarray], List[np.ndarray]]  # weights, biases: one array a layer
+
+
+def _empty_net(config: NetworkConfig) -> _Net:
+    """Uninitialized float64 weights and biases of config's layers."""
     dims = config.dims
-    w = rng.standard_normal((dims[l + 1], dims[l]))
-    w *= np.sqrt(config.sigma_w2 / dims[l])
-    b = rng.standard_normal(dims[l + 1])
-    b *= np.sqrt(config.sigma_b2)
-    return w, b
+    weights = [np.empty((dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
+    return weights, [np.empty(dims[l + 1]) for l in range(len(dims) - 1)]
 
 
-def _first_layer(
-    config: NetworkConfig, trial_index: int
-) -> Tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """The generator of (config.seed, trial_index) and the first layer drawn
-    from it; the generator is left where the second layer's draw starts."""
+def _draw_net(config: NetworkConfig, trial_index: int, net: _Net) -> _Net:
+    """Fill net, from _empty_net(config), in place from the stream derived
+    from (config.seed, trial_index), layer by layer, weights before biases,
+    and return it. It allocates no array, so a helper thread may fill the
+    arrays of another thread's heap."""
     rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
-    return (rng, *_draw_layer(rng, config, 0))
+    dims = config.dims
+    for l, (w, b) in enumerate(zip(*net)):
+        rng.standard_normal(out=w)
+        w *= np.sqrt(config.sigma_w2 / dims[l])
+        rng.standard_normal(out=b)
+        b *= np.sqrt(config.sigma_b2)
+    return net
 
 
-# First layers drawn ahead by drawing_ahead's helper, by (config, trial_index),
-# for sample_network to take; module state, as sample_network(config,
+# Nets drawn ahead by drawing_ahead's helper, by (config, trial_index), for
+# sample_network to take; module state, as sample_network(config,
 # trial_index) takes no other argument. Only the thread inside drawing_ahead
 # puts, takes or drops entries; the helper thread only fills arrays.
 _drawn_ahead: Dict[Tuple[NetworkConfig, int], Future] = {}
@@ -272,24 +282,25 @@ _drawn_ahead: Dict[Tuple[NetworkConfig, int], Future] = {}
 
 @contextmanager
 def drawing_ahead() -> Iterator[Callable[[NetworkConfig, int], None]]:
-    """A helper thread that draws the first layer of the caller's next net
-    while the caller works on the current one.
+    """A helper thread that draws the caller's next net while the caller
+    works on the current one.
 
-    draw(config, trial_index) starts drawing that net's first layer on the
-    helper: W1, then b1, from the net's own generator (numpy releases the
-    interpreter lock while it fills an array). It keeps only the entry put
-    before it, for the call about to use that one, and drops any older entry
-    that no sample_network took. sample_network(config, trial_index) takes
-    the entry of exactly its (config, trial_index) and draws the layers
-    above on the calling thread, so the net is the inline draw's bit for bit.
+    draw(config, trial_index) allocates that net's arrays on the calling
+    thread and starts filling them on the helper, every layer from the
+    net's own generator (numpy releases the interpreter lock while it fills
+    an array). So the arrays come from and go back to the calling thread's
+    heap, whose freed pages the next trial reuses; arrays allocated on the
+    helper came from its own glibc arena and faulted in fresh pages. draw
+    keeps only the entry put before it, for the call about to use that one,
+    and drops any older entry that no sample_network took.
+    sample_network(config, trial_index) takes the entry of exactly its
+    (config, trial_index), so the net is the inline draw's bit for bit.
 
-    Only the first layer is drawn ahead, as whole nets drawn ahead raise
-    peak RSS by about 5 % (README, Performance). A first layer of fewer than
-    2^14 normals is left to sample_network: handing it to the helper and
-    back costs more than drawing it (measured break-even at about
-    n = 112-128 for two hidden layers of n), so a run of small nets starts
-    no thread. On exit, by return or exception, no entry is left and the
-    helper has stopped.
+    A net whose first layer has fewer than 2^14 normals is left to
+    sample_network: handing it to the helper and back costs more than
+    drawing it (measured break-even at about n = 112-128 for two hidden
+    layers of n), so a run of small nets starts no thread. On exit, by
+    return or exception, no entry is left and the helper has stopped.
     """
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bitboundary-draw")
 
@@ -298,7 +309,8 @@ def drawing_ahead() -> Iterator[Callable[[NetworkConfig, int], None]]:
             _drawn_ahead.pop(key).cancel()
         if config.dims[0] * config.dims[1] < _AHEAD_MIN_NORMALS:
             return
-        _drawn_ahead[config, trial_index] = helper.submit(_first_layer, config, trial_index)
+        net = _empty_net(config)
+        _drawn_ahead[config, trial_index] = helper.submit(_draw_net, config, trial_index, net)
 
     try:
         yield draw
@@ -312,13 +324,12 @@ def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
 
     Per layer, weights are drawn before biases; layers in order. The same
     (seed, trial_index) therefore reproduces the network bit for bit, also
-    when its first layer was drawn ahead (drawing_ahead).
+    when drawing_ahead's helper drew it.
     """
     ahead = _drawn_ahead.pop((config, trial_index), None)
-    rng, w1, b1 = ahead.result() if ahead is not None else _first_layer(config, trial_index)
-    layers = [(w1, b1)] + [_draw_layer(rng, config, l) for l in range(1, len(config.dims) - 1)]
-    weights, biases = zip(*layers)
-    return DeepNet(config, weights, biases)
+    if ahead is None:
+        return DeepNet(config, *_draw_net(config, trial_index, _empty_net(config)))
+    return DeepNet(config, *ahead.result())
 
 
 def _sign_batch(signs: np.ndarray, n: int) -> np.ndarray:
@@ -422,7 +433,7 @@ def screen_flips(
     if tail is None:
         return None
     live = _live_units(z1, tail.hi)
-    weights = (tail.weights[0][..., live], *tail.weights[1:])
+    weights = (tail.weights[0][live], *tail.weights[1:])
     carry = (tail.carry[0][live], *tail.carry[1:])
     eps = np.full(x.n, tail.const)
     last = len(weights) - 1
@@ -435,10 +446,14 @@ def screen_flips(
         for l, (w, b, r, c) in enumerate(zip(weights, tail.biases, carry, tail.coef)):
             eps += c * (r @ h)
             if l < last:
-                z = w @ h
-                z += b[:, None]
+                z = w.T @ h
+                if b is not None:
+                    z += b[:, None]
                 h = np.maximum(z, 0.0, out=z)
-        phi = (w @ h + b).astype(np.float64)
+        phi = w.T @ h
+        if b is not None:
+            phi += b
+        phi = phi.astype(np.float64)
     eps *= _SCREEN_SLACK
     if not (np.isfinite(phi).all() and np.isfinite(eps).all()):
         return None

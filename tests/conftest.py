@@ -7,6 +7,7 @@ seconds) so tests can report wall time alongside the science.
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -30,7 +31,8 @@ from bitboundary.harness import (
     ExperimentConfig,
     run_experiment,
 )
-from bitboundary import nets
+from bitboundary import gp, harness, kernel, nets, search
+from bitboundary.bitstrings import BitString
 from bitboundary.kernel import build_profile
 from bitboundary.nets import DeepNet, NetworkConfig
 
@@ -82,17 +84,59 @@ def build_constant_net(n, value, seed=0):
     return DeepNet(config, weights, biases)
 
 
-def spy_first_layers(monkeypatch):
-    """Record the thread of every first-layer draw: the helper's, drawn
-    ahead, and sample_network's own. Returns the list it appends to."""
+def spy_net_draws(monkeypatch):
+    """Record the thread of every net draw (nets._draw_net): the helper's,
+    drawn ahead, and sample_network's own. Returns the list it appends to."""
     threads = []
-    real = nets._first_layer
+    real = nets._draw_net
 
-    def spy(config, trial_index):
+    def spy(config, trial_index, net):
         threads.append(threading.current_thread())
-        return real(config, trial_index)
+        return real(config, trial_index, net)
 
-    monkeypatch.setattr(nets, "_first_layer", spy)
+    monkeypatch.setattr(nets, "_draw_net", spy)
+    return threads
+
+
+# the functions perfbench's tracer wraps, whose single span stack holds only
+# calls made on the main thread: (owner, attribute)
+TRACED = (
+    (nets, "sample_network"),
+    (nets, "forward_batch"),
+    (nets, "forward_from_first_layer"),
+    (nets, "forward_with_first_layer_cache"),
+    (search, "greedy_search"),
+    (search, "random_flip_walk"),
+    (kernel, "profile_for_config"),
+    (kernel.KernelProfile, "evaluate"),
+    (gp, "build_ensemble"),
+    (gp, "sample_block"),
+    (BitString, "digest"),
+    (harness, "write_rows_csv"),
+)
+
+
+def spy_traced_calls(monkeypatch):
+    """Record the thread of every call of a TRACED function, wherever a
+    bitboundary module binds it. Returns {"nets.sample_network": [thread,
+    ..], ..}, filled as the calls come."""
+    threads = {}
+    modules = [m for name, m in sys.modules.items() if name.startswith("bitboundary")]
+    for owner, attr in TRACED:
+        original = vars(owner)[attr]
+        calls = threads.setdefault(f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}", [])
+
+        def recording(*args, _original=original, _calls=calls, **kwargs):
+            _calls.append(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, attr, recording)
+            continue
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
     return threads
 
 

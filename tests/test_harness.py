@@ -3,15 +3,19 @@
 import dataclasses
 import json
 import math
+import os
 import platform
+import subprocess
 import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitboundary import cli, harness, nets, search
+from bitboundary import cli, harness, nets
 from bitboundary.errors import ConfigError, NumericalFaultError
 from bitboundary.harness import (
     GP_TARGETS,
@@ -33,7 +37,7 @@ from bitboundary.rng import STREAM_WALK, derive_seed, spawn_rng
 from bitboundary.search import DEFAULT_BUDGET
 from bitboundary.theory import h_star
 
-from conftest import build_linear_net, off_main, spy_first_layers
+from conftest import build_linear_net, off_main, spy_net_draws, spy_traced_calls
 
 
 def install_fake_pool(monkeypatch):
@@ -62,12 +66,12 @@ def install_fake_pool(monkeypatch):
 @pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
     """Run under this CPU affinity mask. Under two CPUs a serial run draws
-    each next first layer ahead on a helper thread, here at every size
-    (nets' size gate set to 1). Afterwards the helper has drawn exactly when
-    the mask allowed it, and neither its thread nor an entry is left."""
+    each next net ahead on a helper thread, here at every size (nets' size
+    gate set to 1). Afterwards the helper has drawn exactly when the mask
+    allowed it, and neither its thread nor an entry is left."""
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: request.param, raising=False)
     monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
-    drawn_on = spy_first_layers(monkeypatch)
+    drawn_on = spy_net_draws(monkeypatch)
     before = threading.active_count()
     yield request.param
     assert (off_main(drawn_on) > 0) == (len(request.param) > 1)
@@ -328,16 +332,6 @@ class TestDeterminism:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert pools(8, 3) == []
 
-    # the names perfbench's tracer wraps that a search run calls
-    TRACED = (
-        (harness, "sample_network"),
-        (nets, "forward_from_first_layer"),
-        (nets, "forward_with_first_layer_cache"),
-        (search, "greedy_search"),
-        (search, "random_flip_walk"),
-        (harness, "write_rows_csv"),
-    )
-
     @pytest.mark.parametrize(
         "kind, extra",
         [
@@ -350,25 +344,13 @@ class TestDeterminism:
     def test_drawing_ahead_keeps_rows_and_traced_calls_on_main_thread(
         self, monkeypatch, tmp_path, kind, extra
     ):
-        """A serial run with a spare CPU draws each next net's first layer on
-        a helper thread (above the size gate: n = 128 and 256 here). Its rows
-        are the one-CPU run's, every function perfbench traces runs on the
-        main thread, whose single span stack the tracer keeps, and no thread
+        """A serial run with a spare CPU draws each next net on a helper
+        thread (above the size gate: n = 128 and 256 here). Its rows are the
+        one-CPU run's, every function perfbench traces runs on the main
+        thread, whose single span stack the tracer keeps, and no thread
         outlives the run."""
-        calls = []
-        modules = [m for name, m in sys.modules.items() if name.startswith("bitboundary")]
-        for owner, attr in self.TRACED:
-            original = getattr(owner, attr)
-
-            def recording(*args, _original=original, **kwargs):
-                calls.append(threading.current_thread())
-                return _original(*args, **kwargs)
-
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, recording)
-        drawn_on = spy_first_layers(monkeypatch)
+        calls = spy_traced_calls(monkeypatch)
+        drawn_on = spy_net_draws(monkeypatch)
         before = threading.active_count()
         rows = {}
         for mask in ({0, 1}, {0}):
@@ -380,7 +362,8 @@ class TestDeterminism:
             assert threading.active_count() == before and nets._drawn_ahead == {}
         assert rows[2] == rows[1]
         assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
-        assert calls and off_main(calls) == 0
+        assert calls["nets.sample_network"]
+        assert not any(map(off_main, calls.values()))
 
     def test_rerun_is_identical(self, tmp_path):
         a = run_experiment(tiny_config(n_values=(12,), trials=4))
@@ -582,16 +565,37 @@ class TestFreedMemory:
     def test_trials_reuse_freed_pages(self):
         """At n = 512 a trial under glibc's default thresholds page-faulted
         about 2400 (closest) and 1300 (flips) fresh 4 KB pages, the arrays
-        the previous trial freed; kept in the process, they fault a few."""
-        import resource  # Unix only, as glibc
+        the previous trial freed; kept in the process, they fault a few.
+        Nets allocated on the draw-ahead helper thread, in that thread's
+        own glibc arena, faulted about 100 a closest trial. The runs go in a
+        fresh interpreter, as the count depends on the heap that earlier
+        tests leave behind."""
+        script = textwrap.dedent(
+            """
+            import resource
+            from bitboundary.harness import ExperimentConfig, run_experiment
 
-        run_experiment(ExperimentConfig(kind=KIND_CLOSEST, n_values=(512,), trials=2))
-        for kind in (KIND_CLOSEST, KIND_FLIPS):
-            config = ExperimentConfig(kind=kind, n_values=(512,), trials=10, seed=3)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            run_experiment(config)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            assert faults < 64 * config.trials, kind
+            run_experiment(ExperimentConfig(kind="closest", n_values=(512,), trials=2))
+            for kind in ("closest", "flips"):
+                config = ExperimentConfig(kind=kind, n_values=(512,), trials=10, seed=3)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                run_experiment(config)
+                print(kind, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        src = str(Path(harness.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        faults = dict(line.split() for line in out.splitlines())
+        assert set(faults) == {KIND_CLOSEST, KIND_FLIPS}
+        for kind, count in faults.items():
+            assert int(count) < 64 * 10, (kind, count)
 
     def test_sets_both_thresholds_once(self, monkeypatch, fresh_allocator_setting):
         calls = []

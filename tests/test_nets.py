@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitboundary import nets
+from bitboundary import harness, nets, search
 from bitboundary.activations import get_activation
 from bitboundary.bitstrings import BitString
 from bitboundary.errors import ConfigError
+from bitboundary.harness import KIND_CLOSEST, ExperimentConfig, run_experiment
 from bitboundary.nets import (
     FLOAT64_SPREAD,
     _live_units,
@@ -29,8 +30,9 @@ from bitboundary.nets import (
     screen_flips,
 )
 from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
+from bitboundary.search import greedy_search
 
-from conftest import build_linear_net, off_main, spy_first_layers
+from conftest import build_linear_net, off_main, spy_net_draws, spy_traced_calls
 
 
 class TestNetworkConfig:
@@ -126,9 +128,9 @@ def assert_same_net(a, b):
 
 
 class TestDrawingAhead:
-    """sample_network takes a first layer that drawing_ahead's helper drew
-    on another thread, and draws the layers above from the same generator.
-    The size gate is set to 1 so that these small nets are drawn ahead."""
+    """sample_network takes a whole net that drawing_ahead's helper drew on
+    another thread into arrays allocated on the calling thread. The size
+    gate is set to 1 so that these small nets are drawn ahead."""
 
     @pytest.mark.parametrize(
         "config",
@@ -140,14 +142,30 @@ class TestDrawingAhead:
         ids=["two-layers", "widths-13-5-7", "one-layer"],
     )
     def test_net_drawn_ahead_equals_inline_draw(self, monkeypatch, config):
+        """Every W and b of a helper-drawn net is the inline draw's, and is
+        an array that the calling thread allocated."""
         monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
         inline = [sample_network(config, t) for t in (0, 5)]
-        threads = spy_first_layers(monkeypatch)
+        threads = spy_net_draws(monkeypatch)
+        allocated = []
+        real_empty = nets._empty_net
+
+        def empty_net(config):
+            arrays = real_empty(config)
+            allocated.append((threading.current_thread(), arrays))
+            return arrays
+
+        monkeypatch.setattr(nets, "_empty_net", empty_net)
         with drawing_ahead() as draw:
             for trial, expected in zip((0, 5), inline):
                 draw(config, trial)
-                assert_same_net(sample_network(config, trial), expected)
-        assert len(threads) == off_main(threads) == 2  # both drawn by the helper
+                net = sample_network(config, trial)
+                assert_same_net(net, expected)
+                thread, (weights, biases) = allocated[-1]
+                assert thread is threading.main_thread()
+                for array, held in zip(weights + biases, net.weights + net.biases):
+                    assert np.shares_memory(array, held)
+        assert len(threads) == off_main(threads) == len(allocated) == 2  # both drawn by the helper
         assert nets._drawn_ahead == {}
 
     def test_only_the_same_config_and_trial_takes_an_entry(self, monkeypatch):
@@ -160,7 +178,7 @@ class TestDrawingAhead:
             (dataclasses.replace(config, hidden_widths=(13, 5, 8)), 5),
         ]
         expected = {key: sample_network(*key) for key in [(config, 5), *others]}
-        threads = spy_first_layers(monkeypatch)
+        threads = spy_net_draws(monkeypatch)
         with drawing_ahead() as draw:
             draw(config, 5)
             for key in others:
@@ -186,9 +204,23 @@ class TestDrawingAhead:
         assert nets._drawn_ahead == {}
         assert threading.active_count() == before
 
+    def test_serial_closest_run_calls_traced_functions_on_main_thread_only(self, monkeypatch):
+        """On two CPUs a serial closest run at n = 128, the size gate itself,
+        draws every net but the first on the helper, and every function that
+        perfbench's single-stack tracer wraps runs on the main thread."""
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        calls = spy_traced_calls(monkeypatch)
+        drawn_on = spy_net_draws(monkeypatch)
+        before = threading.active_count()
+        run_experiment(ExperimentConfig(KIND_CLOSEST, n_values=(128,), trials=4))
+        assert len(drawn_on) == 4 and off_main(drawn_on) == 3
+        assert len(calls["nets.sample_network"]) == len(calls["search.greedy_search"]) == 4
+        assert not any(map(off_main, calls.values()))
+        assert threading.active_count() == before and nets._drawn_ahead == {}
+
     def test_small_first_layers_are_left_to_sample_network(self, monkeypatch):
         """Below the size gate a net is drawn inline and no thread starts."""
-        threads = spy_first_layers(monkeypatch)
+        threads = spy_net_draws(monkeypatch)
         small = NetworkConfig(n=127, hidden_widths=(128, 128))
         large = NetworkConfig(n=128, hidden_widths=(128, 4))
         with drawing_ahead() as draw:
@@ -436,7 +468,7 @@ class TestFloat32Screen:
         n=st.integers(1, 24),
         widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
         sigma_w2=st.floats(0.25, 4.0),
-        sigma_b2=st.floats(0.01, 2.0),
+        sigma_b2=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),  # 0: no bias vector kept
         seed=st.integers(0, 2**31 - 1),
         scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3]),
     )
@@ -596,3 +628,32 @@ def test_screen_size_gate_for_two_hidden_layers_of_n(n, screened):
     203 * 41412 = 8,406,636, while 202 * 41006 = 8,283,212."""
     net = sample_network(NetworkConfig(n, (n, n)), 0)
     assert (net._screen is not None) == screened
+
+
+@pytest.mark.parametrize("zero", [1, 2])
+def test_greedy_through_a_zero_and_a_nonzero_tail_bias(monkeypatch, zero):
+    """A net above the size gate whose tail has one hidden bias vector of
+    zeros, which the screen keeps no copy of and adds nowhere, and one
+    that is not: greedy through the screen takes the float64 pass's path,
+    distance and evaluations, and the screen decides some steps."""
+    config = NetworkConfig(n=256, hidden_widths=(256, 256, 64), sigma_b2=0.3, seed=12)
+    sampled = sample_network(config, 0)
+    biases = list(sampled.biases)
+    biases[zero] = np.zeros_like(biases[zero])
+    net = DeepNet(config, sampled.weights, biases)
+    assert [b is None for b in net._screen.biases] == [zero == 1, zero == 2, False]
+    x = BitString.random(256, np.random.default_rng(zero))
+    rows = []
+    real = search.forward_from_first_layer
+    monkeypatch.setattr(
+        search, "forward_from_first_layer", lambda net, z1: rows.append(len(z1)) or real(net, z1)
+    )
+    screened = greedy_search(net, x)
+    assert min(rows) < 256  # a screened step's contenders
+    monkeypatch.setattr(search, "screen_flips", lambda net, z1, x: None)
+    del rows[:]
+    float64 = greedy_search(net, x)
+    assert set(rows) == {256}  # every step's float64 pass over every flip
+    assert (screened.path, screened.distance, screened.evaluations) == (
+        float64.path, float64.distance, float64.evaluations
+    )

@@ -685,13 +685,14 @@ def _keep_freed_memory() -> None:
 
 def _run_drawing_ahead(tasks: List[Tuple[ExperimentConfig, int, int]], rows: List[tuple]) -> None:
     """Append each task's row, computed in this thread, while a helper thread
-    draws the next task's whole net into arrays this thread allocated
-    (nets.drawing_ahead)."""
+    draws the next two tasks' nets into arrays this thread allocated
+    (nets.drawing_ahead): task k+2's net is put as task k starts, and
+    tasks 1 and 2's before task 0."""
     with drawing_ahead() as draw:
-        for task, (config, n, trial) in zip(tasks, tasks[1:]):
-            draw(network_config_for(config, n), trial)
+        for k, task in enumerate(tasks):
+            for config, n, trial in tasks[k + 2 - (k == 0) : k + 3]:
+                draw(network_config_for(config, n), trial)
             rows.append(_pool_task(task))
-        rows.append(_pool_task(tasks[-1]))
 
 
 def _execute(config: ExperimentConfig) -> Tuple[List[tuple], bool]:

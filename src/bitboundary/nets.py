@@ -79,6 +79,7 @@ keeps no bias vector that is all zero (every hidden layer at sigma_b^2 =
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ _SCREEN_MAX_WIDTH = 2**16
 _SCREEN_MAX_DEPTH = 32
 _SCREEN_SLACK = 1.0 + 2.0**-20
 _SCREEN_MIN_WORK = 2**23  # tail multiply-adds of a screen of n flips
-_AHEAD_MIN_NORMALS = 2**14  # first-layer normals of a net worth drawing ahead
+_AHEAD_MIN_NORMALS = 2**15  # normals of a net worth drawing ahead
+_BLOCK_NORMALS = 2**15  # normals of a block of a net's draw, unless one row holds more
 # two float64 evaluations of one row differ by at most this times its eps
 FLOAT64_SPREAD = 2.0**-20
 
@@ -258,59 +260,117 @@ def _empty_net(config: NetworkConfig) -> _Net:
     return weights, [np.empty(dims[l + 1]) for l in range(len(dims) - 1)]
 
 
-def _draw_net(config: NetworkConfig, trial_index: int, net: _Net) -> _Net:
-    """Fill net, from _empty_net(config), in place from the stream derived
-    from (config.seed, trial_index), layer by layer, weights before biases,
-    and return it. It allocates no array, so a helper thread may fill the
-    arrays of another thread's heap."""
-    rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
+def _normals(config: NetworkConfig) -> int:
+    """The normals of one net of config: every weight and bias."""
     dims = config.dims
+    return sum(dims[l + 1] * (dims[l] + 1) for l in range(len(dims) - 1))
+
+
+def _blocks(config: NetworkConfig, net: _Net) -> List[Tuple[np.ndarray, np.float64]]:
+    """net, from _empty_net(config), cut in draw order: layer by layer, the
+    weights' row blocks, then the biases', each of at most _BLOCK_NORMALS
+    normals (or one row), with its scale. Consecutive fills of the blocks
+    of one array draw the bytes that one fill of the whole array draws."""
+    dims = config.dims
+    blocks = []
     for l, (w, b) in enumerate(zip(*net)):
-        rng.standard_normal(out=w)
-        w *= np.sqrt(config.sigma_w2 / dims[l])
-        rng.standard_normal(out=b)
-        b *= np.sqrt(config.sigma_b2)
-    return net
+        scales = np.sqrt(config.sigma_w2 / dims[l]), np.sqrt(config.sigma_b2)
+        for array, scale in zip((w, b), scales):
+            rows = max(1, _BLOCK_NORMALS * len(array) // array.size)
+            blocks += ((array[r : r + rows], scale) for r in range(0, len(array), rows))
+    return blocks
 
 
-# Nets drawn ahead by drawing_ahead's helper, by (config, trial_index), for
-# sample_network to take; module state, as sample_network(config,
-# trial_index) takes no other argument. Only the thread inside drawing_ahead
-# puts, takes or drops entries; the helper thread only fills arrays.
-_drawn_ahead: Dict[Tuple[NetworkConfig, int], Future] = {}
+class _NetDraw:
+    """The draw of one net from the stream derived from (config.seed,
+    trial_index). Its arrays are allocated on the thread that makes it; it
+    allocates no other array, so a helper thread may fill the arrays of
+    another thread's heap. The blocks (_blocks) are filled in stream order,
+    per block standard_normal(out=block), then the scale, each by whichever
+    thread comes to it first: drawing_ahead's helper fills blocks (fill)
+    until the net is claimed, and claim fills the rest."""
+
+    def __init__(self, config: NetworkConfig, trial_index: int):
+        self.net = _empty_net(config)
+        self.blocks = _blocks(config, self.net)
+        self.drawn = 0
+        self.rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
+        self.lock = threading.Lock()  # held for each block, so one thread draws at a time
+        self.claimed = False
+        self.helper: Optional[Future] = None  # fill, when submitted to a helper
+
+    def _draw_block(self) -> None:
+        array, scale = self.blocks[self.drawn]
+        self.rng.standard_normal(out=array)
+        array *= scale
+        self.drawn += 1
+
+    def fill(self) -> None:
+        """Draw blocks until the net is claimed or complete."""
+        while True:
+            with self.lock:
+                if self.claimed or self.drawn == len(self.blocks):
+                    return
+                self._draw_block()
+
+    def claim(self) -> _Net:
+        """The complete net: the helper stops after the block it is
+        drawing, if any, and this thread draws the blocks left. An
+        exception the helper raised on this net is raised here."""
+        # set before taking the lock, which fill may retake between blocks:
+        # once this thread holds it, fill draws no further block
+        self.claimed = True
+        with self.lock:
+            pass  # the block in progress, if any, is drawn
+        while self.drawn < len(self.blocks):
+            self._draw_block()
+        if self.helper is not None and not self.helper.cancel():
+            self.helper.result()
+        return self.net
+
+
+# Nets put by drawing_ahead, by (config, trial_index), for sample_network to
+# claim; module state, as sample_network(config, trial_index) takes no other
+# argument. Only the thread inside drawing_ahead puts, takes or drops
+# entries; the helper thread only fills their blocks.
+_drawn_ahead: Dict[Tuple[NetworkConfig, int], _NetDraw] = {}
 
 
 @contextmanager
 def drawing_ahead() -> Iterator[Callable[[NetworkConfig, int], None]]:
-    """A helper thread that draws the caller's next net while the caller
+    """A helper thread that draws the caller's next nets while the caller
     works on the current one.
 
     draw(config, trial_index) allocates that net's arrays on the calling
-    thread and starts filling them on the helper, every layer from the
-    net's own generator (numpy releases the interpreter lock while it fills
-    an array). So the arrays come from and go back to the calling thread's
-    heap, whose freed pages the next trial reuses; arrays allocated on the
-    helper came from its own glibc arena and faulted in fresh pages. draw
-    keeps only the entry put before it, for the call about to use that one,
-    and drops any older entry that no sample_network took.
-    sample_network(config, trial_index) takes the entry of exactly its
-    (config, trial_index), so the net is the inline draw's bit for bit.
+    thread and queues the net for the helper, which fills the blocks of the
+    oldest queued net not yet claimed (numpy releases the interpreter lock
+    while it fills an array). So the arrays come from and go back to the
+    calling thread's heap, whose freed pages the next trial reuses; arrays
+    allocated on the helper came from its own glibc arena and faulted in
+    fresh pages. draw keeps the two entries put before it, for the calls
+    about to use them, and drops any older entry that no sample_network
+    took: a caller that puts trial k+2's net as trial k starts holds at
+    most three nets at a time. sample_network(config, trial_index) claims
+    the entry of exactly its (config, trial_index) and draws the blocks the
+    helper has not reached, so it never waits for more than one block, and
+    the net is the inline draw's bit for bit.
 
-    A net whose first layer has fewer than 2^14 normals is left to
-    sample_network: handing it to the helper and back costs more than
-    drawing it (measured break-even at about n = 112-128 for two hidden
-    layers of n), so a run of small nets starts no thread. On exit, by
-    return or exception, no entry is left and the helper has stopped.
+    A net of fewer than 2^15 normals is left to sample_network: handing it
+    to the helper and back costs more than drawing it (measured break-even
+    at about n = 112-128 for two hidden layers of n), so a run of small
+    nets starts no thread. On exit, by return or exception, no entry is
+    left and the helper has stopped.
     """
     helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bitboundary-draw")
 
     def draw(config: NetworkConfig, trial_index: int) -> None:
-        for key in list(_drawn_ahead)[:-1]:
-            _drawn_ahead.pop(key).cancel()
-        if config.dims[0] * config.dims[1] < _AHEAD_MIN_NORMALS:
+        for key in list(_drawn_ahead)[:-2]:
+            _drawn_ahead.pop(key).helper.cancel()
+        if _normals(config) < _AHEAD_MIN_NORMALS:
             return
-        net = _empty_net(config)
-        _drawn_ahead[config, trial_index] = helper.submit(_draw_net, config, trial_index, net)
+        net = _NetDraw(config, trial_index)
+        net.helper = helper.submit(net.fill)
+        _drawn_ahead[config, trial_index] = net
 
     try:
         yield draw
@@ -324,12 +384,11 @@ def sample_network(config: NetworkConfig, trial_index: int) -> DeepNet:
 
     Per layer, weights are drawn before biases; layers in order. The same
     (seed, trial_index) therefore reproduces the network bit for bit, also
-    when drawing_ahead's helper drew it.
+    when drawing_ahead's helper drew some or all of its blocks: this call
+    claims that net and draws the rest, or draws the whole net itself.
     """
-    ahead = _drawn_ahead.pop((config, trial_index), None)
-    if ahead is None:
-        return DeepNet(config, *_draw_net(config, trial_index, _empty_net(config)))
-    return DeepNet(config, *ahead.result())
+    draw = _drawn_ahead.pop((config, trial_index), None) or _NetDraw(config, trial_index)
+    return DeepNet(config, *draw.claim())
 
 
 def _sign_batch(signs: np.ndarray, n: int) -> np.ndarray:

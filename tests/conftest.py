@@ -85,17 +85,30 @@ def build_constant_net(n, value, seed=0):
 
 
 def spy_net_draws(monkeypatch):
-    """Record the thread of every net draw (nets._draw_net): the helper's,
-    drawn ahead, and sample_network's own. Returns the list it appends to."""
-    threads = []
-    real = nets._draw_net
+    """Record every net draw made (nets._NetDraw), in order, with the thread
+    that drew each of its blocks in its block_threads: the helper's or the
+    claiming thread. drawing_ahead gives each draw it puts for its helper a
+    helper future. Returns the list of draws."""
+    draws = []
+    real_init, real_block = nets._NetDraw.__init__, nets._NetDraw._draw_block
 
-    def spy(config, trial_index, net):
-        threads.append(threading.current_thread())
-        return real(config, trial_index, net)
+    def init(self, config, trial_index):
+        real_init(self, config, trial_index)
+        self.block_threads = []
+        draws.append(self)
 
-    monkeypatch.setattr(nets, "_draw_net", spy)
-    return threads
+    def draw_block(self):
+        self.block_threads.append(threading.current_thread())
+        real_block(self)
+
+    monkeypatch.setattr(nets._NetDraw, "__init__", init)
+    monkeypatch.setattr(nets._NetDraw, "_draw_block", draw_block)
+    return draws
+
+
+def put_ahead(draws):
+    """Which of spy_net_draws' draws were put for the helper."""
+    return [draw.helper is not None for draw in draws]
 
 
 # the functions perfbench's tracer wraps, whose single span stack holds only

@@ -2,6 +2,8 @@
 
 import dataclasses
 import threading
+from concurrent import futures
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from bitboundary.nets import (
     sample_outputs,
     screen_flips,
 )
-from bitboundary.rng import STREAM_OUTPUTS, spawn_rng
+from bitboundary.rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
 from bitboundary.search import greedy_search
 
-from conftest import build_linear_net, off_main, spy_net_draws, spy_traced_calls
+from conftest import build_linear_net, off_main, put_ahead, spy_net_draws, spy_traced_calls
 
 
 class TestNetworkConfig:
@@ -127,26 +129,60 @@ def assert_same_net(a, b):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-class TestDrawingAhead:
-    """sample_network takes a whole net that drawing_ahead's helper drew on
-    another thread into arrays allocated on the calling thread. The size
-    gate is set to 1 so that these small nets are drawn ahead."""
+def whole_array_draw(config, trial_index):
+    """The reference draw: per layer one fill of the whole weight matrix and
+    its scale, then the same for the biases."""
+    rng = spawn_rng(config.seed, STREAM_NETWORK, trial_index)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(config.dims, config.dims[1:]):
+        weights.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(config.sigma_w2 / fan_in))
+        biases.append(rng.standard_normal(fan_out) * np.sqrt(config.sigma_b2))
+    return DeepNet(config, weights, biases)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            NetworkConfig(n=12, hidden_widths=(12, 12), seed=3),
-            NetworkConfig(n=9, hidden_widths=(13, 5, 7), sigma_b2=0.4, seed=8),
-            NetworkConfig(n=7, hidden_widths=(11,), sigma_b2=1.5),
-        ],
-        ids=["two-layers", "widths-13-5-7", "one-layer"],
+
+CONFIGS = pytest.mark.parametrize(
+    "config",
+    [
+        NetworkConfig(n=12, hidden_widths=(12, 12), seed=3),
+        NetworkConfig(n=9, hidden_widths=(13, 5, 7), sigma_b2=0.4, seed=8),
+        NetworkConfig(n=7, hidden_widths=(11,), sigma_b2=1.5),
+    ],
+    ids=["two-layers", "widths-13-5-7", "one-layer"],
+)
+
+
+class TestDrawingAhead:
+    """sample_network claims a net that drawing_ahead's helper drew, in
+    whole or in part, on another thread into arrays allocated on the calling
+    thread. The size gate is set to 1 so that these small nets are drawn
+    ahead."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 40),
+        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        sigma_b2=st.sampled_from([0.0, 0.3, 1.7]),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**64 - 1),
+        trial=st.integers(0, 1000),
     )
+    def test_block_draw_equals_whole_array_draw(self, n, widths, sigma_b2, block, seed, trial):
+        """Blocks of at most `block` normals, or one row wider than that,
+        draw the bytes of one fill per array."""
+        config = NetworkConfig(n=n, hidden_widths=tuple(widths), sigma_b2=sigma_b2, seed=seed)
+        with mock.patch.object(nets, "_BLOCK_NORMALS", block):
+            draw = nets._NetDraw(config, trial)
+            assert all(b.size <= max(block, b[0].size) for b, _ in draw.blocks)
+            net = DeepNet(config, *draw.claim())
+        assert_same_net(net, whole_array_draw(config, trial))
+
+    @CONFIGS
     def test_net_drawn_ahead_equals_inline_draw(self, monkeypatch, config):
-        """Every W and b of a helper-drawn net is the inline draw's, and is
-        an array that the calling thread allocated."""
+        """Every W and b of a net that the helper drew whole is the inline
+        draw's, and is an array that the calling thread allocated."""
         monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
         inline = [sample_network(config, t) for t in (0, 5)]
-        threads = spy_net_draws(monkeypatch)
+        draws = spy_net_draws(monkeypatch)
         allocated = []
         real_empty = nets._empty_net
 
@@ -159,14 +195,71 @@ class TestDrawingAhead:
         with drawing_ahead() as draw:
             for trial, expected in zip((0, 5), inline):
                 draw(config, trial)
+                nets._drawn_ahead[config, trial].helper.result(timeout=10)
                 net = sample_network(config, trial)
                 assert_same_net(net, expected)
                 thread, (weights, biases) = allocated[-1]
                 assert thread is threading.main_thread()
                 for array, held in zip(weights + biases, net.weights + net.biases):
                     assert np.shares_memory(array, held)
-        assert len(threads) == off_main(threads) == len(allocated) == 2  # both drawn by the helper
+        assert len(draws) == len(allocated) == 2
+        assert put_ahead(draws) == [True, True]
+        for threads in (draw.block_threads for draw in draws):  # all drawn by the helper
+            assert len(threads) == off_main(threads) > 0
         assert nets._drawn_ahead == {}
+
+    @CONFIGS
+    def test_net_claimed_after_any_number_of_helper_blocks_equals_whole_array_draw(
+        self, monkeypatch, config
+    ):
+        """For every j, a net that the helper drew exactly j blocks of
+        before it was claimed is the reference draw (j = 0: the inline
+        draw). Blocks of at most 4 normals make rows wider than a block."""
+        monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+        monkeypatch.setattr(nets, "_BLOCK_NORMALS", 4)
+        expected = whole_array_draw(config, 7)
+        assert_same_net(sample_network(config, 7), expected)
+        blocks = len(nets._NetDraw(config, 7).blocks)
+        real = nets._NetDraw._draw_block
+        for j in range(1, blocks + 1):
+
+            def draw_block(self):
+                real(self)
+                if threading.current_thread() is not threading.main_thread() and self.drawn == j:
+                    self.claimed = True  # as claim would here: the helper stops
+
+            monkeypatch.setattr(nets._NetDraw, "_draw_block", draw_block)
+            with drawing_ahead() as draw:
+                draw(config, 7)
+                entry = nets._drawn_ahead[config, 7]
+                entry.helper.result(timeout=10)
+                assert entry.drawn == j
+                assert_same_net(sample_network(config, 7), expected)
+
+    def test_helper_exception_is_raised_by_the_claiming_call(self, monkeypatch):
+        """An exception the helper raised while drawing a net is raised by
+        the sample_network call that claims that net, not lost with the
+        helper's future; no entry is left, and a later call draws inline."""
+        monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
+        config = NetworkConfig(n=12, hidden_widths=(12, 12), seed=3)
+        expected = sample_network(config, 0)
+        real = nets._NetDraw._draw_block
+
+        def draw_block(self):
+            if threading.current_thread() is not threading.main_thread() and self.drawn == 2:
+                raise RuntimeError("fault on the helper")
+            real(self)
+
+        monkeypatch.setattr(nets._NetDraw, "_draw_block", draw_block)
+        before = threading.active_count()
+        with drawing_ahead() as draw:
+            draw(config, 0)
+            futures.wait([nets._drawn_ahead[config, 0].helper], timeout=10)
+            with pytest.raises(RuntimeError, match="fault on the helper"):
+                sample_network(config, 0)
+            assert nets._drawn_ahead == {}
+            assert_same_net(sample_network(config, 0), expected)
+        assert threading.active_count() == before
 
     def test_only_the_same_config_and_trial_takes_an_entry(self, monkeypatch):
         monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
@@ -178,59 +271,70 @@ class TestDrawingAhead:
             (dataclasses.replace(config, hidden_widths=(13, 5, 8)), 5),
         ]
         expected = {key: sample_network(*key) for key in [(config, 5), *others]}
-        threads = spy_net_draws(monkeypatch)
+        draws = spy_net_draws(monkeypatch)
         with drawing_ahead() as draw:
             draw(config, 5)
             for key in others:
                 assert_same_net(sample_network(*key), expected[key])
                 assert list(nets._drawn_ahead) == [(config, 5)]
-            assert off_main(threads) == 1 and len(threads) == 1 + len(others)
             assert_same_net(sample_network(config, 5), expected[config, 5])
             assert nets._drawn_ahead == {}
+        assert put_ahead(draws) == [True] + [False] * len(others)
 
-    def test_keeps_one_entry_untaken_and_none_after_exit(self, monkeypatch):
+    def test_keeps_two_entries_untaken_and_none_after_exit(self, monkeypatch):
         """An entry no sample_network took (a faked sampler's) is dropped
-        when the one after the next is put, and every entry goes on exit,
+        when the third one after it is put, and every entry goes on exit,
         an interrupt's included; the helper thread is gone then too."""
         monkeypatch.setattr(nets, "_AHEAD_MIN_NORMALS", 1)
         config = NetworkConfig(n=6, hidden_widths=(6, 6))
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             with drawing_ahead() as draw:
-                for trial in range(5):
+                for trial in range(6):
                     draw(config, trial)
-                    assert list(nets._drawn_ahead) == [(config, t) for t in range(trial + 1)][-2:]
+                    assert list(nets._drawn_ahead) == [(config, t) for t in range(trial + 1)][-3:]
                 raise KeyboardInterrupt
         assert nets._drawn_ahead == {}
         assert threading.active_count() == before
 
     def test_serial_closest_run_calls_traced_functions_on_main_thread_only(self, monkeypatch):
         """On two CPUs a serial closest run at n = 128, the size gate itself,
-        draws every net but the first on the helper, and every function that
-        perfbench's single-stack tracer wraps runs on the main thread."""
+        puts every net but the first for the helper, and every function
+        that perfbench's single-stack tracer wraps runs on the main
+        thread."""
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         calls = spy_traced_calls(monkeypatch)
-        drawn_on = spy_net_draws(monkeypatch)
+        draws = spy_net_draws(monkeypatch)
         before = threading.active_count()
         run_experiment(ExperimentConfig(KIND_CLOSEST, n_values=(128,), trials=4))
-        assert len(drawn_on) == 4 and off_main(drawn_on) == 3
+        assert sorted(put_ahead(draws)) == [False, True, True, True]
         assert len(calls["nets.sample_network"]) == len(calls["search.greedy_search"]) == 4
         assert not any(map(off_main, calls.values()))
         assert threading.active_count() == before and nets._drawn_ahead == {}
 
-    def test_small_first_layers_are_left_to_sample_network(self, monkeypatch):
-        """Below the size gate a net is drawn inline and no thread starts."""
-        threads = spy_net_draws(monkeypatch)
-        small = NetworkConfig(n=127, hidden_widths=(128, 128))
-        large = NetworkConfig(n=128, hidden_widths=(128, 4))
+    def test_small_nets_are_left_to_sample_network(self, monkeypatch):
+        """A net of fewer than 2^15 normals is drawn inline and starts no
+        thread. Two hidden layers of width n hold 2n^2 + 3n + 1 normals:
+        below the gate at n = 127, above it at n = 128. n = 8 with hidden
+        widths 1024, 64 holds 74,881, and its first layer 8,192."""
+        small = NetworkConfig(n=127, hidden_widths=(127, 127))
+        large = [
+            NetworkConfig(n=128, hidden_widths=(128, 128)),
+            NetworkConfig(n=8, hidden_widths=(1024, 64)),
+        ]
+        assert [nets._normals(c) for c in [small, *large]] == [32640, 33153, 74881]
+        draws = spy_net_draws(monkeypatch)
+        before = threading.active_count()
         with drawing_ahead() as draw:
             draw(small, 0)
             assert nets._drawn_ahead == {}
             sample_network(small, 0)
-            assert len(threads) == 1 and off_main(threads) == 0
-            draw(large, 0)
-            sample_network(large, 0)
-        assert off_main(threads) == 1
+            assert threading.active_count() == before
+            for config in large:
+                draw(config, 0)
+                assert list(nets._drawn_ahead) == [(config, 0)]
+                sample_network(config, 0)
+        assert put_ahead(draws) == [False, True, True]
 
 
 def _probe_signs(n, m, seed, duplicate=True):

@@ -27,27 +27,32 @@ at n_l * m normals per layer instead of n_l * n_{l-1}. The first layer's
 factor of H^T H depends on the inputs alone (probe_factor), so it is
 computed once per input set, not once per network.
 
-screen_flips is a cheaper, certified look at every single flip of x for
-ReLU nets (the built-in RELU object, chosen by identity): the float64 rows
-z1 + flip row go through a float32 copy of the tail, and each row comes with
-a rigorous bound eps >= |phi32 - phi64| against any float64 evaluation of
-that row, whatever its summation order. With u = 2^-24 and gamma_K = K u / (1 - K u)
+FlipScreen is a cheaper, certified look at every single flip of x for ReLU
+nets (the built-in RELU object, chosen by identity), made for one greedy
+search and called with each step's z1: the float64 rows a = z1 + flip row
+go through a float32 copy of the tail, and each row comes with a rigorous
+bound eps >= |phi32 - phi64| against any float64 evaluation of that row,
+whatever its summation order. With u = 2^-24 and gamma_K = K u / (1 - K u)
 for a fan-in K, the terms are, carried to the output by the per-net vectors
 r_k = |w_out| |W_L| .. |W_{k+1}| (so each is one gemv of nonnegative float32
 numbers per layer):
 
-* the cast of z1: u * r_1 . h1, exact through ReLU, which keeps signs;
+* the cast of a: u * r_1 . h1, exact through ReLU, which keeps signs;
 * each matrix product, its weight cast and its bias add:
   (gamma_K + 3u) * r_k . h_k (the add's u |z| is at most u (|W| h + |b|));
 * each cast bias and bias add: 2u * r_{k+1} . |b_k|;
 * underflow (or flush to zero) of any float32 operation: at most 2^-126
   absolutely each, a per-net constant.
 
-Each gemv is divided by (1 - gamma_K), so that its own rounding can only
-raise the bound, and the sum is raised by 2^-20 relatively, which covers the
-float64 arithmetic of the bound and the float64 evaluation's own error (at
-most 2^-28 of the float32 bound). So two float64 evaluations of one row,
-for instance inside batches of different sizes, differ by at most
+The first tail layer's product is split in three kinds of unit (below), so
+its terms differ: there K = n_1 + 1, one more row, and the coefficient is
+c_1 = (gamma_K + 5u) / (1 - gamma_K), the cast of a and one more add
+included. Each gemv is divided by (1 - gamma_K), so that its own rounding
+can only raise the bound, and the sum is raised by 2^-20 relatively, which
+covers the float64 arithmetic of the bound and the float64 evaluation's own
+error (at most 2^-22 of the float32 bound: 2^-28 of every term charged
+gamma_K, and 2^-23 of the term of D below). So two float64 evaluations of
+one row, for instance inside batches of different sizes, differ by at most
 FLOAT64_SPREAD * eps.
 
 A net has a screen (its _Float32Tail) unless one of these holds: its
@@ -59,22 +64,60 @@ costs (its float32 copy of the net, a dozen numpy calls) outweigh what it
 saves (measured break-even at about n = 192 for two hidden layers of n; the
 gate screens two hidden layers of width n from n = 203 on).
 
-The screen multiplies only the first-layer units that some flip may turn
-on. No flip changes z1[u] by more than hi[u] = 2 max_i |W^(1)[u, i]|,
-computed once per net with the float32 tail (2 |w| is exact, and a bound of
-the exact change bounds its rounding too), and a unit with
-z1[u] + hi[u] <= 0 in float64 is dropped. Rounded addition and the float32
-cast are monotone, so every row's h1[u] is then exactly 0 after ReLU. Each
-float32 sum of the first product thus loses only zero terms: its value is
-that of the full sum over k <= K live terms, and gamma_k <= gamma_K, so the
-bound above, which charges the full fan-in K, holds unchanged. W^(1) is
-unit-major, so the live units' flip rows are its live rows scaled by -2 x,
-the values of flip_rows exactly (a product by +-2 is exact), and a screen
-builds no n x n flip table. The float32 tail is unit-major too (W^T,
-C-ordered), so the live units' weights of the first tail layer are
-contiguous rows; gamma_K holds for any float32 summation order. The tail
-keeps no bias vector that is all zero (every hidden layer at sigma_b^2 =
-0), whose add changes no value.
+No flip changes z1[u] by more than hi[u] = 2 max_i |W^(1)[u, i]|, computed
+once per net with the float32 tail (2 |w| is exact, and a bound of the
+exact change bounds its rounding too). Rounded addition and subtraction
+and the float32 cast are monotone, so the screen sorts the first-layer
+units of a call at z1_s into three kinds:
+
+* dead: z1_s[u] + hi[u] <= 0 in float64. Every row's h1[u] is exactly 0
+  after ReLU, and the unit is dropped. Each float32 sum of the first
+  product thus loses only zero terms: its value is that of the full sum
+  over k <= K live terms, and gamma_k <= gamma_K, so the bound, which
+  charges the full fan-in K, holds unchanged.
+* kept, the set L: z1_1[u] - hi[u] > 0 in float64 at the search's first
+  call z1_1, so every row a_1 of that call is positive there. That call
+  keeps P, the float32 product of the first tail layer over L of the rows
+  h1 = fl32(a_1) (ReLU changes none of them), and A = r_1[L] . h1[L].
+  A later call's rows are a_s = a_1 + d up to roundings, d = z1_s - z1_1,
+  and relu(a) = a + relu(-a): so the product over L of relu(a_s) is P,
+  plus g = W_2[:, L] fl64(d) (a float64 gemv, cast to float32), plus the
+  product over relu(-a_s), which is exactly 0 for a unit of L still on in
+  every row.
+* multiplied: the live units outside L, with rows relu(v) for
+  v = fl32(a_s), and the units of L no longer on in every row
+  (fl64(z1_s[u] - hi[u]) <= 0), with rows relu(-v). A call multiplies only
+  these, in one product whose last row is g's against a row of ones, then
+  adds P. At the first call d = 0 and no unit has left L.
+
+The split's terms, with D = r_1[L] . |fl64(d)[L]| and r_2 the carry of the
+first tail layer's outputs (1 when they are the output):
+
+* c_1 * r_1 . h over the multiplied rows: their product, weight cast and
+  cast of a_s (relu(-v) is as exact through ReLU as relu(v)), the add of P
+  and the bias add;
+* c_1 * A: P's product (fan-in |L| <= K) and weight cast, the cast of h1,
+  the add of P and the bias add;
+* c_1 * r_2 . |g|: g's cast, its row's share of the product, the add of P
+  and the bias add;
+* c_1 / 64 * D: g's float64 gemv (fan-in n_1, on W_2 itself, so no weight
+  cast) and the float64 roundings of d and of a_s against a_1, at most
+  (n_1 + 3) 2^-53 D, far below c_1 / 64 >= (n_1 + 1) 2^-30; and 2^-52 A,
+  which the 2^-20 covers;
+* underflow in P's product, g's gemv and cast, the added row and add, and
+  the cast of h1, in the per-net constant.
+
+The float64 evaluation's error in the first tail layer, gamma_{n_1} in
+float64 times r_1 . relu(a_s) <= r_1 . h + A + D (to first order), is thus
+at most 2^-28 of the terms charged c_1 and 2^-23 of c_1 / 64 * D.
+
+W^(1) is unit-major, so the flip rows of a set of units are their rows of
+W^(1) scaled by -2 x, the values of flip_rows exactly (a product by +-2 is
+exact), and a screen builds no n x n flip table. The float32 tail is
+unit-major too (W^T, C-ordered), so the units' weights of the first tail
+layer are contiguous rows; gamma_K holds for any float32 summation order.
+The tail keeps no bias vector that is all zero (every hidden layer at
+sigma_b^2 = 0), whose add changes no value.
 """
 
 from __future__ import annotations
@@ -181,7 +224,7 @@ class DeepNet:
 
 
 class _Float32Tail(NamedTuple):
-    """A net's layers above the first in float32, with screen_flips' bound:
+    """A net's layers above the first in float32, with FlipScreen's bound:
     per layer the weights transposed, unit-major (row k holds the weights
     out of unit k of the layer below; the output layer's as a vector), the
     biases (None for a vector of zeros, whose add is skipped), the
@@ -218,19 +261,25 @@ def _float32_tail(net: DeepNet) -> Optional[_Float32Tail]:
         # product, the bias add and the gemv, doubled to cover its rounding
         const += 2.0 * _U32 * float(r @ b_mag)
         const += (4 * fan_in + 2) * _TINY32 * (float(r.sum()) + 1.0)
-        r = r @ w_mag
+        above, r = r, r @ w_mag
         if not all(map(_fits_float32, (w_mag, b_mag))):
             return None
         with np.errstate(over="ignore"):  # an infinite carry is checked below
-            w, r32 = w64.T.astype(np.float32, order="C"), r.astype(np.float32)
+            w, r32 = np.ascontiguousarray(w64.astype(np.float32).T), r.astype(np.float32)
         if not np.isfinite(r32).all():
             return None
         weights.append(w)
         biases.append(b64.astype(np.float32) if b64.any() else None)
         carry.append(np.where(r32 < r, np.nextafter(r32, np.float32(np.inf)), r32))
         coef.append(np.float64((gamma + 3.0 * _U32) / (1.0 - gamma)))
-    coef[-1] += np.float64(_U32 / (1.0 - gamma))  # the cast of z1, in the same gemv
-    const += _TINY32 * float(r.sum())
+    # the first tail layer's product is FlipScreen's (module docstring): one
+    # more row (g's) and one more add (P's), with the cast of the rows in
+    # the same gemv; the underflow of P's product, g's gemv and cast, the
+    # added row and P's add, doubled, and of the casts of the rows and h1
+    gamma = (fan_in + 1) * _U32 / (1.0 - (fan_in + 1) * _U32)
+    coef[-1] = np.float64((gamma + 5.0 * _U32) / (1.0 - gamma))
+    const += (8 * fan_in + 6) * _TINY32 * (float(above.sum()) + 1.0)
+    const += 2.0 * _TINY32 * float(r.sum())
     weights[0] = weights[0].ravel()
     w1 = net.weights[0]
     hi = 2.0 * np.maximum(w1.max(axis=1), -w1.min(axis=1))
@@ -478,45 +527,96 @@ def _live_units(z1: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(z1 + hi <= 0.0))
 
 
-def screen_flips(
-    net: DeepNet, z1: np.ndarray, x: BitString
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The layers above the first in float32, for the float64 first-layer
-    preactivations z1 + flip_rows(net, x, i) of every bit i (each sum is
-    rounded once to float32, not stored): (phi, eps), both float64 (n,),
-    with |phi - phi64| <= eps for any float64 evaluation phi64 of a row.
-    Only the units that some flip may turn on are multiplied (module
-    docstring). None when net has no screen or a row overflows float32, so
-    that phi or eps is not finite."""
-    tail = net._screen
-    if tail is None:
-        return None
-    live = _live_units(z1, tail.hi)
-    weights = (tail.weights[0][live], *tail.weights[1:])
-    carry = (tail.carry[0][live], *tail.carry[1:])
-    eps = np.full(x.n, tail.const)
-    last = len(weights) - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        rows = net.weights[0][live]
-        rows *= -2.0 * x.signs
-        h = np.empty(rows.shape, np.float32)
-        np.add(rows, z1[live, None], out=h, casting="same_kind")
-        np.maximum(h, 0.0, out=h)
-        for l, (w, b, r, c) in enumerate(zip(weights, tail.biases, carry, tail.coef)):
-            eps += c * (r @ h)
-            if l < last:
-                z = w.T @ h
+class _Kept(NamedTuple):
+    """What a FlipScreen keeps from its first call: that call's z1, the
+    mask of the units L that every flip of it leaves on, the float32
+    product of the first tail layer over L and the bound's constant plus
+    its term of L (module docstring)."""
+
+    z1: np.ndarray
+    on: np.ndarray
+    product: np.ndarray
+    eps: np.ndarray
+
+
+class FlipScreen:
+    """Greedy's float32 screen of the flips of x, for one search: called
+    with a step's float64 first-layer preactivations z1, the layers above
+    the first in float32 for z1 + flip_rows(net, x, i) of every bit i (each
+    sum is rounded once to float32, not stored): (phi, eps), both float64
+    (n,), with |phi - phi64| <= eps for any float64 evaluation phi64 of a
+    row. The first call keeps its product over the units that every flip
+    leaves on, and later calls multiply only the units that some flip may
+    turn on besides them, or that have left them (module docstring). None
+    when net has no screen or a row overflows float32, so that phi or eps
+    is not finite; such a call keeps nothing, and the next keeps afresh."""
+
+    def __init__(self, net: DeepNet, x: BitString):
+        self.net = net
+        self.tail = net._screen
+        self.scale = -2.0 * x.signs  # flip_rows' factor of each bit
+        self.kept: Optional[_Kept] = None
+
+    def _rows(self, z1: np.ndarray, units: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Into out, the float32 roundings of z1[u] + flip_rows(net, x, i)[u]
+        for the units u (an index array or a mask) and every bit i."""
+        rows = self.net.weights[0][units]
+        rows *= self.scale
+        return np.add(rows, z1[units, None], out=out, casting="same_kind")
+
+    def _keep(self, z1: np.ndarray) -> _Kept:
+        tail = self.tail
+        on = z1 - tail.hi > 0.0  # a NaN is not on
+        h = self._rows(z1, on, np.empty((np.count_nonzero(on), len(self.scale)), np.float32))
+        eps = np.full(len(self.scale), tail.const)
+        eps += tail.coef[0] * (tail.carry[0][on] @ h)  # h >= 0: its ReLU changes nothing
+        return _Kept(z1, on, tail.weights[0][on].T @ h, eps)
+
+    def __call__(self, z1: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        tail = self.tail
+        if tail is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            if self.kept is None:
+                self.kept = self._keep(z1)
+            first, on, product, eps = self.kept
+            live = _live_units(z1, tail.hi)
+            outside = live[~on[live]]
+            left = np.flatnonzero(on & ~(z1 - tail.hi > 0.0))  # L units no longer on
+            units = np.concatenate((outside, left))
+            m, w0, c0 = len(units), tail.weights[0], tail.coef[0]
+            # rows relu(v) of the units outside L and relu(-v) of those
+            # that left it, then ones: the row of the change of z1 over L
+            h = np.empty((m + 1, len(self.scale)), np.float32)
+            self._rows(z1, units, h[:m])
+            np.negative(h[len(outside) : m], out=h[len(outside) : m])
+            np.maximum(h[:m], 0.0, out=h[:m])
+            h[m] = 1.0
+            delta = np.where(on, z1 - first, 0.0)
+            g = self.net.weights[1] @ delta  # in float64, so its error is O(2^-53)
+            w = np.empty((m + 1, *w0.shape[1:]), np.float32)
+            np.take(w0, units, axis=0, out=w[:m])
+            w[m] = g.reshape(w0.shape[1:])
+            above = tail.carry[1] if len(tail.carry) > 1 else np.ones(1)
+            eps = eps + c0 * float(np.abs(g) @ above)
+            eps += c0 / 64.0 * float(tail.carry[0] @ np.abs(delta))
+            eps += c0 * (tail.carry[0][units] @ h[:m])
+            z = w.T @ h
+            z += product
+            for b, w, r, c in zip(tail.biases, tail.weights[1:], tail.carry[1:], tail.coef[1:]):
                 if b is not None:
                     z += b[:, None]
                 h = np.maximum(z, 0.0, out=z)
-        phi = w.T @ h
-        if b is not None:
-            phi += b
-        phi = phi.astype(np.float64)
-    eps *= _SCREEN_SLACK
-    if not (np.isfinite(phi).all() and np.isfinite(eps).all()):
-        return None
-    return phi, eps
+                eps += c * (r @ h)
+                z = w.T @ h
+            if tail.biases[-1] is not None:
+                z += tail.biases[-1]
+            phi = z.astype(np.float64)
+        eps *= _SCREEN_SLACK
+        if not (np.isfinite(phi).all() and np.isfinite(eps).all()):
+            self.kept = None
+            return None
+        return phi, eps
 
 
 def forward_with_first_layer_cache(net: DeepNet, x: BitString) -> Tuple[float, np.ndarray]:

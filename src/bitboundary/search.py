@@ -28,15 +28,19 @@ at most n" and "total at most n * steps" exact for greedy.
 
 Greedy's screen and decision: a step's choice is the argmin of s0 * phi
 from the float64 pass over every flip, the flipped bits' keys set to +inf.
-nets.screen_flips gives each flip's phi through a float32 tail with a
-rigorous bound eps against any float64 evaluation. Only the flips
-whose interval [s0 phi - eps, s0 phi + eps] reaches below the smallest
-upper end can be the float64 argmin, and only these contenders are
-evaluated in float64. The decision stands when it is certified against the
-float64 pass over every flip too: the contenders' float64 values may come
-out a few ulps apart from that pass (a BLAS may round a row differently in
-a smaller batch), by at most nets.FLOAT64_SPREAD * eps, so the chosen flip
-must be below every other contender and away from zero by more than that.
+A nets.FlipScreen, made for the search, gives each flip's phi through a
+float32 tail with a rigorous bound eps against any float64 evaluation. Its
+first step keeps its product over the first-layer units that every flip
+leaves on; later steps add that product, moved by one gemv of the change
+of z1, and multiply only the other live units and those that have left
+that set. Only the flips whose interval [s0 phi - eps, s0 phi + eps]
+reaches below the smallest upper end can be the float64 argmin, and only
+these contenders are evaluated in float64. The decision stands when it is
+certified against the float64 pass over every flip too: the contenders'
+float64 values may come out a few ulps apart from that pass (a BLAS may
+round a row differently in a smaller batch), by at most
+nets.FLOAT64_SPREAD * eps, so the chosen flip must be below every other
+contender and away from zero by more than that.
 Every other case takes the float64 pass, which is the decision itself: an
 exact tie, a float32 overflow, or a net without a screen (nets says which
 nets have one). So the path and distance are those of the float64 pass, bit
@@ -57,10 +61,10 @@ from .errors import BudgetExceededError, ConfigError
 from .nets import (
     FLOAT64_SPREAD,
     DeepNet,
+    FlipScreen,
     forward_from_first_layer,
     flip_rows,
     forward_with_first_layer_cache,
-    screen_flips,
 )
 # unused: kept only because perfbench/test_perfbench.py's CALLER_SIDE lists
 # search.forward_batch; the tracer itself runs without it
@@ -99,12 +103,13 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
     phi0, z1 = forward_with_first_layer_cache(net, x)
     s0 = 1.0 if phi0 >= 0.0 else -1.0
     remaining = np.ones(n, dtype=bool)
+    screen = FlipScreen(net, x)
     path = []
     evaluations = 0
     distance = None
     for step in range(1, n + 1):
         evaluations += n - step + 1  # the flips of the bits not yet flipped
-        choice = _screened_choice(net, x, z1, remaining, s0)
+        choice = _screened_choice(net, x, z1, remaining, s0, screen)
         if not choice:  # the float64 pass over every flip
             rows = flip_rows(net, x, slice(None))
             rows += z1  # the same sums as _screened_choice's rows
@@ -124,11 +129,16 @@ def greedy_search(net: DeepNet, x: BitString) -> SearchResult:
 
 
 def _screened_choice(
-    net: DeepNet, x: BitString, z1: np.ndarray, remaining: np.ndarray, s0: float
+    net: DeepNet,
+    x: BitString,
+    z1: np.ndarray,
+    remaining: np.ndarray,
+    s0: float,
+    screen: FlipScreen,
 ) -> Optional[Tuple[int, float]]:
-    """(bit, phi) of the float64 pass's argmin through the float32 screen, or
-    None when the screen cannot certify it (module docstring)."""
-    screened = screen_flips(net, z1, x)
+    """(bit, phi) of the float64 pass's argmin through the search's float32
+    screen, or None when the screen cannot certify it (module docstring)."""
+    screened = screen(z1)
     if screened is None:
         return None
     phi32, eps = screened

@@ -19,6 +19,7 @@ from bitboundary.nets import (
     FLOAT64_SPREAD,
     _live_units,
     DeepNet,
+    FlipScreen,
     NetworkConfig,
     drawing_ahead,
     flip_rows,
@@ -29,7 +30,6 @@ from bitboundary.nets import (
     probe_factor,
     sample_network,
     sample_outputs,
-    screen_flips,
 )
 from bitboundary.rng import STREAM_NETWORK, STREAM_OUTPUTS, spawn_rng
 from bitboundary.search import greedy_search
@@ -547,24 +547,54 @@ def one_input_net(net, i):
     return DeepNet(config, (net.weights[0][:, i : i + 1], *net.weights[1:]), net.biases)
 
 
-def assert_bound_holds(net, z1, x):
+def screened(net, x, z1, first=None):
+    """A new FlipScreen(net, x) called at z1, after a first call at first,
+    whose product it keeps, if first is given."""
+    screen = FlipScreen(net, x)
+    if first is not None:
+        screen(first)
+    return screen(z1)
+
+
+def assert_bound_holds(net, z1, x, first=None):
     """|phi32 - phi64| <= eps on every flip z1 + flip_rows(net, x, i), against
     the float64 pass over the whole batch and over each row alone, with the
-    screen run on every flip and on each flip alone."""
+    screen run on every flip and on each flip alone: screened(.., first)."""
     rows = flip_rows(net, x, slice(None)) + z1
-    phi32, eps = screen_flips(net, z1, x)
+    phi32, eps = screened(net, x, z1, first)
     assert phi32.dtype == eps.dtype == np.float64
     assert np.all(np.abs(phi32 - forward_from_first_layer(net, rows)) <= eps)
     for i in range(len(rows)):  # one-row batches take other BLAS kernels
         single = forward_from_first_layer(net, rows[i : i + 1])[0]
         assert abs(phi32[i] - single) <= eps[i]
-        phi32_i, eps_i = screen_flips(one_input_net(net, i), z1, BitString(x.signs[i : i + 1]))
+        one = one_input_net(net, i), BitString(x.signs[i : i + 1])
+        phi32_i, eps_i = screened(*one, z1, first)
         assert abs(phi32_i[0] - single) <= eps_i[0]
+
+
+def moved_screen(n, widths, sigma_w2, sigma_b2, seed, scale, steps, lo=-1.0):
+    """A net as in test_bound_holds_on_every_row, a first z1 in [lo, 3]
+    times the flip bound hi, which puts the units above hi (about half, or
+    every unit at lo = 1) on in every flip, and that z1 moved by `steps`
+    flip rows, as greedy moves it: (net, x, first, z1, left), left the
+    units on in every flip at first but not at z1."""
+    config = NetworkConfig(
+        n=n, hidden_widths=tuple(widths), sigma_w2=sigma_w2, sigma_b2=sigma_b2, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    flips = rng.standard_normal((widths[0], n)) * scale
+    x = BitString.random(n, rng)
+    net = with_flips(sample_network(config, 0), flips, x)
+    hi = net._screen.hi
+    first = z1 = hi * rng.uniform(lo, 3.0, widths[0])
+    for i in rng.choice(n, min(steps, n), replace=False):
+        z1 = z1 + flip_rows(net, x, i)
+    return net, x, first, z1, (first - hi > 0.0) & ~(z1 - hi > 0.0)
 
 
 @pytest.mark.usefixtures("screen_at_any_size")
 class TestFloat32Screen:
-    """screen_flips' float32 tail and its bound: |phi32 - phi64| <= eps for
+    """FlipScreen's float32 tail and its bound: |phi32 - phi64| <= eps for
     any float64 evaluation of a row, with no tolerance beyond eps."""
 
     @settings(deadline=None, max_examples=80)
@@ -586,21 +616,69 @@ class TestFloat32Screen:
         net = with_flips(sample_network(config, 0), flips, x)
         assert_bound_holds(net, np.zeros(widths[0]), x)
 
-    @pytest.mark.parametrize("dead", ["none", "most", "all"])
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(1, 24),
+        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        sigma_w2=st.floats(0.25, 4.0),
+        sigma_b2=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3]),
+        steps=st.integers(1, 3),
+        lo=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_bound_holds_after_the_kept_step(
+        self, n, widths, sigma_w2, sigma_b2, seed, scale, steps, lo
+    ):
+        """A screen that keeps its product at one z1, called there and at z1
+        moved by one to three flip rows, so that units may leave the kept
+        set. At lo = 1 every unit is kept at first: on a net of one hidden
+        layer the kept product's term is then all of eps but the constant."""
+        net, x, first, z1, _ = moved_screen(n, widths, sigma_w2, sigma_b2, seed, scale, steps, lo)
+        assert_bound_holds(net, first, x)
+        assert_bound_holds(net, z1, x, first)
+
+    @pytest.mark.parametrize("lo", [-1.0, 1.0])
+    @pytest.mark.parametrize("sigma_b2", [0.0, 0.4])
+    @pytest.mark.parametrize("widths", [(40,), (40, 12), (40, 8, 16)])
+    def test_units_leave_the_kept_set(self, widths, sigma_b2, lo):
+        """moved_screen at pinned draws: units do leave the kept set."""
+        net, x, first, z1, left = moved_screen(24, widths, 2.0, sigma_b2, 5, 1.0, 3, lo)
+        assert 0 < left.sum() < (first - net._screen.hi > 0.0).sum()
+        assert_bound_holds(net, first, x)
+        assert_bound_holds(net, z1, x, first)
+
+    @pytest.mark.parametrize("dead", ["none", "most", "all", "most, the rest kept", "all leave"])
     @pytest.mark.parametrize("n, widths", [(64, (64, 64)), (40, (96, 24, 32)), (24, (48,))])
     def test_bound_holds_with_dead_units(self, n, widths, dead):
         """Every flip of a sampled net, with z1 chosen so that no first-layer
-        unit, all but one in eight, or every unit is off in every row."""
+        unit, all but one in eight, or every unit is off in every row; so
+        that the one in eight are on in every row by the flip bound, so the
+        kept product covers every live unit; or after a first call at
+        which every unit was, at a z1 where none is."""
         config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=0.3, seed=3)
         net = sample_network(config, 1)
         x = BitString.random(n, np.random.default_rng(n))
+        hi = net._screen.hi
         z1 = 1.0 - flip_rows(net, x, slice(None)).min(axis=0)  # on in every row
-        if dead != "none":
+        first = None
+        if dead == "most, the rest kept":
+            z1 = 1.0 + hi
+        if dead in ("most", "all", "most, the rest kept"):
             off = slice(None) if dead == "all" else np.arange(widths[0]) % 8 != 0
             z1[off] = -0.5 - 2.0 * np.abs(net.weights[0][off]).max(axis=1)
-        live = len(_live_units(z1, net._screen.hi))
-        assert live == {"none": widths[0], "most": (widths[0] + 7) // 8, "all": 0}[dead]
-        assert_bound_holds(net, z1, x)
+        if dead == "all leave":
+            first, z1 = 1.0 + hi, hi - 1.0
+        screen = FlipScreen(net, x)
+        screen(z1 if first is None else first)
+        live, kept = _live_units(z1, hi), np.flatnonzero(screen.kept.on)
+        if dead == "all leave":
+            assert len(kept) == widths[0] and not np.any(z1 - hi > 0.0)
+        else:
+            expected = {"none": widths[0], "most": (widths[0] + 7) // 8, "all": 0}
+            assert len(live) == expected.get(dead, (widths[0] + 7) // 8)
+            assert (set(kept) == set(live)) or dead != "most, the rest kept"
+        assert_bound_holds(net, z1, x, first)
 
     @pytest.mark.parametrize("signs", ["random", "all-plus", "all-minus"])
     def test_flip_bound_covers_every_flip_row(self, signs):
@@ -629,7 +707,7 @@ class TestFloat32Screen:
     )
     def test_live_units_keep_every_unit_some_row_turns_on(self, data, units, m, scale):
         """A unit whose float64 preactivation z1 + f is positive in some
-        row, or whose float32 rounding screen_flips feeds to ReLU is, stays
+        row, or whose float32 rounding FlipScreen feeds to ReLU is, stays
         live. z1 sits at -hi, one ulp either side of it, or anywhere."""
         finite = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale)
         flips = np.array(data.draw(st.lists(finite, min_size=units * m, max_size=units * m)))
@@ -668,7 +746,7 @@ class TestFloat32Screen:
         x = BitString(rng.choice([-1.0, 1.0], n))
         batch = flip_rows(net, x, slice(None)) + z1
         full = forward_from_first_layer(net, batch)
-        _, eps = screen_flips(net, z1, x)
+        _, eps = FlipScreen(net, x)(z1)
         for k in (1, 2, 3, 7):
             rows = np.sort(rng.choice(n, k, replace=False))
             sub = forward_from_first_layer(net, batch[rows])
@@ -679,7 +757,7 @@ class TestFloat32Screen:
         for signs in np.random.default_rng(3).choice([-1.0, 1.0], size=(9, 5)):
             x = BitString(signs)
             _, z1 = forward_with_first_layer_cache(net, x)
-            phi32, eps = screen_flips(net, z1, x)
+            phi32, eps = FlipScreen(net, x)(z1)
             rows = flip_rows(net, x, slice(None)) + z1
             np.testing.assert_array_equal(phi32, forward_from_first_layer(net, rows))
             assert np.all(eps > 0.0)
@@ -687,15 +765,20 @@ class TestFloat32Screen:
     @pytest.mark.parametrize("scale", [3e38, 1e39])
     def test_float32_overflow_gives_none(self, scale):
         """The tail's weights fit float32, the preactivations do not: z1
-        itself (1e39) or the second layer's (a sum of five 3e38)."""
+        itself (1e39) or the second layer's (a sum of five 3e38). The call
+        keeps nothing, so the next one, at a small z1, keeps afresh and is
+        exact."""
         config = NetworkConfig(n=6, hidden_widths=(5, 4))
         weights = [np.ones((5, 6)), np.ones((4, 5)), np.ones((1, 4))]
         net = DeepNet(config, weights, [np.zeros(5), np.zeros(4), np.zeros(1)])
         z1, x = np.full(5, scale), BitString(np.ones(6))
         assert net._screen is not None
-        assert screen_flips(net, z1, x) is None
+        screen = FlipScreen(net, x)
+        assert screen(z1) is None
         rows = flip_rows(net, x, slice(None)) + z1
         assert np.all(np.isfinite(forward_from_first_layer(net, rows)))
+        phi32, _ = screen(np.full(5, 3.0))
+        np.testing.assert_array_equal(phi32, np.full(6, 20.0))  # 4 * 5 * (3 - 2)
 
     @pytest.mark.parametrize("scale", [1e39, 1e-40])
     def test_weights_outside_float32_have_no_screen(self, scale):
@@ -722,7 +805,7 @@ class TestFloat32Screen:
         for activation in ("relu", "tanh"):
             config = NetworkConfig(n=5, hidden_widths=(7, 6), activation=activation)
             net = sample_network(config, 0)
-            assert (screen_flips(net, z1, x) is None) == (activation != "relu")
+            assert (FlipScreen(net, x)(z1) is None) == (activation != "relu")
 
 
 @pytest.mark.parametrize("n, screened", [(202, False), (203, True)])
@@ -754,10 +837,56 @@ def test_greedy_through_a_zero_and_a_nonzero_tail_bias(monkeypatch, zero):
     )
     screened = greedy_search(net, x)
     assert min(rows) < 256  # a screened step's contenders
-    monkeypatch.setattr(search, "screen_flips", lambda net, z1, x: None)
+    monkeypatch.setattr(search, "FlipScreen", lambda net, x: lambda z1: None)
     del rows[:]
     float64 = greedy_search(net, x)
     assert set(rows) == {256}  # every step's float64 pass over every flip
     assert (screened.path, screened.distance, screened.evaluations) == (
         float64.path, float64.distance, float64.evaluations
     )
+
+
+@pytest.mark.parametrize("sigma_b2", [0.0, 0.5])
+@pytest.mark.parametrize("n, widths", [(512, (512, 512)), (256, (256, 256, 64))])
+def test_greedy_through_the_kept_product(monkeypatch, n, widths, sigma_b2):
+    """Nets above the size gate, two hidden layers at n = 512 and three at
+    n = 256: greedy through a screen that keeps its first step's product
+    takes the float64 pass's path, distance and evaluations, units leave
+    the kept set at some later step, the screen decides some steps, and
+    every step's phi is within its eps of the float64 pass over every flip."""
+    config = NetworkConfig(n=n, hidden_widths=widths, sigma_b2=sigma_b2, seed=21)
+    nets_and_xs = [
+        (sample_network(config, trial), BitString.random(n, np.random.default_rng(trial)))
+        for trial in range(3)
+    ]
+    calls, rows = [], []
+
+    class Spy(FlipScreen):
+        def __init__(self, net, x):
+            super().__init__(net, x)
+            self.x = x
+
+        def __call__(self, z1):
+            result = super().__call__(z1)
+            calls.append((self, z1, result))
+            return result
+
+    real = search.forward_from_first_layer
+    monkeypatch.setattr(
+        search, "forward_from_first_layer", lambda net, z1: rows.append(len(z1)) or real(net, z1)
+    )
+    monkeypatch.setattr(search, "FlipScreen", Spy)
+    screened = [greedy_search(net, x) for net, x in nets_and_xs]
+    assert min(rows) < n  # a screened step's contenders
+    left = [np.count_nonzero(s.kept.on & ~(z1 - s.tail.hi > 0.0)) for s, z1, _ in calls]
+    assert max(left) > 0
+    for screen, z1, (phi32, eps) in calls:
+        batch = flip_rows(screen.net, screen.x, slice(None)) + z1
+        assert np.all(np.abs(phi32 - real(screen.net, batch)) <= eps)
+    monkeypatch.setattr(search, "FlipScreen", lambda net, x: lambda z1: None)
+    del rows[:]
+    float64 = [greedy_search(net, x) for net, x in nets_and_xs]
+    assert set(rows) == {n}  # every step's float64 pass over every flip
+    assert [(r.path, r.distance, r.evaluations) for r in screened] == [
+        (r.path, r.distance, r.evaluations) for r in float64
+    ]
